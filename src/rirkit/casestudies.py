@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, SynthesisVerificationError
 from .polycore import Polynomial, from_roots
-from .rir import EXACT_SUFFICIENT, exact_rir_analyze, synth_marginal_perturbation
+from .rir import EXACT_SUFFICIENT, _synthesize, exact_rir_analyze
 from .transfer import RationalTF, _auto_grid, _dlog, evaluate
 
 __all__ = [
@@ -410,12 +410,14 @@ def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
         raise PreconditionError(
             f"no bracket for |e| = 1/||g_e|| found in [{lo_lim}, {hi_lim}]")
     a, b = bracket_pair
+    h_a = prev_h  # h(a), carried so each step evaluates h once
     for _ in range(200):
         if abs(b - a) <= e_tol:
             break
         m = 0.5 * (a + b)
-        if (h(a) < 0.0) == (h(m) < 0.0):
-            a = m
+        h_m = h(m)
+        if (h_a < 0.0) == (h_m < 0.0):
+            a, h_a = m, h_m
         else:
             b = m
     e_o = 0.5 * (a + b)
@@ -462,14 +464,14 @@ def _dc_gain(g: RationalTF) -> float:
 def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float,
                      r: float = 0.5, dc_tol: float = 1e-10) -> RationalTF:
     """Shaped perturbation (1 + eps) h delta_f with the DC gain pinned at e_o."""
-    delta_f = synth_marginal_perturbation(g_eo)
+    delta_f, _, verdict = _synthesize(g_eo)
     dc = _dc_gain(delta_f)
     if dc * e_o <= 0.0:
         raise SynthesisVerificationError(
             f"synthesized DC gain {dc} does not match the sign of e_o={e_o}")
     if eps == 0.0:
         return delta_f
-    omega_p = exact_rir_analyze(g_eo).class_tag.peak_omega
+    omega_p = verdict.class_tag.peak_omega
     shaped = (1.0 + eps) * (h_shaper(eps, omega_p, r) * delta_f)
     dc_shaped = _dc_gain(shaped)
     if abs(dc_shaped - dc) > dc_tol:

@@ -117,10 +117,8 @@ def cmd_analyze(args) -> dict:
 
 def cmd_synth(args) -> dict:
     g = _load_tf(args.input)
-    spec, verdict = rir.synth_allpass_spec(g, rate_tol=args.tol_rate,
-                                           grid=args.grid)
-    f = rir.synth_marginal_perturbation(g, rate_tol=args.tol_rate,
-                                        grid=args.grid)
+    f, spec, verdict = rir._synthesize(g, rate_tol=args.tol_rate,
+                                       grid=args.grid)
     return {
         "schema": SCHEMA,
         "command": "synth",

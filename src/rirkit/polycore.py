@@ -62,7 +62,16 @@ class Polynomial:
         return poly_derivative(self)
 
     def roots(self, cluster_tol: float = CLUSTER_TOL) -> "RootSet":
-        return poly_roots(self, cluster_tol=cluster_tol)
+        """Clustered roots, solved once per instance and tolerance.
+
+        The cache lives in the instance ``__dict__`` outside the dataclass
+        fields, so equality, hashing and repr are unaffected; a ``RootSet``
+        is immutable, so sharing it is safe.
+        """
+        cache = self.__dict__.setdefault("_roots", {})
+        if cluster_tol not in cache:
+            cache[cluster_tol] = poly_roots(self, cluster_tol=cluster_tol)
+        return cache[cluster_tol]
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -150,11 +159,26 @@ def _initial_guesses(monic: np.ndarray) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
+def _horner_bound(coeffs, absz):
+    """Rounding bound 4 n eps sum |a_k| |z|^k on a Horner value p(z)."""
+    n = max(len(coeffs) - 1, 1)
+    return 4.0 * n * np.finfo(float).eps * np.polyval(np.abs(coeffs), absz)
+
+
 def _aberth(monic: np.ndarray, max_iter: int = 500, tol: float = 1e-14):
-    """Aberth-Ehrlich simultaneous iteration on a monic polynomial."""
+    """Aberth-Ehrlich simultaneous iteration on a monic polynomial.
+
+    A root is frozen once its residual is within Horner's rounding bound
+    (Bini 1996) and its step is below 1e-10 (1 + |z|): past that point the
+    steps are rounding noise and can stay above ``tol`` indefinitely.
+    Requiring the small step as well keeps a multiple root's approximants
+    from freezing apart.  Converged when every root is frozen or its step
+    is below ``tol``.
+    """
     n = len(monic) - 1
     dmonic = np.polyder(monic)
     z = _initial_guesses(monic)
+    active = np.ones(n, dtype=bool)
     for _ in range(max_iter):
         pv = np.polyval(monic, z)
         dv = np.polyval(dmonic, z)
@@ -169,9 +193,13 @@ def _aberth(monic: np.ndarray, max_iter: int = 500, tol: float = 1e-14):
         s = np.sum(inv, axis=1)
         denom = 1.0 - w * s
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = w / denom
+        step = np.where(active, w / denom, 0.0)
+        at_floor = np.abs(pv) <= _horner_bound(monic, np.abs(z))
         z = z - step
-        if np.all(np.abs(step) <= tol * (1.0 + np.abs(z))):
+        size = np.abs(step)
+        scale = 1.0 + np.abs(z)
+        active &= ~(at_floor & (size <= 1e-10 * scale))
+        if np.all(~active | (size <= tol * scale)):
             return z, True
     return z, False
 

@@ -307,6 +307,14 @@ def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL,
     The result is verified post hoc: its norm, the loop value at the peak
     frequency, and single-mode marginal stability of the closed loop.
     """
+    return _synthesize(g, rate_tol, grid, loop_value_tol, norm_tol)[0]
+
+
+def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL, grid: int = 4096,
+                loop_value_tol: float = 1e-6, norm_tol: float = 1e-9
+                ) -> tuple[RationalTF, AllPassSpec, RIRVerdict]:
+    """Verified perturbation together with the spec and verdict behind it,
+    for callers that need all three from a single analysis of g."""
     spec, verdict = synth_allpass_spec(g, rate_tol=rate_tol, grid=grid)
     f = spec.to_tf()
     fnorm = linf_norm(f).norm
@@ -323,7 +331,7 @@ def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL,
     if not sv.single_mode:
         raise SynthesisVerificationError(
             f"closed loop not single-mode marginal: {sv}")
-    return f
+    return f, spec, verdict
 
 
 # -- PCR maximization search --------------------------------------------

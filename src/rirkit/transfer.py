@@ -20,7 +20,7 @@ from .errors import (
     PoleOnCircleError,
     ZeroOnCircleError,
 )
-from .polycore import Polynomial, from_roots, poly_eval
+from .polycore import Polynomial, _horner_bound, from_roots, poly_eval
 
 __all__ = [
     "RationalTF",
@@ -304,17 +304,22 @@ def linf_norm(g: RationalTF, grid: int = BASE_GRID,
     The grid densifies automatically when poles or zeros approach the unit
     circle; interior candidates are refined until |A'(omega_p)| is at the
     root-solver tolerance.  ``unique`` is False when a second local maximum
-    comes within the relative uniqueness margin of the peak.
+    comes within the relative uniqueness margin of the peak.  A response
+    flat to rounding (all-pass or constant) is reported at omega 0 and not
+    unique.
     """
     g.assert_rl_inf(circle_tol)
     n = _auto_grid(g, grid)
     w = np.linspace(0.0, np.pi, n + 1)
-    gain = np.abs(evaluate(g, np.exp(1j * w)))
+    z = np.exp(1j * w)
+    anum = np.abs(poly_eval(g.num, z))
+    aden = np.abs(poly_eval(g.den, z))
+    gain = anum / aden
     gmax = float(np.max(gain))
     if gmax == 0.0:
         return LinfResult(0.0, 0.0, False)
-    if (gmax - np.min(gain)) <= 1e-12 * gmax:
-        # flat response (all-pass or constant)
+    if _flat_to_rounding(g, anum, aden, gain, gmax):
+        # all-pass or constant: the grid's maxima are rounding noise
         return LinfResult(gmax, 0.0, False)
 
     interior = np.zeros(len(w), dtype=bool)
@@ -353,6 +358,23 @@ def linf_norm(g: RationalTF, grid: int = BASE_GRID,
     norm, omega_p = merged[0][1], merged[0][0]
     unique = all(gv < (1.0 - uniqueness_margin) * norm for _, gv in merged[1:])
     return LinfResult(float(norm), float(omega_p), bool(unique))
+
+
+def _flat_to_rounding(g: RationalTF, anum, aden, gain, gmax: float) -> bool:
+    """True when every grid gain is within rounding of the peak gain.
+
+    On |z| = 1 a Horner value p(z) carries relative error at most
+    _horner_bound(p, 1) / |p(z)|; two gains agree to rounding when they
+    differ by no more than the sum of their bounds.
+    """
+    cn = _horner_bound(g.num.coeffs, 1.0)
+    cd = _horner_bound(g.den.coeffs, 1.0)
+    with np.errstate(divide="ignore"):
+        worst = cn / np.min(anum) + cd / np.min(aden)
+        if gmax - np.min(gain) > 2.0 * worst * gmax:
+            return False  # a real spread: skip the pointwise test
+        rel = cn / anum + cd / aden
+    return bool(np.all(gmax - gain <= (rel + rel[np.argmax(gain)]) * gmax))
 
 
 def _golden_max(g: RationalTF, a: float, b: float) -> float:

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rirkit.polycore import Polynomial, from_roots, poly_eval, poly_roots
+from rirkit.polycore import (
+    Polynomial,
+    _aberth,
+    from_roots,
+    poly_eval,
+    poly_roots,
+)
 
 
 def test_eval_factored_root():
@@ -155,3 +161,70 @@ def test_trim_leading_zeros():
 def test_zero_polynomial_flag():
     p = Polynomial([0.0, 0.0])
     assert p.is_zero and p.degree == 0 and p.coeffs == (0.0,)
+
+
+def test_roots_cached_per_instance(monkeypatch):
+    import rirkit.polycore as polycore
+
+    calls = []
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return poly_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(polycore, "poly_roots", counting)
+    p = Polynomial([1.0, -0.5, 0.25, 2.0])
+    before = (p, hash(p), repr(p))
+    first = p.roots()
+    assert p.roots() is first
+    assert len(calls) == 1
+    # the cache is no field: equality, hash and repr are those of the coeffs
+    assert (p, hash(p), repr(p)) == before
+    assert p == Polynomial([1.0, -0.5, 0.25, 2.0])
+    Polynomial([1.0, -0.5, 0.25, 2.0]).roots()  # a new instance solves anew
+    assert len(calls) == 2
+
+
+def test_aberth_stops_at_rounding_floor():
+    # a plant numerator on which the steps stall near 1e-13, above the step
+    # tolerance, once the roots are as accurate as rounding allows
+    monic = np.array([1.0, 6.745640947358542, 17.381309539022823,
+                      20.35914700767102, 9.174150631293426])
+    z, converged = _aberth(monic, max_iter=60)
+    assert converged
+    want = np.roots(monic)
+    for r in z:
+        assert np.min(np.abs(want - r)) <= 1e-12 * abs(r)
+
+
+_ROOT = st.tuples(st.floats(min_value=0.1, max_value=3.0),
+                  st.floats(min_value=0.0, max_value=np.pi))
+
+
+@given(st.lists(_ROOT, min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_roots_agree_with_companion_eigenvalues(polar):
+    # an angle within 0.05 of the real axis stands for a real root, any
+    # other for a conjugate pair
+    roots = []
+    for r, th in polar:
+        if th < 0.05 or th > np.pi - 0.05:
+            roots.append(complex(r if th < 0.05 else -r))
+        else:
+            roots.extend([r * np.exp(1j * th), r * np.exp(-1j * th)])
+    assume(2 <= len(roots) <= 12)
+    sep = min(abs(a - b) for i, a in enumerate(roots) for b in roots[:i])
+    assume(sep >= 0.02)
+    p = from_roots(roots)
+    rs = poly_roots(p)
+    assert rs.total == p.degree
+    eig = np.linalg.eigvals(np.polynomial.polynomial.polycompanion(
+        np.asarray(p.coeffs[::-1])))
+    dp = p.derivative()
+    eps = np.finfo(float).eps
+    for r in rs.flat:
+        # forward error is at most backward error over |p'(r)|
+        backward = rs.residual + eps * float(
+            np.polyval(np.abs(p.coeffs), abs(r)))
+        tol = 1e3 * p.degree * backward / abs(dp(r))
+        assert np.min(np.abs(eig - r)) <= tol

@@ -200,6 +200,30 @@ def test_synth_random_resonant_plants_marginal_pair():
         done += 1
 
 
+def test_analyze_and_synth_factor_the_plant_once(monkeypatch):
+    import rirkit.polycore as polycore
+
+    solved = []
+    real = polycore.poly_roots
+
+    def counting(p, *args, **kwargs):
+        solved.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(polycore, "poly_roots", counting)
+    for num, den in ((FHN_G.num.coeffs, FHN_G.den.coeffs),
+                     ([0.4, 0.1], np.convolve([1.0, -1.5], [1.0, 0.2]))):
+        solved.clear()
+        g = RationalTF(num, den)
+        assert exact_rir_analyze(g).status == EXACT_SUFFICIENT
+        for poly in (g.num, g.den):
+            assert sum(p is poly for p in solved) <= 1
+        after_analyze = len([p for p in solved if p is g.num or p is g.den])
+        synth_marginal_perturbation(g)
+        assert len([p for p in solved
+                    if p is g.num or p is g.den]) == after_analyze
+
+
 def test_synth_requires_sufficient_status():
     from rirkit.casestudies import MaglevParams, maglev_zoh
     g = maglev_zoh(MaglevParams())

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,21 @@ def test_linf_norm_flat_allpass():
     f = RationalTF([0.3, 1.0], [1.0, 0.3])
     norm, _, unique = linf_norm(f)
     assert abs(norm - 1.0) < 1e-9
+    assert not unique
+
+
+def test_linf_norm_flat_allpass_near_circle():
+    # |a| = 1 - 8e-5: the gain spreads 4e-12 relative by rounding alone, so
+    # a fixed flatness threshold would refine every noise maximum of a
+    # 2^20-point grid
+    from rirkit.rir import AllPassSpec
+
+    scale = 0.25005949263246213
+    f = AllPassSpec(c=-1, a=-0.9999179530675524, scale=scale).to_tf()
+    t0 = time.perf_counter()
+    norm, _, unique = linf_norm(f)
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(norm - scale) <= 1e-9
     assert not unique
 
 
