@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, SynthesisVerificationError
-from .polycore import Polynomial, from_roots
+from .polycore import Polynomial, _horner_bound, from_roots
 from .rir import EXACT_SUFFICIENT, _synthesize, exact_rir_analyze
 from .transfer import RationalTF, _auto_grid, _dlog, evaluate
 
@@ -183,21 +183,6 @@ def maglev_zoh(params: MaglevParams, check_tol: float = 1e-10) -> RationalTF:
     return g
 
 
-def _maglev_gd_dlog(params: MaglevParams, omega):
-    """d/domega log g_d(e^{j omega}) evaluated in factored form.
-
-    The expanded denominator cancels catastrophically at z = 1 for fast
-    sampling (den(1) ~ T^2), so rate checks must go through the pole
-    factors directly.
-    """
-    _, (b2, b1, b0), (ep, em, et) = _maglev_pieces(params)
-    z = np.exp(1j * np.asarray(omega, dtype=float))
-    num = (b2 * z + b1) * z + b0
-    dnum = 2.0 * b2 * z + b1
-    return 1j * z * (dnum / num - (1.0 / (z - ep) + 1.0 / (z - em)
-                                   + 1.0 / (z - et)))
-
-
 def highpass(a: float, b: float) -> RationalTF:
     """Stable high-pass compensator ((b+1)z + 1 - b)/((a+1)z + 1 - a)."""
     if not b > a > 0.0:
@@ -241,7 +226,7 @@ def maglev_upper_bound(params: MaglevParams, eps: float,
     if eps <= 0.0:
         raise PreconditionError("eps must be positive")
     g = maglev_zoh(params)
-    theta0 = float(np.imag(_maglev_gd_dlog(params, 0.0)))
+    theta0 = float(np.imag(_dlog(g, 0.0)))
     if theta0 >= 0.0:
         raise PreconditionError("compensation unnecessary: theta'_gd(0) >= 0")
     P = -2.0 * theta0 + eps
@@ -261,7 +246,7 @@ def maglev_upper_bound(params: MaglevParams, eps: float,
         fh = highpass(a, a + P)
         n = _auto_grid(g, 4096)
         w = np.linspace(1e-9, np.pi, n + 1)
-        gain_rate = np.real(_maglev_gd_dlog(params, w)) + np.real(_dlog(fh, w))
+        gain_rate = np.real(_dlog(g, w)) + np.real(_dlog(fh, w))
         if float(np.max(gain_rate)) > 1e-9:
             raise SynthesisVerificationError(
                 f"compensated gain rate positive: max A' = {np.max(gain_rate)}")
@@ -462,8 +447,9 @@ def _dc_gain(g: RationalTF) -> float:
 
 
 def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float,
-                     r: float = 0.5, dc_tol: float = 1e-10) -> RationalTF:
-    """Shaped perturbation (1 + eps) h delta_f with the DC gain pinned at e_o."""
+                     r: float = 0.5) -> RationalTF:
+    """Shaped perturbation (1 + eps) h delta_f with the DC gain pinned at e_o,
+    to the rounding bound of the expanded shaped coefficients at z = 1."""
     delta_f, _, verdict = _synthesize(g_eo)
     dc = _dc_gain(delta_f)
     if dc * e_o <= 0.0:
@@ -474,6 +460,9 @@ def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float,
     omega_p = verdict.class_tag.peak_omega
     shaped = (1.0 + eps) * (h_shaper(eps, omega_p, r) * delta_f)
     dc_shaped = _dc_gain(shaped)
+    num, den = shaped.num.coeffs, shaped.den.coeffs
+    dc_tol = (_horner_bound(num, 1.0) / abs(math.fsum(num))
+              + _horner_bound(den, 1.0) / abs(math.fsum(den))) * abs(dc)
     if abs(dc_shaped - dc) > dc_tol:
         raise SynthesisVerificationError(
             f"DC invariance violated: {dc_shaped} vs {dc}")

@@ -41,8 +41,11 @@ def _load_tf(spec: str) -> RationalTF:
     """Accept a path to a JSON file or an inline JSON object."""
     text = spec
     if not spec.lstrip().startswith("{"):
-        with open(spec) as fh:
-            text = fh.read()
+        try:
+            with open(spec) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read --input {spec!r}: {exc}") from exc
     obj = json.loads(text)
     return RationalTF(obj["num"], obj["den"])
 

@@ -232,7 +232,8 @@ def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
     certificate is evaluated alongside and a diagnostic is emitted when the
     two disagree.
     """
-    ap = float(np.real(_dlog(L, omega_c)))
+    q = complex(_dlog(L, omega_c))
+    ap = q.real
     # scale by the gain-rate curvature: at sharp resonances A' evaluation
     # noise grows with conditioning, but the implied omega offset must not
     h = 1e-9
@@ -249,14 +250,14 @@ def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
     zc = complex(np.exp(1j * omega_c))
     vc = evaluate(L, zc)
     cond_value = abs(vc - 1.0) <= value_tol
-    dL = (evaluate_derivative(L, zc) if cond_value else 0.0)
+    dL = vc * q / (1j * zc)  # L'(z) = L(z) q / (j z)
     cond_deriv = abs(dL) > 1e-9
     cond_elsewhere = _one_only_at(L, omega_c, value_tol, exclusion_window)
     condition_i = cond_value and cond_deriv and cond_elsewhere
 
     rep = crossing_counts(L, ContourSpec(epsilon=0.0, samples=samples),
                           exclude_near_one=exclusion_window)
-    theta_rate = float(np.imag(_dlog(L, omega_c)))
+    theta_rate = q.imag
     want_iia = (n - 1) if at_bnd else (n - 2)
     condition_iia = rep.nu_o == want_iia and theta_rate > 0.0
     condition_iib = rep.nu_o == n and theta_rate < 0.0
@@ -298,15 +299,6 @@ def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
         condition_iia=condition_iia,
         condition_iib=condition_iib,
     )
-
-
-def evaluate_derivative(L: RationalTF, z: complex) -> complex:
-    """dL/dz via the quotient rule."""
-    nv = np.polyval(L.num.coeffs, z)
-    dv = np.polyval(L.den.coeffs, z)
-    npv = np.polyval(L.num.derivative().coeffs, z)
-    dpv = np.polyval(L.den.derivative().coeffs, z)
-    return complex((npv * dv - dpv * nv) / dv**2)
 
 
 def _one_only_at(L: RationalTF, omega_c: float, tol: float,

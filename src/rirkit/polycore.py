@@ -41,6 +41,8 @@ class Polynomial:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coefficients must be finite")
         scale = np.max(np.abs(arr))
         if scale == 0.0:
             object.__setattr__(self, "coeffs", (0.0,))
@@ -143,12 +145,26 @@ def poly_derivative(p: Polynomial) -> Polynomial:
 
 
 def from_roots(roots, leading: float = 1.0) -> Polynomial:
-    """Expand leading * prod (z - r_i), symmetrizing to real coefficients."""
+    """Expand leading * prod (z - r_i), symmetrizing to real coefficients.
+
+    The roots are cached for ``roots()`` unless trimming changes the degree
+    or the expansion misses one by more than the rounding bound on
+    prod (z + |r_i|), as roots that are not conjugate-closed do.
+    """
+    roots = np.asarray(roots, dtype=complex).reshape(-1)
     coeffs = np.array([1.0 + 0.0j])
     for r in roots:
-        coeffs = np.convolve(coeffs, [1.0, -complex(r)])
+        coeffs = np.convolve(coeffs, [1.0, -r])
     # conjugate-paired inputs give real coefficients up to rounding
-    return Polynomial(leading * coeffs.real)
+    p = Polynomial(leading * coeffs.real)
+    if p.is_zero or p.degree != len(roots):
+        return p
+    rs = _root_set(p, roots, CLUSTER_TOL, CONJ_PAIR_TOL)
+    majorant = abs(leading) * np.poly(-np.abs(roots))
+    if all(abs(poly_eval(p, c)) <= _horner_bound(majorant, abs(c))
+           for c in rs.roots):
+        p.__dict__["_roots"] = {CLUSTER_TOL: rs}
+    return p
 
 
 def _initial_guesses(monic: np.ndarray) -> np.ndarray:
@@ -299,6 +315,12 @@ def poly_roots(p: Polynomial, cluster_tol: float = CLUSTER_TOL,
         resid = np.max(np.abs(np.polyval(monic, z)))
         if resid > 1e-10 * (1.0 + np.max(np.abs(monic))):
             z = _deflation_fallback(monic)
+    return _root_set(p, z, cluster_tol, pair_tol)
+
+
+def _root_set(p: Polynomial, z: np.ndarray, cluster_tol: float,
+              pair_tol: float) -> RootSet:
+    """Conjugate-symmetrize and cluster approximate roots z of p."""
     z = _symmetrize_conjugates(z, pair_tol)
     centers, counts = _cluster(z, cluster_tol)
     residual = max((abs(poly_eval(p, c)) for c in centers), default=0.0)

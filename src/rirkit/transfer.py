@@ -221,67 +221,55 @@ def pip_check(g: RationalTF, circle_tol: float = CIRCLE_TOL) -> bool:
     return True
 
 
-def _dlog(g: RationalTF, omega) -> complex:
-    """d/domega log g(e^{j omega}) = A'(omega) + j theta'(omega)."""
+def _dlog(g: RationalTF, omega):
+    """d/domega log g(e^{j omega}) = A'(omega) + j theta'(omega), from the
+    cached factors as j z (sum 1/(z - z_i) - sum 1/(z - p_i))."""
     z = np.exp(1j * np.asarray(omega, dtype=float))
-    nv = poly_eval(g.num, z)
-    dv = poly_eval(g.den, z)
-    q = 1j * z * (poly_eval(g.num.derivative(), z) / nv
-                  - poly_eval(g.den.derivative(), z) / dv)
-    return q
+    return 1j * z * (sum(1.0 / (z - r) for r in g.zeros())
+                     - sum(1.0 / (z - p) for p in g.poles()))
 
 
-def _unwrapped_phase(g: RationalTF, omega: float, max_depth: int = 48) -> float:
-    """Continuous phase along [0, omega], referenced to arg g(1) in {0, pi}."""
-    v0 = evaluate(g, 1.0 + 0.0j)
-    if abs(v0) < 1e-300:
-        raise ZeroOnCircleError("phase reference undefined: g(1) = 0")
-    theta = float(np.angle(v0))  # 0 or pi for real-rational g
-    if omega == 0.0:
-        return theta
-    sign = 1.0
-    if omega < 0.0:
-        sign, omega = -1.0, -omega
-    n0 = max(64, int(math.ceil(omega / 0.05)))
-    grid = np.linspace(0.0, omega, n0 + 1)
-    vals = evaluate(g, np.exp(1j * grid))
-    stack = [(grid[i], grid[i + 1], vals[i], vals[i + 1], 0)
-             for i in range(n0)][::-1]
-    acc = 0.0
-    while stack:
-        a, b, va, vb, depth = stack.pop()
-        if min(abs(va), abs(vb)) < 1e-300:
-            raise ZeroOnCircleError(f"zero on the unit circle near omega={a}")
-        d = float(np.angle(vb / va))
-        if abs(d) <= 0.5 * np.pi or depth >= max_depth:
-            if depth >= max_depth:
-                raise ZeroOnCircleError(
-                    f"phase unwrap failed near omega={a} (pole/zero on T?)")
-            acc += d
-            continue
-        m = 0.5 * (a + b)
-        vm = evaluate(g, np.exp(1j * m))
-        stack.append((m, b, vm, vb, depth + 1))
-        stack.append((a, m, va, vm, depth + 1))
-    return theta + sign * acc
+def _unwrapped_phase(g: RationalTF, omega: float) -> float:
+    """Continuous phase along [0, omega], referenced to arg g(1) in {0, pi}.
+
+    Closed form over the cached factors: arg(e^{j omega} - r) continues as
+    omega + Arg(1 - r e^{-j omega}) for |r| <= 1 and Arg(1 - e^{j omega}/r)
+    for |r| > 1, each Arg of a number with positive real part.  arg g(1) is
+    pi when the leading ratio and the factors 1 - r are negative an odd
+    number of times (a conjugate pair shares its sign).  A zero on the unit
+    circle within [0, omega] leaves the phase undefined.
+    """
+    if g.num.is_zero:
+        raise ZeroOnCircleError("phase undefined: g is identically zero")
+    zeros, poles = g.zeros(), g.poles()
+    if any(abs(abs(r) - 1.0) < CIRCLE_TOL
+           and abs(np.angle(r)) <= abs(omega) + CIRCLE_TOL for r in zeros):
+        raise ZeroOnCircleError(f"zero on the unit circle within [0, {omega}]")
+    r = np.array(zeros + poles, dtype=complex)
+    inside = np.abs(r) <= 1.0
+    u = r.copy()
+    u[~inside] = 1.0 / u[~inside]
+    terms = (np.angle(1.0 - u * np.exp(np.where(inside, -1j, 1j) * omega))
+             - np.angle(1.0 - u) + inside * omega)
+    terms[len(zeros):] *= -1.0
+    flips = (g.num.coeffs[0] * g.den.coeffs[0] < 0.0) + np.sum(r.real > 1.0)
+    return math.pi * (flips % 2) + float(np.sum(terms))
 
 
 def logderiv(g: RationalTF, omega: float) -> DerivativeSample:
     """Gain/phase and their rates at one frequency.
 
-    The phase is unwrapped by an adaptive sweep from omega = 0; rates come
-    from the analytic log-derivative.
+    The phase and both rates come in closed form from the cached poles and
+    zeros; the phase is continuous from omega = 0.
     """
-    z = complex(np.exp(1j * omega))
-    value = evaluate(g, z)
-    if abs(value) < 1e-300:
-        raise ZeroOnCircleError(f"g vanishes at omega={omega}")
+    phase = _unwrapped_phase(g, float(omega))  # rejects a zero at omega
+    value = evaluate(g, complex(np.exp(1j * omega)))
     q = complex(_dlog(g, omega))
     return DerivativeSample(
         omega=float(omega),
         value=value,
         gain_log=float(np.log(abs(value))),
-        phase=_unwrapped_phase(g, float(omega)),
+        phase=phase,
         gain_rate=float(q.real),
         phase_rate=float(q.imag),
     )

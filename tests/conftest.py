@@ -73,6 +73,35 @@ def brute_force_crossings(L: RationalTF, epsilon: float, n: int = 1_000_000):
     return int(np.sum(up)), int(np.sum(down))
 
 
+def dense_phase(g: RationalTF, omega: float, n: int = 20001) -> float:
+    """Dense-sampling oracle for the continuous phase along [0, omega].
+
+    Referenced to arg g(1) in {0, pi}; np.unwrap removes the 2 pi jumps of
+    the principal argument, and dense enough sampling keeps every true step
+    below pi.
+    """
+    w = np.linspace(0.0, omega, n)
+    phase = np.unwrap(np.angle(evaluate(g, np.exp(1j * w))))
+    theta0 = np.pi if evaluate(g, 1.0 + 0.0j).real < 0.0 else 0.0
+    return float(theta0 + phase[-1] - phase[0])
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The polynomials handed to ``poly_roots`` while the test runs."""
+    import rirkit.polycore as polycore
+
+    calls = []
+    real = polycore.poly_roots
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(polycore, "poly_roots", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fhn_chain():
     """One shared FHN pipeline run: search, synthesis, perturbations."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import rirkit.casestudies as casestudies
 from rirkit.casestudies import (
     FHNModel,
     MaglevParams,
@@ -20,7 +21,7 @@ from rirkit.casestudies import (
     maglev_upper_bound,
     maglev_zoh,
 )
-from rirkit.errors import PreconditionError
+from rirkit.errors import PreconditionError, SynthesisVerificationError
 from rirkit.nyquist import closed_loop_poles
 from rirkit.rir import EXACT_SUFFICIENT, NOT_EXACT, exact_rir_analyze
 from rirkit.transfer import (
@@ -106,6 +107,20 @@ def test_gd_property_chain_on_grid():
         assert tag.class_name == G1_BOUNDARY
         assert tag.peak_omega == 0.0
         assert float(np.imag(_dlog(g, 0.0))) < 0.0
+
+
+@pytest.mark.parametrize("T", [0.1, 0.01, 0.001])
+def test_maglev_dlog_matches_partial_fractions(T):
+    # oracle: the log-derivative from the exact ZOH poles and the expanded
+    # numerator; the expanded denominator cancels at z = 1 (den(1) ~ T^2)
+    params = MaglevParams(k=1.0, p=1.0, tau=0.01, T=T)
+    _, (b2, b1, b0), (ep, em, et) = casestudies._maglev_pieces(params)
+    w = np.linspace(0.0, np.pi, 4097)
+    z = np.exp(1j * w)
+    want = 1j * z * ((2.0 * b2 * z + b1) / ((b2 * z + b1) * z + b0)
+                     - (1.0 / (z - ep) + 1.0 / (z - em) + 1.0 / (z - et)))
+    q = _dlog(maglev_zoh(params), w)
+    assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_highpass_unity_dc_and_stability():
@@ -283,6 +298,28 @@ def test_perturbation_dc_invariance(fhn_chain):
         d = fhn_perturbation(res.e_o, res.g_eo, eps)
         dc = evaluate(d, 1.0 + 0.0j).real
         assert abs(dc - dc0) < 1e-9
+
+
+def test_perturbation_dc_check_is_at_rounding_scale(fhn_chain, monkeypatch):
+    # last-bit moves of omega_p stay within the rounding bound of the
+    # expanded shaped coefficients; a 1e-6 shaper error does not
+    res = fhn_chain["result"]
+    synthesized = casestudies._synthesize(res.g_eo)
+    monkeypatch.setattr(casestudies, "_synthesize", lambda g: synthesized)
+    shaper = casestudies.h_shaper
+    for dw in (1e-12, -1e-12, 1e-10, -1e-10):
+        monkeypatch.setattr(casestudies, "h_shaper",
+                            lambda eps, w, r, dw=dw: shaper(eps, w + dw, r))
+        for eps in (-0.05, 0.05):
+            fhn_perturbation(res.e_o, res.g_eo, eps)
+
+    def off(eps, w, r):
+        h = shaper(eps, w, r)
+        return RationalTF((1.0 + 1e-6) * h.num, h.den)
+
+    monkeypatch.setattr(casestudies, "h_shaper", off)
+    with pytest.raises(SynthesisVerificationError, match="DC invariance"):
+        fhn_perturbation(res.e_o, res.g_eo, 0.05)
 
 
 def test_perturbation_spectral_radius_dichotomy(fhn_chain):

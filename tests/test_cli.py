@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rirkit.cli import main
 
 FHN_G_JSON = json.dumps({"num": [1.5679e-5, -2.5685e-5],
@@ -48,6 +50,22 @@ def test_analyze_reads_input_file(tmp_path, capsys):
     code, out = run_cli(capsys, ["analyze", "--input", str(path)])
     assert code == 0
     assert json.loads(out)["verdict"]["status"] == "exact_sufficient"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_analyze_non_finite_coefficient_exit_2(capsys, bad):
+    code, out = run_cli(capsys, ["analyze", "--input",
+                                 f'{{"num": [{bad}], "den": [1, -2]}}'])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError" and "finite" in err["message"]
+
+
+def test_analyze_missing_input_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    code, out = run_cli(capsys, ["analyze", "--input", missing])
+    assert code == 2
+    assert "absent.json" in json.loads(out)["error"]["message"]
 
 
 def test_analyze_pole_on_circle_exit_2(capsys):

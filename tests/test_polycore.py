@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rirkit.polycore as polycore
 from rirkit.polycore import (
     Polynomial,
     _aberth,
@@ -163,26 +166,17 @@ def test_zero_polynomial_flag():
     assert p.is_zero and p.degree == 0 and p.coeffs == (0.0,)
 
 
-def test_roots_cached_per_instance(monkeypatch):
-    import rirkit.polycore as polycore
-
-    calls = []
-
-    def counting(p, *args, **kwargs):
-        calls.append(p)
-        return poly_roots(p, *args, **kwargs)
-
-    monkeypatch.setattr(polycore, "poly_roots", counting)
+def test_roots_cached_per_instance(solved):
     p = Polynomial([1.0, -0.5, 0.25, 2.0])
     before = (p, hash(p), repr(p))
     first = p.roots()
     assert p.roots() is first
-    assert len(calls) == 1
+    assert len(solved) == 1
     # the cache is no field: equality, hash and repr are those of the coeffs
     assert (p, hash(p), repr(p)) == before
     assert p == Polynomial([1.0, -0.5, 0.25, 2.0])
     Polynomial([1.0, -0.5, 0.25, 2.0]).roots()  # a new instance solves anew
-    assert len(calls) == 2
+    assert len(solved) == 2
 
 
 def test_aberth_stops_at_rounding_floor():
@@ -218,6 +212,10 @@ def test_roots_agree_with_companion_eigenvalues(polar):
     p = from_roots(roots)
     rs = poly_roots(p)
     assert rs.total == p.degree
+    # from_roots hands its roots to the cache: roots() solves nothing
+    with mock.patch.object(polycore, "poly_roots",
+                           side_effect=AssertionError("solved again")):
+        assert from_roots(roots).roots().total == p.degree
     eig = np.linalg.eigvals(np.polynomial.polynomial.polycompanion(
         np.asarray(p.coeffs[::-1])))
     dp = p.derivative()

@@ -5,14 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tf
-from rirkit.errors import ImproperTransferError, NotInGClassError, PoleOnCircleError
+from conftest import dense_phase, random_tf
+from rirkit.errors import (
+    ImproperTransferError,
+    NotInGClassError,
+    PoleOnCircleError,
+    ZeroOnCircleError,
+)
+from rirkit.polycore import from_roots
 from rirkit.transfer import (
     G1_BOUNDARY,
     G2_INTERIOR,
     GN_OTHER,
     RationalTF,
     _dlog,
+    _unwrapped_phase,
     classify,
     evaluate,
     linf_norm,
@@ -226,3 +233,38 @@ def test_phase_unwrap_consistency_first_order(a, omega):
     s = logderiv(f, omega)
     expected = -np.angle(np.exp(1j * omega) - a)
     assert abs(s.phase - expected) < 1e-9
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=-4.0, max_value=4.0))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_phase_matches_dense_unwrap(seed, omega):
+    rng = np.random.default_rng(seed)
+    n_stable, n_unstable = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+    g = random_tf(rng, n_stable=n_stable, n_unstable=n_unstable,
+                  n_zeros=int(rng.integers(0, n_stable + n_unstable + 1)))
+    assert abs(_unwrapped_phase(g, omega) - dense_phase(g, omega)) < 1e-9
+
+
+def test_phase_rejects_circle_zero_only_inside_the_path():
+    # zeros at e^{+-j}; the path [0, omega] meets them once |omega| >= 1
+    g = RationalTF([1.0, -2.0 * np.cos(1.0), 1.0], from_roots([2.0, 0.5]))
+    for omega in (0.5, -0.9):
+        assert abs(_unwrapped_phase(g, omega) - dense_phase(g, omega)) < 1e-9
+    for omega in (1.0, 1.5, -2.0):
+        with pytest.raises(ZeroOnCircleError):
+            _unwrapped_phase(g, omega)
+    # a zero at -1 leaves every omega below pi defined
+    h = RationalTF([1.0, 1.0], [1.0, -2.0])
+    assert abs(_unwrapped_phase(h, 3.0) - dense_phase(h, 3.0)) < 1e-9
+    with pytest.raises(ZeroOnCircleError):
+        _unwrapped_phase(h, np.pi)
+
+
+def test_cancelling_constructor_keeps_the_factors(solved):
+    g = RationalTF(np.convolve([1.0, -0.5], [1.0, -0.3]),
+                   np.convolve([1.0, -0.5], [1.0, -1.6, -0.8]))
+    assert g.num.degree == 1 and g.den.degree == 2
+    assert sorted(g.poles(), key=lambda z: z.real) == pytest.approx([-0.4, 2.0])
+    assert g.zeros() == pytest.approx((0.3,))
+    assert len(solved) == 2  # the given num and den, not the cancelled pair
