@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PreconditionError, SynthesisVerificationError
 from .polycore import Polynomial, _horner_bound, from_roots
 from .rir import EXACT_SUFFICIENT, _synthesize, exact_rir_analyze
-from .transfer import RationalTF, _auto_grid, _dlog, evaluate
+from .transfer import RationalTF, _dlog, evaluate
 
 __all__ = [
     "MaglevParams",
@@ -244,8 +244,7 @@ def maglev_upper_bound(params: MaglevParams, eps: float,
         # evaluates the compensator rates from its transfer function
         a = abar * (1.0 - 1e-6)
         fh = highpass(a, a + P)
-        n = _auto_grid(g, 4096)
-        w = np.linspace(1e-9, np.pi, n + 1)
+        w = np.linspace(1e-9, np.pi, _validation_grid(g) + 1)
         gain_rate = np.real(_dlog(g, w)) + np.real(_dlog(fh, w))
         if float(np.max(gain_rate)) > 1e-9:
             raise SynthesisVerificationError(
@@ -255,6 +254,16 @@ def maglev_upper_bound(params: MaglevParams, eps: float,
                 "compensated phase rate at 0 not positive")
     return MaglevBound(P_eps=float(P), abar=float(abar),
                        ratio=float(1.0 + P / abar))
+
+
+def _validation_grid(g: RationalTF) -> int:
+    """4096 points, densified up to 2^20 as poles or zeros near the circle."""
+    dists = [abs(abs(p) - 1.0) for p in g.poles() + g.zeros()]
+    dmin = min((d for d in dists if d > 0.0), default=1.0)
+    if dmin >= 1e-2:
+        return 4096
+    n = 16.0 * np.pi / dmin
+    return int(min(max(2 ** 14, 2 ** math.ceil(math.log2(n))), 2 ** 20))
 
 
 # -- FitzHugh-Nagumo -------------------------------------------------------
@@ -358,7 +367,7 @@ def fhn_linearize(model: FHNModel, e: float,
 
 
 def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
-                  e_tol: float = 1e-5, grid: int = 4096,
+                  e_tol: float = 1e-5,
                   sweep_range: tuple[float, float] = (-0.25, 0.05),
                   sweep_step: float = 0.005) -> EoSearchResult:
     """Smallest DC gain whose magnitude meets the reciprocal peak gain.
@@ -371,7 +380,7 @@ def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
     from .transfer import linf_norm
 
     def inv_norm(e):
-        return 1.0 / linf_norm(fhn_linearize(model, e), grid=grid).norm
+        return 1.0 / linf_norm(fhn_linearize(model, e)).norm
 
     def h(e):
         return abs(e) - inv_norm(e)
@@ -407,7 +416,7 @@ def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
             b = m
     e_o = 0.5 * (a + b)
     g_eo = fhn_linearize(model, e_o)
-    verdict = exact_rir_analyze(g_eo, grid=grid)
+    verdict = exact_rir_analyze(g_eo)
     if verdict.status != EXACT_SUFFICIENT:
         raise SynthesisVerificationError(
             f"sufficient exact-RIR condition fails at e_o={e_o}: "

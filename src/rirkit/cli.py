@@ -105,7 +105,7 @@ def _verdict_json(v: rir.RIRVerdict) -> dict:
 
 def cmd_analyze(args) -> dict:
     g = _load_tf(args.input)
-    verdict = rir.exact_rir_analyze(g, rate_tol=args.tol_rate, grid=args.grid)
+    verdict = rir.exact_rir_analyze(g, rate_tol=args.tol_rate)
     if args.dump and args.out:
         w = np.linspace(0.0, np.pi, 2048)
         vals = transfer.evaluate(g, np.exp(1j * w))
@@ -120,8 +120,7 @@ def cmd_analyze(args) -> dict:
 
 def cmd_synth(args) -> dict:
     g = _load_tf(args.input)
-    f, spec, verdict = rir._synthesize(g, rate_tol=args.tol_rate,
-                                       grid=args.grid)
+    f, spec, verdict = rir._synthesize(g, rate_tol=args.tol_rate)
     return {
         "schema": SCHEMA,
         "command": "synth",
@@ -133,8 +132,7 @@ def cmd_synth(args) -> dict:
 
 def cmd_nyquist(args) -> dict:
     g = _load_tf(args.input)
-    spec = nyquist.ContourSpec(epsilon=args.eps, samples=max(args.grid, 1024))
-    rep = nyquist.crossing_counts(g, spec)
+    rep = nyquist.crossing_counts(g, nyquist.ContourSpec(epsilon=args.eps))
     if args.dump and args.out:
         n = max(args.grid, 1024)
         w = -np.pi + (np.arange(n) + 0.5) * (2 * np.pi / n)
@@ -175,11 +173,11 @@ def cmd_maglev(args) -> dict:
                                       T=p.get("T", 0.01))
     g = casestudies.maglev_zoh(params)
     static = casestudies.maglev_partial_fraction(params, 1.0 + 0.0j).real
-    verdict = rir.exact_rir_analyze(g, grid=args.grid)
+    verdict = rir.exact_rir_analyze(g)
     bound = casestudies.maglev_upper_bound(params, args.eps)
     fh = casestudies.highpass(bound.abar * (1.0 - 1e-6),
                               bound.abar * (1.0 - 1e-6) + bound.P_eps)
-    comp_verdict = rir.exact_rir_analyze(g * fh, grid=args.grid)
+    comp_verdict = rir.exact_rir_analyze(g * fh)
     return {
         "schema": SCHEMA,
         "command": "maglev",
@@ -203,9 +201,9 @@ def _fhn_model(p: dict) -> casestudies.FHNModel:
 
 def cmd_fhn_find(args) -> dict:
     model = _fhn_model(_params(args.param))
-    res = casestudies.fhn_search_eo(model, grid=args.grid)
+    res = casestudies.fhn_search_eo(model)
     _write_csv(args.out, "fig1.csv", ["e", "inv_norm"], res.sweep)
-    spec, _ = rir.synth_allpass_spec(res.g_eo, grid=args.grid)
+    spec, _ = rir.synth_allpass_spec(res.g_eo)
     return {
         "schema": SCHEMA,
         "command": "fhn-find",
@@ -223,7 +221,7 @@ def cmd_fhn_sim(args) -> dict:
         e_o = p["e_o"]
         g_eo = casestudies.fhn_linearize(model, e_o)
     else:
-        res = casestudies.fhn_search_eo(model, grid=args.grid)
+        res = casestudies.fhn_search_eo(model)
         e_o, g_eo = res.e_o, res.g_eo
     delta = casestudies.fhn_perturbation(e_o, g_eo, args.eps)
     traj = casestudies.fhn_simulate(model, delta, args.steps)
@@ -264,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="transfer function JSON (path or inline)")
         sp.add_argument("--out", help="output directory for reports and CSVs")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--grid", type=int, default=4096)
+        sp.add_argument("--grid", type=int, default=4096,
+                        help="contour points in the nyquist --dump CSV")
         sp.add_argument("--tol-rate", type=float, default=rir.RATE_TOL,
                         dest="tol_rate")
         sp.add_argument("--eps", type=float, default=0.01)

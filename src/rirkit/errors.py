@@ -26,7 +26,7 @@ class PreconditionError(RirkitError, ValueError):
 
 
 class DegenerateCrossingError(RirkitError, RuntimeError):
-    """A Nyquist crossing could not be classified after max refinement."""
+    """A Nyquist crossing lies on 1+j0 to rounding and cannot be classified."""
 
 
 class EpsilonSweepError(RirkitError, RuntimeError):

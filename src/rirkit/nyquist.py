@@ -8,16 +8,23 @@ warning is attached.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import DegenerateCrossingError, EpsilonSweepError, PreconditionError
-from .polycore import RootSet
-from .transfer import RationalTF, _dlog, evaluate
+from .polycore import RootSet, _horner_bound, poly_eval
+from .transfer import (
+    RationalTF,
+    _dlog,
+    _log_slope,
+    _newton_root,
+    _partition,
+    _trim_to_rounding,
+    evaluate,
+)
 
 __all__ = [
     "ContourSpec",
@@ -37,16 +44,13 @@ MODE_NONE = "none"
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Counter-clockwise circle of radius 1 - epsilon, midpoint-sampled."""
+    """Counter-clockwise circle of radius 1 - epsilon."""
 
     epsilon: float = 0.0
-    samples: int = 4096
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        if self.samples < 1024:
-            raise ValueError("samples must be >= 1024")
 
 
 @dataclass(frozen=True)
@@ -72,21 +76,39 @@ class StabilityVerdict:
     condition_iib: bool
 
 
-def _plot_points(L: RationalTF, epsilon: float, n: int):
-    """Samples of L(z^{-1}) on the radius-(1-eps) contour, midpoint grid."""
-    w = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-    arg = np.exp(-1j * w) / (1.0 - epsilon)
-    return w, evaluate(L, arg)
+def _sin_series(L: RationalTF, radius: float):
+    """V with Im[num(z) conj den(z)] = -sin(omega) V(cos omega) at
+    z = radius e^{-j omega}, as a Chebyshev series, together with the same
+    series on absolute values (its rounding majorant).
+
+    With a_i, b_i the radius-weighted ascending coefficients (each scaled to
+    unit max), V = sum_l c_l U_{l-1} with the cross-correlation difference
+    c_l = sum_k a_{k+l} b_k - a_k b_{k+l}.
+    """
+    n = max(len(L.num.coeffs), len(L.den.coeffs))
+    lags = np.arange(1, n)
+
+    def weighted(coeffs):
+        c = radius ** np.arange(len(coeffs)) * np.asarray(coeffs)[::-1]
+        return np.pad(c / np.max(np.abs(c)), (0, n - len(c)))
+
+    def u_series(a, b, sign):
+        r = np.correlate(a, b, "full")
+        return _u_to_t(r[n - 1 + lags] + sign * r[n - 1 - lags])
+
+    a, b = weighted(L.num.coeffs), weighted(L.den.coeffs)
+    return u_series(a, b, -1.0), u_series(np.abs(a), np.abs(b), 1.0)
 
 
-def _contour_grid_size(L: RationalTF, epsilon: float, base: int) -> int:
-    r_eval = 1.0 / (1.0 - epsilon)
-    gaps = [abs(abs(p) - r_eval) for p in L.poles()]
-    gmin = min((g for g in gaps if g > 0.0), default=1.0)
-    if gmin >= 1e-2:
-        return base
-    n = 64.0 * 2.0 * np.pi / gmin
-    return int(min(max(base, 2 ** math.ceil(math.log2(n))), 2 ** 22))
+def _u_to_t(c):
+    """sum_n c_n U_n as a Chebyshev T series: U_n = 2 (T_n + T_{n-2} + ...)
+    less T_0 for even n."""
+    t = np.array(c, dtype=float)
+    for j in range(len(t) - 3, -1, -1):
+        t[j] += t[j + 2]
+    t *= 2.0
+    t[:1] *= 0.5
+    return t
 
 
 def crossing_counts(L: RationalTF, spec: ContourSpec,
@@ -94,9 +116,13 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
     """Transverse crossings of the real ray (1, inf) by L(z^{-1}).
 
     nu_plus counts crossings from the negative imaginary half-plane to the
-    positive one as omega increases; nu_minus the reverse.  Crossings whose
-    refined location lies within ``exclude_near_one`` of 1+j0 are skipped
-    (used when a marginal loop touches the critical point).
+    positive one as omega increases; nu_minus the reverse.  On the contour
+    Im L = -sin(omega) V(cos omega) / |den|^2, so L meets the real axis at
+    omega = 0 and pi and at +-arccos of the roots of V where V changes sign;
+    each of the latter is refined by Newton steps on Im L.  Crossings whose
+    value lies within ``exclude_near_one`` of 1+j0 are skipped (used when a
+    marginal loop touches the critical point); without that window, a
+    crossing at 1+j0 to rounding raises ``DegenerateCrossingError``.
     """
     epsilon = spec.epsilon
     r_eval = 1.0 / (1.0 - epsilon)
@@ -108,41 +134,47 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
             epsilon = epsilon + 1e-6 if epsilon + 1e-6 < 1.0 else epsilon / 2.0
             r_eval = 1.0 / (1.0 - epsilon)
 
-    n = _contour_grid_size(L, epsilon, spec.samples)
-    for _attempt in range(2):
-        w, vals = _plot_points(L, epsilon, n)
-        report = _count_from_samples(L, epsilon, w, vals, exclude_near_one)
-        wind = _winding_check(vals, exclude_near_one)
-        if wind is None or wind == report.nu_o:
-            return report
-        n *= 2
-    raise DegenerateCrossingError(
-        f"winding number {wind} disagrees with crossing count {report.nu_o} "
-        f"after refinement")
+    v = _trim_to_rounding(*_sin_series(L, r_eval))
+    if not v.size:  # L is real, hence constant, on the contour
+        return CrossingReport(nu_plus=0, nu_minus=0, nu_o=0,
+                              encirclements_cw=0)
+    pts, mids = _partition(v)
+    # sign of Im L at the midpoints in (0, pi); odd in omega
+    im_sign = -np.sign(cheb.chebval(np.cos(mids), v))
 
+    def im_rate(w):
+        z = r_eval * complex(np.exp(-1j * w))
+        lv = evaluate(L, z)
+        return lv.imag, float((-1j * z * lv * _log_slope(L, z)).imag)
 
-def _count_from_samples(L, epsilon, w, vals, exclude_near_one):
-    n = len(w)
-    im = vals.imag
-    sign = np.where(im >= 0.0, 1, -1)
-    flips = np.nonzero(sign != np.roll(sign, -1))[0]
-    step = 2.0 * np.pi / n
+    found = [(0.0, im_sign[0] > 0.0), (np.pi, im_sign[-1] < 0.0)]
+    for i in range(1, len(pts) - 1):
+        if im_sign[i - 1] * im_sign[i] < 0.0:
+            up = im_sign[i - 1] < 0.0
+            lo, hi = (mids[i - 1], mids[i]) if up else (mids[i], mids[i - 1])
+            w = _newton_root(im_rate, neg=lo, pos=hi, x=pts[i])
+            found += [(-w, up), (w, up)]
+    found.sort()
+    w = np.array([f[0] for f in found])
+    z = r_eval * np.exp(-1j * w)
+    dv = poly_eval(L.den, z)
+    vals = poly_eval(L.num, z) / dv
+    # Horner's rounding bound on each quotient
+    rounding = (_horner_bound(L.num.coeffs, r_eval)
+                + np.abs(vals) * _horner_bound(L.den.coeffs, r_eval)
+                ) / np.abs(dv)
+
     nu_plus = nu_minus = 0
     crossings = []
-
-    def im_at(phi):
-        return float(np.imag(evaluate(L, np.exp(-1j * phi) / (1.0 - epsilon))))
-
-    for i in flips:
-        a = w[i]
-        b = a + step
-        going_up = sign[i] < 0
-        phi = brentq(im_at, a, b, xtol=1e-10)
-        val = evaluate(L, np.exp(-1j * phi) / (1.0 - epsilon))
-        if exclude_near_one > 0.0 and abs(val - 1.0) <= exclude_near_one:
+    for (phi, up), val, tol in zip(found, vals, rounding):
+        near = abs(val - 1.0)
+        if exclude_near_one > 0.0 and near <= exclude_near_one:
             continue
+        if exclude_near_one == 0.0 and near <= tol:
+            raise DegenerateCrossingError(
+                f"L crosses the real axis at 1+j0 to rounding (omega={phi})")
         if val.real > 1.0:
-            if going_up:
+            if up:
                 nu_plus += 1
             else:
                 nu_minus += 1
@@ -151,18 +183,6 @@ def _count_from_samples(L, epsilon, w, vals, exclude_near_one):
     return CrossingReport(nu_plus=nu_plus, nu_minus=nu_minus, nu_o=nu_o,
                           encirclements_cw=-nu_o,
                           crossings=tuple(crossings))
-
-
-def _winding_check(vals, exclude_near_one):
-    shifted = vals - 1.0
-    dmin = float(np.min(np.abs(shifted)))
-    if dmin <= max(1e-9, 2.0 * exclude_near_one):
-        return None  # curve passes (numerically) through the critical point
-    total = float(np.sum(np.angle(np.roll(shifted, -1) / shifted)))
-    wind = total / (2.0 * np.pi)
-    if abs(wind - round(wind)) > 0.25:
-        return None
-    return int(round(wind))
 
 
 def closed_loop_poles(L: RationalTF, cluster_tol: float = 1e-7) -> RootSet:
@@ -175,13 +195,15 @@ def closed_loop_poles(L: RationalTF, cluster_tol: float = 1e-7) -> RootSet:
     return char.roots(cluster_tol=cluster_tol)
 
 
-def _epsilon_sweep(L: RationalTF, boundary_band: float = 1e-6):
-    """Three-decade sweep below the structural margins of L and its loop."""
+def _epsilon_sweep(L: RationalTF, closed_loop: tuple[complex, ...],
+                   boundary_band: float = 1e-6):
+    """Three-decade sweep below the structural margins of L and of its
+    closed-loop roots."""
     eps0 = 1e-2
     for p in L.poles():
         if abs(p) > 1.0:
             eps0 = min(eps0, (1.0 - 1.0 / abs(p)) / 2.0)
-    for c in closed_loop_poles(L).flat:
+    for c in closed_loop:
         m = abs(c)
         if abs(m - 1.0) > boundary_band and m > 0.0:
             eps0 = min(eps0, abs(1.0 - 1.0 / m) / 2.0)
@@ -189,8 +211,8 @@ def _epsilon_sweep(L: RationalTF, boundary_band: float = 1e-6):
     return [eps0, eps0 / 10.0, eps0 / 100.0]
 
 
-def extended_nyquist_check(L: RationalTF, n: int, samples: int = 4096,
-                 boundary_band: float = 1e-6) -> bool:
+def extended_nyquist_check(L: RationalTF, n: int,
+                           boundary_band: float = 1e-6) -> bool:
     """True iff the positive feedback loop has all poles in the closed disk.
 
     Certified by clockwise encirclements of 1+j0 equal to n on a decreasing
@@ -200,8 +222,8 @@ def extended_nyquist_check(L: RationalTF, n: int, samples: int = 4096,
     roots = closed_loop_poles(L).flat
     moduli = [abs(c) for c in roots]
     roots_ok = all(m <= 1.0 + 1e-9 for m in moduli)
-    counts = [crossing_counts(L, ContourSpec(epsilon=e, samples=samples)).encirclements_cw
-              for e in _epsilon_sweep(L, boundary_band)]
+    counts = [crossing_counts(L, ContourSpec(epsilon=e)).encirclements_cw
+              for e in _epsilon_sweep(L, roots, boundary_band)]
     if len(set(counts)) != 1:
         clear = all(abs(m - 1.0) > boundary_band for m in moduli)
         if clear:
@@ -220,7 +242,6 @@ def extended_nyquist_check(L: RationalTF, n: int, samples: int = 4096,
 
 
 def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
-                     samples: int = 4096,
                      value_tol: float = 1e-6,
                      rate_zero_tol: float = 1e-8,
                      boundary_tol: float = 1e-6,
@@ -252,10 +273,15 @@ def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
     cond_value = abs(vc - 1.0) <= value_tol
     dL = vc * q / (1j * zc)  # L'(z) = L(z) q / (j z)
     cond_deriv = abs(dL) > 1e-9
-    cond_elsewhere = _one_only_at(L, omega_c, value_tol, exclusion_window)
+    rs = closed_loop_poles(L)
+    boundary = tuple((r, m) for r, m in zip(rs.roots, rs.multiplicities)
+                     if abs(abs(r) - 1.0) <= boundary_tol)
+    # L = 1 on the circle exactly at the boundary closed-loop roots
+    cond_elsewhere = all(abs(abs(np.angle(r)) - omega_c) <= exclusion_window
+                         for r, _ in boundary)
     condition_i = cond_value and cond_deriv and cond_elsewhere
 
-    rep = crossing_counts(L, ContourSpec(epsilon=0.0, samples=samples),
+    rep = crossing_counts(L, ContourSpec(epsilon=0.0),
                           exclude_near_one=exclusion_window)
     theta_rate = q.imag
     want_iia = (n - 1) if at_bnd else (n - 2)
@@ -263,9 +289,6 @@ def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
     condition_iib = rep.nu_o == n and theta_rate < 0.0
     cert_single = condition_i and (condition_iia or condition_iib)
 
-    rs = closed_loop_poles(L)
-    boundary = tuple((r, m) for r, m in zip(rs.roots, rs.multiplicities)
-                     if abs(abs(r) - 1.0) <= boundary_tol)
     outside = [r for r in rs.roots if abs(r) > 1.0 + boundary_tol]
     all_in = not outside
     marginal = all_in and bool(boundary) and all(m == 1 for _, m in boundary)
@@ -299,16 +322,3 @@ def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
         condition_iia=condition_iia,
         condition_iib=condition_iib,
     )
-
-
-def _one_only_at(L: RationalTF, omega_c: float, tol: float,
-                 window: float) -> bool:
-    """Check L(e^{j omega}) != 1 away from +-omega_c on an adaptive grid."""
-    from .transfer import _auto_grid
-    n = _auto_grid(L, 4096)
-    w = np.linspace(0.0, np.pi, n + 1)
-    mask = np.abs(w - omega_c) > window
-    if not np.any(mask):
-        return True
-    vals = evaluate(L, np.exp(1j * w[mask]))
-    return bool(np.min(np.abs(vals - 1.0)) > tol)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import PreconditionError, SynthesisVerificationError
 from .nyquist import closed_loop_poles, marginal_verdict
@@ -195,17 +194,20 @@ def rho_threshold(omega_p: float, theta_p: float) -> float:
     return abs(math.sin(theta_p)) / abs(math.sin(omega_p))
 
 
-def exact_rir_analyze(g: RationalTF, rate_tol: float = RATE_TOL,
-                      grid: int = 4096) -> RIRVerdict:
+def exact_rir_analyze(g: RationalTF, rate_tol: float = RATE_TOL) -> RIRVerdict:
     """Exact-RIR verdict for a single-peak unstable plant.
 
     One-unstable-pole boundary-peak plants are tested on the sign of the
     phase change rate at the peak; two-pole interior-peak plants against
     the sin-ratio threshold.  One-pole interior-peak plants (and odd-n
     interior-peak plants generally) have a strictly larger radius than the
-    reciprocal peak gain; everything else is inconclusive.
+    reciprocal peak gain; everything else is inconclusive.  A zero plant,
+    or one whose reciprocal peak gain overflows, is rejected as invalid.
     """
-    tag = classify(g, grid=grid)
+    tag = classify(g)
+    if tag.peak_gain == 0.0 or not math.isfinite(1.0 / tag.peak_gain):
+        raise ValueError(
+            f"peak gain {tag.peak_gain} has no finite reciprocal radius")
     lower = 1.0 / tag.peak_gain
     omega_p = tag.peak_omega
     theta_p = _unwrapped_phase(g, omega_p)
@@ -279,10 +281,10 @@ def allpass_phase_match(omega_p: float, theta_p: float,
     return AllPassSpec(c=c, a=float(a))
 
 
-def synth_allpass_spec(g: RationalTF, rate_tol: float = RATE_TOL,
-                       grid: int = 4096) -> tuple[AllPassSpec, RIRVerdict]:
+def synth_allpass_spec(g: RationalTF, rate_tol: float = RATE_TOL
+                       ) -> tuple[AllPassSpec, RIRVerdict]:
     """All-pass parameters of the minimum-norm marginal perturbation."""
-    verdict = exact_rir_analyze(g, rate_tol=rate_tol, grid=grid)
+    verdict = exact_rir_analyze(g, rate_tol=rate_tol)
     if verdict.status != EXACT_SUFFICIENT:
         raise PreconditionError(
             f"synthesis requires exact_sufficient, got {verdict.status}")
@@ -299,7 +301,6 @@ def synth_allpass_spec(g: RationalTF, rate_tol: float = RATE_TOL,
 
 
 def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL,
-                                grid: int = 4096,
                                 loop_value_tol: float = 1e-6,
                                 norm_tol: float = 1e-9) -> RationalTF:
     """Stable perturbation of norm 1/||g|| that marginally stabilizes g.
@@ -307,15 +308,15 @@ def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL,
     The result is verified post hoc: its norm, the loop value at the peak
     frequency, and single-mode marginal stability of the closed loop.
     """
-    return _synthesize(g, rate_tol, grid, loop_value_tol, norm_tol)[0]
+    return _synthesize(g, rate_tol, loop_value_tol, norm_tol)[0]
 
 
-def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL, grid: int = 4096,
+def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL,
                 loop_value_tol: float = 1e-6, norm_tol: float = 1e-9
                 ) -> tuple[RationalTF, AllPassSpec, RIRVerdict]:
     """Verified perturbation together with the spec and verdict behind it,
     for callers that need all three from a single analysis of g."""
-    spec, verdict = synth_allpass_spec(g, rate_tol=rate_tol, grid=grid)
+    spec, verdict = synth_allpass_spec(g, rate_tol=rate_tol)
     f = spec.to_tf()
     fnorm = linf_norm(f).norm
     if abs(fnorm - spec.scale) > norm_tol * max(1.0, spec.scale):
@@ -560,6 +561,8 @@ def gain_phase_integral(f: RationalTF, omega_p: float,
     directly (checked against swept phases of known minimum-phase
     functions), so no sign flip is applied.
     """
+    from scipy.integrate import quad  # costly import, needed only here
+
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
     _require_minimum_phase(f)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import (
     ImproperTransferError,
@@ -20,7 +20,7 @@ from .errors import (
     PoleOnCircleError,
     ZeroOnCircleError,
 )
-from .polycore import Polynomial, _horner_bound, from_roots, poly_eval
+from .polycore import Polynomial, from_roots, poly_eval
 
 __all__ = [
     "RationalTF",
@@ -42,7 +42,6 @@ __all__ = [
 CANCEL_TOL = 1e-8
 CIRCLE_TOL = 1e-9
 UNIQUENESS_MARGIN = 1e-6
-BASE_GRID = 4096
 
 G1_BOUNDARY = "G1_boundary"
 G2_INTERIOR = "G2_interior"
@@ -221,12 +220,24 @@ def pip_check(g: RationalTF, circle_tol: float = CIRCLE_TOL) -> bool:
     return True
 
 
+def _log_slope(g: RationalTF, z):
+    """d/dz log g(z) = sum 1/(z - z_i) - sum 1/(z - p_i) over the cached
+    factors."""
+    return (sum(1.0 / (z - r) for r in g.zeros())
+            - sum(1.0 / (z - p) for p in g.poles()))
+
+
+def _log_curvature(g: RationalTF, z):
+    """d/dz of ``_log_slope``."""
+    return (sum(1.0 / (z - p) ** 2 for p in g.poles())
+            - sum(1.0 / (z - r) ** 2 for r in g.zeros()))
+
+
 def _dlog(g: RationalTF, omega):
     """d/domega log g(e^{j omega}) = A'(omega) + j theta'(omega), from the
     cached factors as j z (sum 1/(z - z_i) - sum 1/(z - p_i))."""
     z = np.exp(1j * np.asarray(omega, dtype=float))
-    return 1j * z * (sum(1.0 / (z - r) for r in g.zeros())
-                     - sum(1.0 / (z - p) for p in g.poles()))
+    return 1j * z * _log_slope(g, z)
 
 
 def _unwrapped_phase(g: RationalTF, omega: float) -> float:
@@ -275,70 +286,117 @@ def logderiv(g: RationalTF, omega: float) -> DerivativeSample:
     )
 
 
-def _auto_grid(g: RationalTF, base: int) -> int:
-    dists = [abs(abs(p) - 1.0) for p in g.poles() + g.zeros()]
-    dmin = min((d for d in dists if d > 0.0), default=1.0)
-    if dmin >= 1e-2:
-        return base
-    n = 16.0 * np.pi / dmin
-    return int(min(max(base, 2 ** 14, 2 ** math.ceil(math.log2(n))), 2 ** 20))
+def _cos_series(coeffs):
+    """|p(e^{j omega})|^2, p scaled to unit max coefficient, as a Chebyshev
+    series in x = cos omega: c_0 = sum a_i^2, c_k = 2 sum a_i a_{i+k}."""
+    a = np.asarray(coeffs, dtype=float)
+    a = a / np.max(np.abs(a))
+    r = np.correlate(a, a, "full")[len(a) - 1:]
+    r[1:] *= 2.0
+    return r
 
 
-def linf_norm(g: RationalTF, grid: int = BASE_GRID,
-              uniqueness_margin: float = UNIQUENESS_MARGIN,
+def _trim_to_rounding(c, majorant):
+    """Drop trailing coefficients within the rounding bound of their
+    majorant (the same series computed on absolute values)."""
+    n = max(len(c), len(majorant))
+    c, majorant = (np.pad(x, (0, n - len(x))) for x in (c, majorant))
+    keep = np.nonzero(np.abs(c) > 8.0 * n * np.finfo(float).eps * majorant)[0]
+    return c[:keep[-1] + 1] if keep.size else c[:0]
+
+
+def _partition(series):
+    """0, pi and arccos of the real part of every root of ``series`` in
+    (-1, 1), ascending, with the midpoints between neighbours.
+
+    A root's real part is kept whatever its imaginary part: an extra point
+    only splits an interval, so no real root near the axis is lost.
+    """
+    x = cheb.chebroots(series).real
+    pts = np.unique(np.concatenate(
+        ([0.0, np.pi], np.arccos(x[(x > -1.0) & (x < 1.0)]))))
+    return pts, 0.5 * (pts[:-1] + pts[1:])
+
+
+def _newton_root(f, neg: float, pos: float, x: float,
+                 xtol: float = 1e-15, max_iter: int = 100) -> float:
+    """Root of f between neg and pos, where f(neg) <= 0 <= f(pos).
+
+    Newton steps from x on f's (value, slope) pair, with a bisection
+    whenever a step would leave the bracket or fails to halve the step
+    before last (Numerical Recipes' rtsafe).
+    """
+    dx_old = dx = abs(pos - neg)
+    fx, dfx = f(x)
+    for _ in range(max_iter):
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            neg = x
+        else:
+            pos = x
+        if (((x - pos) * dfx - fx) * ((x - neg) * dfx - fx) >= 0.0
+                or abs(2.0 * fx) > abs(dx_old * dfx)):
+            dx_old, dx = dx, 0.5 * (pos - neg)
+            x = neg + dx
+        else:
+            dx_old, dx = dx, fx / dfx
+            x -= dx
+        if abs(dx) <= xtol:
+            return x
+        fx, dfx = f(x)
+    return x
+
+
+def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
+    """A'(omega) and A''(omega) from the cached factors."""
+    z = complex(np.exp(1j * omega))
+    u = _log_slope(g, z)
+    return (float((1j * z * u).real),
+            float((-z * (u + z * _log_curvature(g, z))).real))
+
+
+def linf_norm(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
               circle_tol: float = CIRCLE_TOL) -> LinfResult:
     """Peak gain over [0, pi] with refined peak frequency.
 
-    The grid densifies automatically when poles or zeros approach the unit
-    circle; interior candidates are refined until |A'(omega_p)| is at the
-    root-solver tolerance.  ``unique`` is False when a second local maximum
-    comes within the relative uniqueness margin of the peak.  A response
-    flat to rounding (all-pass or constant) is reported at omega 0 and not
-    unique.
+    With P = |num|^2 and Q = |den|^2 as Chebyshev series in x = cos omega,
+    the interior stationary points of the gain are the roots in (-1, 1) of
+    S = P'Q - PQ'.  Those, 0 and pi split [0, pi]; each split point whose
+    neighbouring midpoints show A' falling through zero brackets a maximum,
+    refined by Newton steps on A'.  ``unique`` is False when a second local
+    maximum comes within the relative uniqueness margin of the peak.  A
+    response whose S vanishes to rounding (all-pass or constant) is reported
+    at omega 0 and not unique.
     """
     g.assert_rl_inf(circle_tol)
-    n = _auto_grid(g, grid)
-    w = np.linspace(0.0, np.pi, n + 1)
-    z = np.exp(1j * w)
-    anum = np.abs(poly_eval(g.num, z))
-    aden = np.abs(poly_eval(g.den, z))
-    gain = anum / aden
-    gmax = float(np.max(gain))
-    if gmax == 0.0:
+    if g.num.is_zero:
         return LinfResult(0.0, 0.0, False)
-    if _flat_to_rounding(g, anum, aden, gain, gmax):
-        # all-pass or constant: the grid's maxima are rounding noise
-        return LinfResult(gmax, 0.0, False)
+    p, q = _cos_series(g.num.coeffs), _cos_series(g.den.coeffs)
+    pa, qa = (_cos_series(np.abs(g.num.coeffs)),
+              _cos_series(np.abs(g.den.coeffs)))
+    s = cheb.chebsub(cheb.chebmul(cheb.chebder(p), q),
+                     cheb.chebmul(p, cheb.chebder(q)))
+    majorant = cheb.chebadd(cheb.chebmul(cheb.chebder(pa), qa),
+                            cheb.chebmul(pa, cheb.chebder(qa)))
+    s = _trim_to_rounding(s, majorant)
+    if not s.size:
+        # all-pass or constant: no stationary point beyond rounding
+        return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)
 
-    interior = np.zeros(len(w), dtype=bool)
-    interior[1:-1] = (gain[1:-1] >= gain[:-2]) & (gain[1:-1] >= gain[2:])
-    candidates = list(np.nonzero(interior)[0])
-    if gain[0] >= gain[1]:
-        candidates.append(0)
-    if gain[-1] >= gain[-2]:
-        candidates.append(len(w) - 1)
-
-    refined: list[tuple[float, float]] = []  # (omega, gain)
-    # generous floor: grid values of sharp secondary peaks undershoot
-    floor = (1.0 - max(1e-2, 10.0 * uniqueness_margin)) * gmax
-    for i in candidates:
-        if gain[i] < floor:
-            continue
-        if i == 0 or i == len(w) - 1:
-            refined.append((w[i], gain[i]))
-            continue
-        a, b = w[i - 1], w[i + 1]
-        fa = float(np.real(_dlog(g, a)))
-        fb = float(np.real(_dlog(g, b)))
-        if fa > 0.0 > fb:
-            wp = brentq(lambda x: float(np.real(_dlog(g, x))), a, b,
-                        xtol=1e-15, rtol=8.9e-16)
-        else:
-            wp = _golden_max(g, a, b)
-        refined.append((float(wp), float(abs(evaluate(g, np.exp(1j * wp))))))
-
+    pts, mids = _partition(s)
+    rate = np.real(_dlog(g, mids))
+    peaks = [_newton_root(lambda w: _gain_rate(g, w), neg=mids[i],
+                          pos=mids[i - 1], x=pts[i])
+             for i in range(1, len(pts) - 1)
+             if rate[i - 1] >= 0.0 >= rate[i]]
+    if rate[0] <= 0.0:
+        peaks.append(0.0)
+    if rate[-1] >= 0.0:
+        peaks.append(np.pi)
     # merge near-coincident candidates
-    refined.sort(key=lambda t: -t[1])
+    refined = sorted(((w, abs(evaluate(g, np.exp(1j * w)))) for w in peaks),
+                     key=lambda t: -t[1])
     merged: list[tuple[float, float]] = []
     for wp, gv in refined:
         if all(abs(wp - m[0]) > 1e-6 for m in merged):
@@ -348,45 +406,7 @@ def linf_norm(g: RationalTF, grid: int = BASE_GRID,
     return LinfResult(float(norm), float(omega_p), bool(unique))
 
 
-def _flat_to_rounding(g: RationalTF, anum, aden, gain, gmax: float) -> bool:
-    """True when every grid gain is within rounding of the peak gain.
-
-    On |z| = 1 a Horner value p(z) carries relative error at most
-    _horner_bound(p, 1) / |p(z)|; two gains agree to rounding when they
-    differ by no more than the sum of their bounds.
-    """
-    cn = _horner_bound(g.num.coeffs, 1.0)
-    cd = _horner_bound(g.den.coeffs, 1.0)
-    with np.errstate(divide="ignore"):
-        worst = cn / np.min(anum) + cd / np.min(aden)
-        if gmax - np.min(gain) > 2.0 * worst * gmax:
-            return False  # a real spread: skip the pointwise test
-        rel = cn / anum + cd / aden
-    return bool(np.all(gmax - gain <= (rel + rel[np.argmax(gain)]) * gmax))
-
-
-def _golden_max(g: RationalTF, a: float, b: float) -> float:
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1 = abs(evaluate(g, np.exp(1j * x1)))
-    f2 = abs(evaluate(g, np.exp(1j * x2)))
-    for _ in range(120):
-        if b - a < 1e-14:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = abs(evaluate(g, np.exp(1j * x2)))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = abs(evaluate(g, np.exp(1j * x1)))
-    return 0.5 * (a + b)
-
-
-def classify(g: RationalTF, grid: int = BASE_GRID,
-             uniqueness_margin: float = UNIQUENESS_MARGIN,
+def classify(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
              boundary_tol: float = 1e-8) -> ClassTag:
     """Class membership among the single-peak unstable families.
 
@@ -399,8 +419,7 @@ def classify(g: RationalTF, grid: int = BASE_GRID,
     if n == 0:
         raise NotInGClassError("not in G: no unstable pole")
     pip = pip_check(g)
-    norm, omega_p, unique = linf_norm(g, grid=grid,
-                                      uniqueness_margin=uniqueness_margin)
+    norm, omega_p, unique = linf_norm(g, uniqueness_margin=uniqueness_margin)
     at_boundary = omega_p <= boundary_tol or omega_p >= np.pi - boundary_tol
     if not pip or not unique:
         name = GN_OTHER

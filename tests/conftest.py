@@ -73,6 +73,24 @@ def brute_force_crossings(L: RationalTF, epsilon: float, n: int = 1_000_000):
     return int(np.sum(up)), int(np.sum(down))
 
 
+def dense_peak(g: RationalTF, n: int = 2 ** 14, zooms: int = 4) -> float:
+    """Dense-grid oracle for the peak gain of g on [0, pi].
+
+    An (n + 1)-point grid, then ``zooms`` times a 1025-point grid over the
+    two cells around the current maximum; numpy's polyval alone.
+    """
+    def gain(w):
+        z = np.exp(1j * w)
+        return np.abs(np.polyval(g.num.coeffs, z)
+                      / np.polyval(g.den.coeffs, z))
+
+    w = np.linspace(0.0, np.pi, n + 1)
+    for _ in range(zooms):
+        i = int(np.argmax(gain(w)))
+        w = np.linspace(w[max(i - 1, 0)], w[min(i + 1, len(w) - 1)], 1025)
+    return float(np.max(gain(w)))
+
+
 def dense_phase(g: RationalTF, omega: float, n: int = 20001) -> float:
     """Dense-sampling oracle for the continuous phase along [0, omega].
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rirkit
 from rirkit.cli import main
 
 FHN_G_JSON = json.dumps({"num": [1.5679e-5, -2.5685e-5],
@@ -59,6 +64,25 @@ def test_analyze_non_finite_coefficient_exit_2(capsys, bad):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError" and "finite" in err["message"]
+
+
+@pytest.mark.parametrize("num", ["0", "1e-315", "1e-320"])
+def test_analyze_zero_or_underflowing_gain_exit_2(capsys, num):
+    # a zero plant has no radius; below ~1e-308 the radius 1/||g|| overflows
+    code, out = run_cli(capsys, ["analyze", "--input",
+                                 f'{{"num": [{num}], "den": [1, -2]}}'])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError" and "peak gain" in err["message"]
+
+
+def test_import_does_not_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(rirkit.__file__).parents[1])}
+    probe = ("import sys, rirkit.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_analyze_missing_input_file_exit_2(tmp_path, capsys):

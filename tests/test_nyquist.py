@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_crossings, random_tf
-from rirkit.errors import PreconditionError
+from rirkit.errors import DegenerateCrossingError, PreconditionError
 from rirkit.nyquist import (
     ContourSpec,
     closed_loop_poles,
@@ -13,7 +13,7 @@ from rirkit.nyquist import (
     marginal_verdict,
 )
 from rirkit.polycore import Polynomial, from_roots
-from rirkit.rir import allpass_phase_match
+from rirkit.rir import allpass_phase_match, synth_marginal_perturbation
 from rirkit.transfer import (
     RationalTF,
     linf_norm,
@@ -47,6 +47,26 @@ def test_crossings_match_oracle_random_loops():
         up, down = brute_force_crossings(L, eps)
         assert (rep.nu_plus, rep.nu_minus) == (up, down)
         checked += 1
+    # near-contour: a pole pair 3e-4..1e-3 off the evaluation circle, where
+    # the curve swings far out and back within a milliradian
+    for gap in (1e-3, -1e-3, 3e-4, -3e-4):
+        L = random_tf(rng, n_stable=2, n_unstable=1, n_zeros=2,
+                      gain_range=(0.5, 4.0))
+        eps = float(rng.choice([0.0, 0.01]))
+        r = (1.0 + gap) / (1.0 - eps)
+        th = float(rng.uniform(0.2, np.pi - 0.2))
+        L = RationalTF(L.num, L.den * from_roots([r * np.exp(1j * th),
+                                                  r * np.exp(-1j * th)]))
+        rep = crossing_counts(L, ContourSpec(epsilon=eps))
+        assert (rep.nu_plus, rep.nu_minus) == brute_force_crossings(L, eps)
+
+
+def test_crossing_at_critical_point_needs_a_window():
+    L = RationalTF([0.5], [1.0, -0.5])  # L(1) = 1 exactly
+    with pytest.raises(DegenerateCrossingError):
+        crossing_counts(L, ContourSpec(epsilon=0.0))
+    rep = crossing_counts(L, ContourSpec(epsilon=0.0), exclude_near_one=1e-4)
+    assert (rep.nu_plus, rep.nu_minus) == (0, 0)
 
 
 def test_nu_identity_and_encirclement_duality():
@@ -160,6 +180,29 @@ def test_marginal_verdict_matches_roots_random_stable():
             assert v.all_in_closed_disk is all(m <= 1.0 + 1e-6 for m in moduli)
             assert v.single_mode  # grazing contact at the unique peak
             checked += 1
+
+
+def test_extended_nyquist_solves_the_loop_once(solved):
+    L = RationalTF([0.5, 0.1], from_roots([2.0, 0.3]))
+    char = L.den - L.num
+    assert extended_nyquist_check(L, 1) is False
+    assert sum(p == char for p in solved) == 1
+
+
+def test_marginal_verdict_close_to_the_window_without_warning():
+    # plant 134 of the seed-0 degree 2-8 family: |L'(omega_c)| ~ 2.2e-3, so
+    # 1e-4 away from omega_c the loop is only ~2e-7 from 1 and a value test
+    # on the circle would deny condition (i); the closed-loop roots do not
+    g = RationalTF([0.15232356125138843, 0.006547873592573569,
+                    -0.006694394515692283, 0.004869341667668575],
+                   [1.0, 2.7927005520234265, 3.188228580808953,
+                    0.13531755887959496, -0.07257133141467284,
+                    -0.03952494834625094, -0.0040906632554221604])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = synth_marginal_perturbation(g)
+        v = marginal_verdict(g * f, linf_norm(g).omega_p)
+    assert v.condition_i and v.single_mode and v.mode == "conjugate_pair"
 
 
 def test_extended_nyquist_synthesized_marginal_loops(fhn_chain):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_phase, random_tf
+from conftest import dense_peak, dense_phase, random_tf
 from rirkit.errors import (
     ImproperTransferError,
     NotInGClassError,
     PoleOnCircleError,
     ZeroOnCircleError,
 )
-from rirkit.polycore import from_roots
+from rirkit.polycore import _horner_bound, from_roots, poly_eval
 from rirkit.transfer import (
     G1_BOUNDARY,
     G2_INTERIOR,
@@ -163,6 +163,30 @@ def test_linf_norm_flat_allpass_near_circle():
     assert not unique
 
 
+@pytest.mark.parametrize("delta", [1e-6, 1e-9])
+def test_linf_norm_nearly_flat_is_not_flat(delta):
+    # gain 1 - delta at omega = 0 rising to 1 + delta/3 at pi: far above
+    # rounding, so the peak is at pi, not the flat report at 0
+    g = RationalTF([1.0, -0.5 * (1.0 + delta)], [1.0, -0.5], cancel_tol=0.0)
+    norm, omega_p, _ = linf_norm(g)
+    assert omega_p == np.pi
+    assert abs(norm - (1.0 + delta / 3.0)) <= 1e-14
+
+
+def test_linf_norm_peak_is_a_rate_root_to_rounding():
+    # refined, not just the Chebyshev root mapped back through arccos:
+    # A'(omega_p) is at the rounding floor of its sum over the factors
+    rng = np.random.default_rng(43)
+    for g in [FHN_G] + [random_tf(rng, 3, 1, 2) for _ in range(40)]:
+        _, omega_p, _ = linf_norm(g)
+        if not 0.0 < omega_p < np.pi:
+            continue
+        z = np.exp(1j * omega_p)
+        floor = 16 * np.finfo(float).eps * sum(
+            abs(1.0 / (z - r)) for r in g.poles() + g.zeros())
+        assert abs(float(np.real(_dlog(g, omega_p)))) <= floor
+
+
 def test_linf_norm_never_below_samples():
     rng = np.random.default_rng(41)
     for _ in range(10):
@@ -171,6 +195,57 @@ def test_linf_norm_never_below_samples():
         w = rng.uniform(0, np.pi, 1000)
         vals = np.abs(evaluate(g, np.exp(1j * w)))
         assert np.max(vals) <= norm * (1.0 + 1e-9)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.one_of(st.none(), st.floats(min_value=-4.0, max_value=-2.0)))
+@settings(max_examples=60, deadline=None)
+def test_linf_norm_matches_dense_peak(seed, log_gap):
+    # random plants, some with a pole pair 1e-2..1e-4 inside or outside
+    # the circle, where the peak is a narrow resonance
+    rng = np.random.default_rng(seed)
+    n_stable, n_unstable = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+    g = random_tf(rng, n_stable=n_stable, n_unstable=n_unstable,
+                  n_zeros=int(rng.integers(0, n_stable + n_unstable + 1)))
+    if log_gap is not None:
+        r = 1.0 + (1.0 if rng.uniform() < 0.5 else -1.0) * 10.0 ** log_gap
+        th = float(rng.uniform(0.0, np.pi))
+        g = RationalTF(g.num, g.den * from_roots([r * np.exp(1j * th),
+                                                  r * np.exp(-1j * th)]))
+    norm, omega_p, _ = linf_norm(g)
+    # neither side resolves the gain below the rounding bound of Horner's
+    # rule on the expanded coefficients, which a 1e-4 gap lifts to ~1e-6
+    z = np.exp(1j * omega_p)
+    rounding = sum(_horner_bound(p.coeffs, 1.0) / abs(poly_eval(p, z))
+                   for p in (g.num, g.den))
+    assert abs(norm / dense_peak(g) - 1.0) <= 1e-9 + rounding
+    assert abs(evaluate(g, z)) == norm
+
+
+def test_peaks_and_crossings_evaluate_few_points(monkeypatch, fhn_chain):
+    # roots, not grids: no polynomial evaluation inside linf_norm or
+    # crossing_counts sees more than a handful of points
+    import rirkit.nyquist as nyquist
+    import rirkit.polycore as polycore
+    import rirkit.transfer as transfer
+    from rirkit.rir import synth_marginal_perturbation
+
+    loop = FHN_G * synth_marginal_perturbation(FHN_G)
+    sizes = []
+    real = polycore.poly_eval
+
+    def recording(p, z):
+        sizes.append(np.size(z))
+        return real(p, z)
+
+    for mod in (transfer, nyquist):
+        monkeypatch.setattr(mod, "poly_eval", recording)
+    for g in (FHN_G, fhn_chain["result"].g_eo):
+        linf_norm(g)
+    for eps in (0.0, 0.01):
+        nyquist.crossing_counts(loop, nyquist.ContourSpec(epsilon=eps),
+                                exclude_near_one=1e-4)
+    assert sizes and max(sizes) <= 64
 
 
 def test_classify_printed_plant():
