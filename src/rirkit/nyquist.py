@@ -19,6 +19,7 @@ from .polycore import RootSet, _horner_bound, poly_eval
 from .transfer import (
     RationalTF,
     _dlog,
+    _gain_rate,
     _log_slope,
     _newton_root,
     _partition,
@@ -185,14 +186,12 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
                           crossings=tuple(crossings))
 
 
-def closed_loop_poles(L: RationalTF, cluster_tol: float = 1e-7) -> RootSet:
+def closed_loop_poles(L: RationalTF) -> RootSet:
     """Roots of den(L) - num(L), the positive-feedback characteristic roots."""
     char = L.den - L.num
     if char.is_zero:
         raise ValueError("characteristic polynomial identically zero (L == 1)")
-    if char.degree == 0:
-        return RootSet(roots=(), multiplicities=(), residual=0.0)
-    return char.roots(cluster_tol=cluster_tol)
+    return char.roots()
 
 
 def _epsilon_sweep(L: RationalTF, closed_loop: tuple[complex, ...],
@@ -254,13 +253,10 @@ def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
     two disagree.
     """
     q = complex(_dlog(L, omega_c))
-    ap = q.real
     # scale by the gain-rate curvature: at sharp resonances A' evaluation
     # noise grows with conditioning, but the implied omega offset must not
-    h = 1e-9
-    app = abs(float(np.real(_dlog(L, omega_c + h))
-                    - np.real(_dlog(L, omega_c - h)))) / (2.0 * h)
-    if abs(ap) > rate_zero_tol * (1.0 + app):
+    ap, app = _gain_rate(L, omega_c)
+    if abs(ap) > rate_zero_tol * (1.0 + abs(app)):
         raise PreconditionError(
             f"A'_L(omega_c) = {ap:.3e} not zero within "
             f"{rate_zero_tol} * (1 + |A''|)")

@@ -1,8 +1,8 @@
 """Real-coefficient polynomial arithmetic and complex root finding.
 
-Coefficients are stored in descending powers of z (leading first).  The
-root finder is a simultaneous-iteration (Aberth-Ehrlich) scheme with a
-deflation fallback; it is deterministic for a fixed input.
+Coefficients are stored in descending powers of z (leading first).  Roots
+are the eigenvalues of the balanced companion matrix, each polished by one
+Newton step on the polynomial's own coefficients.
 """
 
 from __future__ import annotations
@@ -63,17 +63,16 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return poly_derivative(self)
 
-    def roots(self, cluster_tol: float = CLUSTER_TOL) -> "RootSet":
-        """Clustered roots, solved once per instance and tolerance.
+    def roots(self) -> "RootSet":
+        """Clustered roots, solved once per instance.
 
         The cache lives in the instance ``__dict__`` outside the dataclass
         fields, so equality, hashing and repr are unaffected; a ``RootSet``
         is immutable, so sharing it is safe.
         """
-        cache = self.__dict__.setdefault("_roots", {})
-        if cluster_tol not in cache:
-            cache[cluster_tol] = poly_roots(self, cluster_tol=cluster_tol)
-        return cache[cluster_tol]
+        if "_roots" not in self.__dict__:
+            self.__dict__["_roots"] = poly_roots(self)
+        return self.__dict__["_roots"]
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -159,96 +158,18 @@ def from_roots(roots, leading: float = 1.0) -> Polynomial:
     p = Polynomial(leading * coeffs.real)
     if p.is_zero or p.degree != len(roots):
         return p
-    rs = _root_set(p, roots, CLUSTER_TOL, CONJ_PAIR_TOL)
+    rs = _root_set(p, roots)
     majorant = abs(leading) * np.poly(-np.abs(roots))
     if all(abs(poly_eval(p, c)) <= _horner_bound(majorant, abs(c))
            for c in rs.roots):
-        p.__dict__["_roots"] = {CLUSTER_TOL: rs}
+        p.__dict__["_roots"] = rs
     return p
-
-
-def _initial_guesses(monic: np.ndarray) -> np.ndarray:
-    n = len(monic) - 1
-    radius = 1.0 + float(np.max(np.abs(monic[1:])))
-    # irrational angular offset keeps guesses off the real axis
-    angles = 2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.618
-    return radius * np.exp(1j * angles)
 
 
 def _horner_bound(coeffs, absz):
     """Rounding bound 4 n eps sum |a_k| |z|^k on a Horner value p(z)."""
     n = max(len(coeffs) - 1, 1)
     return 4.0 * n * np.finfo(float).eps * np.polyval(np.abs(coeffs), absz)
-
-
-def _aberth(monic: np.ndarray, max_iter: int = 500, tol: float = 1e-14):
-    """Aberth-Ehrlich simultaneous iteration on a monic polynomial.
-
-    A root is frozen once its residual is within Horner's rounding bound
-    (Bini 1996) and its step is below 1e-10 (1 + |z|): past that point the
-    steps are rounding noise and can stay above ``tol`` indefinitely.
-    Requiring the small step as well keeps a multiple root's approximants
-    from freezing apart.  Converged when every root is frozen or its step
-    is below ``tol``.
-    """
-    n = len(monic) - 1
-    dmonic = np.polyder(monic)
-    z = _initial_guesses(monic)
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
-        pv = np.polyval(monic, z)
-        dv = np.polyval(dmonic, z)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        # coincident approximants (multiple roots mid-iteration) need a guard
-        small = np.abs(diff) < 1e-300
-        diff = np.where(small, 1e-300, diff)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = np.sum(inv, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = np.where(active, w / denom, 0.0)
-        at_floor = np.abs(pv) <= _horner_bound(monic, np.abs(z))
-        z = z - step
-        size = np.abs(step)
-        scale = 1.0 + np.abs(z)
-        active &= ~(at_floor & (size <= 1e-10 * scale))
-        if np.all(~active | (size <= tol * scale)):
-            return z, True
-    return z, False
-
-
-def _deflation_fallback(monic: np.ndarray) -> np.ndarray:
-    """Find roots one at a time by Newton iteration plus deflation."""
-    roots: list[complex] = []
-    work = monic.astype(complex)
-    while len(work) > 1:
-        if len(work) == 2:
-            roots.append(-work[1] / work[0])
-            break
-        dwork = np.polyder(work)
-        best = None
-        radius = 1.0 + float(np.max(np.abs(work[1:] / work[0])))
-        for k in range(8):
-            z = radius * np.exp(1j * (0.5 + 2.0 * np.pi * k / 8.0)) * 0.7
-            for _ in range(200):
-                pv = np.polyval(work, z)
-                dv = np.polyval(dwork, z)
-                if abs(dv) < 1e-300:
-                    z = z * (1.0 + 1e-8) + 1e-8
-                    continue
-                dz = pv / dv
-                z = z - dz
-                if abs(dz) < 1e-14 * (1.0 + abs(z)):
-                    break
-            pv = abs(np.polyval(work, z))
-            if best is None or pv < best[1]:
-                best = (z, pv)
-        roots.append(best[0])
-        work, _ = np.polydiv(work, np.array([1.0, -best[0]]))
-    return np.asarray(roots)
 
 
 def _symmetrize_conjugates(roots: np.ndarray, pair_tol: float) -> np.ndarray:
@@ -299,30 +220,31 @@ def _cluster(roots: np.ndarray, tol: float):
     return centers, counts
 
 
-def poly_roots(p: Polynomial, cluster_tol: float = CLUSTER_TOL,
-               pair_tol: float = CONJ_PAIR_TOL) -> RootSet:
+def poly_roots(p: Polynomial) -> RootSet:
     """All complex roots of p, clustered by multiplicity.
 
+    ``np.roots`` gives the eigenvalues of the balanced companion matrix,
+    backward stable up to coefficient scaling; one Newton step on p's own
+    coefficients brings them to Horner's rounding floor.  The step is
+    skipped where p or p' is exactly zero (zero and exact multiple roots).
     Raises ValueError for the zero polynomial (roots undefined).
     """
     if p.is_zero:
         raise ValueError("undefined roots: zero polynomial")
     if p.degree == 0:
         return RootSet(roots=(), multiplicities=(), residual=0.0)
-    monic = np.asarray(p.coeffs) / p.coeffs[0]
-    z, converged = _aberth(monic)
-    if not converged:
-        resid = np.max(np.abs(np.polyval(monic, z)))
-        if resid > 1e-10 * (1.0 + np.max(np.abs(monic))):
-            z = _deflation_fallback(monic)
-    return _root_set(p, z, cluster_tol, pair_tol)
+    z = np.roots(p.coeffs).astype(complex)
+    pv = np.polyval(p.coeffs, z)
+    dv = np.polyval(np.polyder(p.coeffs), z)
+    step = (pv != 0.0) & (dv != 0.0)
+    z[step] -= pv[step] / dv[step]
+    return _root_set(p, z)
 
 
-def _root_set(p: Polynomial, z: np.ndarray, cluster_tol: float,
-              pair_tol: float) -> RootSet:
+def _root_set(p: Polynomial, z: np.ndarray) -> RootSet:
     """Conjugate-symmetrize and cluster approximate roots z of p."""
-    z = _symmetrize_conjugates(z, pair_tol)
-    centers, counts = _cluster(z, cluster_tol)
+    z = _symmetrize_conjugates(z, CONJ_PAIR_TOL)
+    centers, counts = _cluster(z, CLUSTER_TOL)
     residual = max((abs(poly_eval(p, c)) for c in centers), default=0.0)
     return RootSet(roots=tuple(centers), multiplicities=tuple(counts),
                    residual=float(residual))

@@ -100,8 +100,10 @@ class AllPassSpec:
         k = self.scale * self.c
         if self.a is None:
             return RationalTF(Polynomial([k]), Polynomial([1.0]))
+        # -1/a and -a never coincide for |a| < 1; cancelling them when
+        # |a| is within CANCEL_TOL of 1 would drop the section's phase
         return RationalTF(Polynomial([k * self.a, k]),
-                          Polynomial([1.0, self.a]))
+                          Polynomial([1.0, self.a]), cancel_tol=0.0)
 
     def phase_at(self, omega: float) -> float:
         """Continuous phase on [0, pi] referenced to omega = 0."""
@@ -155,6 +157,15 @@ def ap1_phase(a, omega: float):
     """
     z = np.exp(1j * omega)
     return np.angle((np.asarray(a) * z + 1.0) / (z + np.asarray(a)))
+
+
+def _ap1_param(target, omega: float):
+    """The a whose section phase at omega is target in (-pi, 0):
+    a = sin((omega + t)/2) / sin((omega - t)/2), so |a| < 1.  Clipped to
+    the open interval against rounding."""
+    t = np.asarray(target)
+    a = np.sin(0.5 * (omega + t)) / np.sin(0.5 * (omega - t))
+    return np.clip(a, -1.0 + 1e-15, 1.0 - 1e-15)
 
 
 def ap1_rate(a, omega: float):
@@ -245,8 +256,8 @@ def allpass_phase_match(omega_p: float, theta_p: float,
     """First-order all-pass (or constant) with prescribed phase at omega_p.
 
     The plain section reaches phases in (-pi, 0); a sign flip shifts the
-    range to (0, pi); the constants +-1 cover 0 and pi.  The parameter is
-    found by bisection on the monotone phase map.
+    range to (0, pi); the constants +-1 cover 0 and pi.  The parameter
+    comes in closed form from ``_ap1_param``.
     """
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
@@ -259,16 +270,7 @@ def allpass_phase_match(omega_p: float, theta_p: float,
         c, target = 1, t
     else:
         c, target = -1, t - math.pi
-    lo, hi = -1.0 + 1e-15, 1.0 - 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(ap1_phase(mid, omega_p)) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17:
-            break
-    a = 0.5 * (lo + hi)
+    a = float(_ap1_param(target, omega_p))
     achieved = float(ap1_phase(a, omega_p))
     if abs(achieved - target) > phase_tol:
         raise SynthesisVerificationError(
@@ -337,18 +339,6 @@ def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL,
 
 # -- PCR maximization search --------------------------------------------
 
-def _vector_phase_match(targets: np.ndarray, omega_p: float) -> np.ndarray:
-    """Bisect a-parameters so each section phase hits its target in (-pi, 0)."""
-    lo = np.full_like(targets, -1.0 + 1e-15)
-    hi = np.full_like(targets, 1.0 - 1e-15)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        below = ap1_phase(mid, omega_p) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
                    trials: int = 20000, seed: int = 0):
     """Randomized search for the largest phase change rate at omega_p.
@@ -416,7 +406,7 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
         solve = ~(exact_const | exact_pi)
         corr_a = np.full(trials, np.nan)
         if np.any(solve):
-            corr_a[solve] = _vector_phase_match(targets[solve], omega_p)
+            corr_a[solve] = _ap1_param(targets[solve], omega_p)
         corr_rate = np.zeros(trials)
         corr_rate[solve] = ap1_rate(corr_a[solve], omega_p)
         achieved = np.where(solve, ap1_phase(np.where(solve, corr_a, 0.0),

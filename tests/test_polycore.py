@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 import rirkit.polycore as polycore
 from rirkit.polycore import (
     Polynomial,
-    _aberth,
     from_roots,
     poly_eval,
     poly_roots,
@@ -63,14 +63,53 @@ def test_roots_zero_polynomial_rejected():
 
 def test_roots_residual_bound():
     rng = np.random.default_rng(11)
+    inputs = []
     for _ in range(20):
         deg = int(rng.integers(1, 9))
         coeffs = rng.uniform(-1, 1, deg + 1)
         coeffs[0] = rng.uniform(0.5, 1.5)
+        inputs.append(coeffs)
+    # a plant numerator with two real roots 0.05 apart outside the disk
+    inputs.append(np.array([1.0, 6.745640947358542, 17.381309539022823,
+                            20.35914700767102, 9.174150631293426]))
+    # plant denominators whose bare companion eigenvalues miss the rounding
+    # floor; the Newton step brings them under it
+    inputs.append(np.array([
+        1.0, 1.7876024103495043, 0.44312230848070605, -0.7074635744849165,
+        -0.505632087406702, -0.13256735167449188, -0.01920716961208889,
+        -0.002225616046617541, -0.0002802702601651515,
+        -2.8484799114008476e-05, -1.6900507140222137e-06,
+        -6.308155361821442e-08, -2.5386830282055357e-09]))
+    inputs.append(np.array([
+        1.0, -2.198283041597094, 1.4381182491987108, -0.22070478560418627,
+        -0.057076708658555936, 0.018779625838870787, -0.002066834464591483,
+        0.00011055151246707699, -4.254233147410726e-06,
+        4.3300612546538596e-07]))
+    for coeffs in inputs:
         p = Polynomial(coeffs)
         rs = poly_roots(p)
         assert rs.total == p.degree
         assert rs.residual < 1e-8 * (1.0 + np.max(np.abs(coeffs)))
+        for r in rs.roots:
+            assert abs(p(r)) <= polycore._horner_bound(p.coeffs, abs(r))
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([1.0, 0.0, 0.0, 0.0], {0.0: 3}),
+    ([1.0, -0.3, 0.0, 0.0], {0.0: 2, 0.3: 1}),
+    ([1.0, -1.0, 0.25], {0.5: 2}),
+    ([2.0, -1.0], {0.5: 1}),
+    ([1.0, 0.0, 1.0], {1j: 1, -1j: 1}),
+])
+def test_roots_exact_multiplicities(coeffs, want):
+    # zero and exact multiple roots make p or p' vanish at the eigenvalue,
+    # where a Newton step would divide 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = poly_roots(Polynomial(coeffs))
+    assert sorted(rs.multiplicities) == sorted(want.values())
+    for r, m in zip(rs.roots, rs.multiplicities):
+        assert any(abs(r - w) <= 1e-12 and m == k for w, k in want.items())
 
 
 def test_double_root_multiplicity():
@@ -179,18 +218,6 @@ def test_roots_cached_per_instance(solved):
     assert len(solved) == 2
 
 
-def test_aberth_stops_at_rounding_floor():
-    # a plant numerator on which the steps stall near 1e-13, above the step
-    # tolerance, once the roots are as accurate as rounding allows
-    monic = np.array([1.0, 6.745640947358542, 17.381309539022823,
-                      20.35914700767102, 9.174150631293426])
-    z, converged = _aberth(monic, max_iter=60)
-    assert converged
-    want = np.roots(monic)
-    for r in z:
-        assert np.min(np.abs(want - r)) <= 1e-12 * abs(r)
-
-
 _ROOT = st.tuples(st.floats(min_value=0.1, max_value=3.0),
                   st.floats(min_value=0.0, max_value=np.pi))
 
@@ -226,3 +253,5 @@ def test_roots_agree_with_companion_eigenvalues(polar):
             np.polyval(np.abs(p.coeffs), abs(r)))
         tol = 1e3 * p.degree * backward / abs(dp(r))
         assert np.min(np.abs(eig - r)) <= tol
+        # the generating roots are an oracle free of any eigenvalue solver
+        assert np.min(np.abs(np.asarray(roots) - r)) <= tol

@@ -107,9 +107,16 @@ def test_phase_match_positive_branch():
 
 def test_phase_match_random_targets():
     rng = np.random.default_rng(211)
-    for _ in range(60):
-        omega = float(rng.uniform(0.05, np.pi - 0.05))
-        theta = float(rng.uniform(-np.pi + 1e-6, np.pi))
+    cases = [(float(rng.uniform(0.05, np.pi - 0.05)),
+              float(rng.uniform(-np.pi + 1e-6, np.pi))) for _ in range(60)]
+    # edges: omega within 1e-3 of 0 and pi, theta within 1e-6 of 0 and +-pi;
+    # at 1.1e-13 from them the closed-form |a| rounds to 1 unless clipped
+    for omega in (1e-3, 5e-4, 1e-4, np.pi - 1e-4, np.pi - 5e-4, np.pi - 1e-3):
+        for theta in (1e-6, -1e-6, 5e-7, -5e-7, 1.1e-13, -1.1e-13,
+                      np.pi - 1e-6, -np.pi + 1e-6, np.pi - 5e-7,
+                      -np.pi + 5e-7, np.pi - 1.1e-13, 1.0, -2.0):
+            cases.append((omega, theta))
+    for omega, theta in cases:
         s = allpass_phase_match(omega, theta)
         assert abs(wrap_angle(s.phase_at(omega) - theta)) < 1e-10
         f = s.to_tf()
