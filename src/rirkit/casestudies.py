@@ -478,12 +478,12 @@ def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float,
     return shaped
 
 
-def _df2t_steady_state(bcoef, acoef, u: float, w: float):
+def _df2t_steady_state(bcoef, acoef, u: float, w: float) -> list[float]:
+    """DC-equilibrium filter state, plus a trailing 0.0 past the last tap."""
     m = len(acoef) - 1
-    state = np.zeros(m)
+    state = [0.0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        nxt = state[i + 1] if i + 1 < m else 0.0
-        state[i] = bcoef[i + 1] * u - acoef[i + 1] * w + nxt
+        state[i] = bcoef[i + 1] * u - acoef[i + 1] * w + state[i + 1]
     return state
 
 
@@ -495,7 +495,11 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     equation driven by y_n, with its state started at the DC equilibrium of
     the perturbed fixed point so that startup transients do not contaminate
     oscillation verdicts.  Divergence (|x| > 1e6) truncates the trajectory.
+    The step loop works on Python floats; only loop-invariant values are
+    hoisted, so every step rounds exactly as the written expressions do.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     A, B, D = model.A, model.B, model.D
     alpha, current = model.alpha, model.current
 
@@ -521,31 +525,29 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     if init is None:
         init = (fp.xbar + 0.05, fp.ybar)
 
-    m = len(acoef) - 1
-    w_eq = e * fp.ybar
-    state = _df2t_steady_state(bcoef, acoef, fp.ybar, w_eq) if m else np.zeros(0)
+    b, a = bcoef.tolist(), acoef.tolist()
+    state = _df2t_steady_state(b, a, fp.ybar, e * fp.ybar)
+    taps = list(zip(range(len(a) - 1), b[1:], a[1:]))
+    b0 = b[0]
+    one_minus_a, a_minus_one, d_gain = 1.0 - A, A - 1.0, D * (1.0 - B)
 
-    x = np.empty(steps + 1)
-    y = np.empty(steps + 1)
-    wout = np.empty(steps + 1)
-    x[0], y[0] = init
+    xn, yn = float(init[0]), float(init[1])
+    x, y, wout = [xn], [yn], []
     diverged = False
-    b0 = bcoef[0]
-    for n in range(steps):
-        yn = y[n]
-        w = b0 * yn + (state[0] if m else 0.0)
-        wout[n] = w
-        for i in range(m):
-            nxt = state[i + 1] if i + 1 < m else 0.0
-            state[i] = bcoef[i + 1] * yn - acoef[i + 1] * w + nxt
-        xn = x[n]
-        x[n + 1] = (A * xn + (1.0 - A) * (yn + w - current)) \
-            / (1.0 + (A - 1.0) * xn**2 / 3.0)
-        y[n + 1] = B * yn + D * (1.0 - B) * (xn + alpha)
-        if abs(x[n + 1]) > 1e6:
-            x, y, wout = x[:n + 2], y[:n + 2], wout[:n + 1]
+    for _ in range(steps):
+        w = b0 * yn + state[0]
+        wout.append(w)
+        for i, bi, ai in taps:
+            state[i] = bi * yn - ai * w + state[i + 1]
+        xn, yn = ((A * xn + one_minus_a * (yn + w - current))
+                  / (1.0 + a_minus_one * xn**2 / 3.0),
+                  B * yn + d_gain * (xn + alpha))
+        x.append(xn)
+        y.append(yn)
+        if abs(xn) > 1e6:
             diverged = True
             break
     if not diverged:
-        wout[steps] = b0 * y[steps] + (state[0] if m else 0.0)
-    return Trajectory(x=x, y=y, w=wout, diverged=diverged)
+        wout.append(b0 * yn + state[0])
+    return Trajectory(x=np.array(x), y=np.array(y), w=np.array(wout),
+                      diverged=diverged)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,7 +48,21 @@ def _load_tf(spec: str) -> RationalTF:
         except OSError as exc:
             raise ValueError(f"cannot read --input {spec!r}: {exc}") from exc
     obj = json.loads(text)
-    return RationalTF(obj["num"], obj["den"])
+    if not isinstance(obj, dict):
+        raise ValueError("--input must be a JSON object with num and den")
+    return RationalTF(_coeffs(obj, "num"), _coeffs(obj, "den"))
+
+
+def _coeffs(obj: dict, key: str) -> list[float]:
+    """The list obj[key] as floats; JSON bools and strings are not numbers."""
+    vals = obj.get(key)
+    if isinstance(vals, list) and all(type(v) in (int, float) for v in vals):
+        try:
+            if all(map(math.isfinite, vals)):
+                return [float(v) for v in vals]
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"--input {key!r} must be a list of real, finite numbers")
 
 
 def _tf_json(g: RationalTF) -> dict:

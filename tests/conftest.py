@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rirkit.casestudies import FHNModel, Trajectory, fhn_fixed_point
+from rirkit.errors import PreconditionError
 from rirkit.polycore import from_roots
 from rirkit.transfer import RationalTF, evaluate
 
@@ -104,6 +106,80 @@ def dense_phase(g: RationalTF, omega: float, n: int = 20001) -> float:
     return float(theta0 + phase[-1] - phase[0])
 
 
+def _reference_df2t_steady_state(bcoef, acoef, u: float, w: float):
+    m = len(acoef) - 1
+    state = np.zeros(m)
+    for i in range(m - 1, -1, -1):
+        nxt = state[i + 1] if i + 1 < m else 0.0
+        state[i] = bcoef[i + 1] * u - acoef[i + 1] * w + nxt
+    return state
+
+
+def reference_fhn_simulate(model: FHNModel, delta: RationalTF | None,
+                           steps: int,
+                           init: tuple[float, float] | None = None
+                           ) -> Trajectory:
+    """Bit-exact oracle for ``fhn_simulate``: the step loop on numpy scalars.
+
+    This is the numpy-array implementation that the Python-float loop
+    replaced, kept unchanged so that tests can require identical bits.
+    """
+    A, B, D = model.A, model.B, model.D
+    alpha, current = model.alpha, model.current
+
+    if delta is None:
+        bcoef = np.array([0.0])
+        acoef = np.array([1.0])
+    else:
+        if delta.num.degree > delta.den.degree:
+            raise PreconditionError("delta must be proper")
+        for p in delta.poles():
+            if abs(p) >= 1.0:
+                raise PreconditionError("delta must be stable")
+        m = delta.den.degree
+        acoef = np.asarray(delta.den.coeffs, dtype=float)
+        bcoef = np.zeros(m + 1)
+        nc = np.asarray(delta.num.coeffs, dtype=float)
+        bcoef[m + 1 - len(nc):] = nc
+        bcoef = bcoef / acoef[0]
+        acoef = acoef / acoef[0]
+
+    e = float(np.sum(bcoef) / np.sum(acoef))
+    fp = fhn_fixed_point(model, e)
+    if init is None:
+        init = (fp.xbar + 0.05, fp.ybar)
+
+    m = len(acoef) - 1
+    w_eq = e * fp.ybar
+    state = (_reference_df2t_steady_state(bcoef, acoef, fp.ybar, w_eq)
+             if m else np.zeros(0))
+
+    x = np.empty(steps + 1)
+    y = np.empty(steps + 1)
+    wout = np.empty(steps + 1)
+    x[0], y[0] = init
+    diverged = False
+    b0 = bcoef[0]
+    for n in range(steps):
+        yn = y[n]
+        w = b0 * yn + (state[0] if m else 0.0)
+        wout[n] = w
+        for i in range(m):
+            nxt = state[i + 1] if i + 1 < m else 0.0
+            state[i] = bcoef[i + 1] * yn - acoef[i + 1] * w + nxt
+        xn = x[n]
+        x[n + 1] = (A * xn + (1.0 - A) * (yn + w - current)) \
+            / (1.0 + (A - 1.0) * xn**2 / 3.0)
+        y[n + 1] = B * yn + D * (1.0 - B) * (xn + alpha)
+        if abs(x[n + 1]) > 1e6:
+            x, y, wout = x[:n + 2], y[:n + 2], wout[:n + 1]
+            diverged = True
+            break
+    if not diverged:
+        wout[steps] = b0 * y[steps] + (state[0] if m else 0.0)
+    return Trajectory(x=x, y=y, w=wout, diverged=diverged)
+
+
 @pytest.fixture
 def solved(monkeypatch):
     """The polynomials handed to ``poly_roots`` while the test runs."""
@@ -123,7 +199,7 @@ def solved(monkeypatch):
 @pytest.fixture(scope="session")
 def fhn_chain():
     """One shared FHN pipeline run: search, synthesis, perturbations."""
-    from rirkit.casestudies import FHNModel, fhn_search_eo
+    from rirkit.casestudies import fhn_perturbation, fhn_search_eo
     from rirkit.rir import synth_allpass_spec, synth_marginal_perturbation
 
     model = FHNModel()
@@ -136,4 +212,29 @@ def fhn_chain():
         "spec": spec,
         "verdict": verdict,
         "delta_f": delta_f,
+        "delta_osc": fhn_perturbation(res.e_o, res.g_eo, -0.05),
+        "delta_conv": fhn_perturbation(res.e_o, res.g_eo, +0.05),
+    }
+
+
+@pytest.fixture(scope="session")
+def fhn_fig2(fhn_chain):
+    """The 2e5-step Fig. 2 trajectories, each simulated once per session.
+
+    The growth panel has two starts: the default one, 0.05 beyond the
+    fixed point of the filter's DC gain as computed from its coefficients,
+    and 0.05 beyond the fixed point at e_o.  The two fixed points differ by
+    ~4e-7, so these are two trajectories, not one.
+    """
+    from rirkit.casestudies import fhn_simulate
+
+    model, res = fhn_chain["model"], fhn_chain["result"]
+    fp = fhn_fixed_point(model, res.e_o)
+    d_osc, d_conv = fhn_chain["delta_osc"], fhn_chain["delta_conv"]
+    return {
+        "osc": fhn_simulate(model, d_osc, 200000),
+        "osc_at_eo": fhn_simulate(model, d_osc, 200000,
+                                  init=(fp.xbar + 0.05, fp.ybar)),
+        "conv": fhn_simulate(model, d_conv, 200000,
+                             init=(fp.xbar + 0.002, fp.ybar)),
     }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import reference_fhn_simulate
 import rirkit.casestudies as casestudies
 from rirkit.casestudies import (
     FHNModel,
@@ -340,16 +341,10 @@ def test_simulate_unperturbed_oscillates():
     assert traj.last_quarter_amplitude() > 0.1
 
 
-def test_simulate_perturbed_dichotomy(fhn_chain):
-    model = fhn_chain["model"]
-    res = fhn_chain["result"]
-    fp = fhn_fixed_point(model, res.e_o)
-    d_osc = fhn_perturbation(res.e_o, res.g_eo, -0.05)
-    t_osc = fhn_simulate(model, d_osc, 200000)
+def test_simulate_perturbed_dichotomy(fhn_fig2):
+    t_osc = fhn_fig2["osc"]
     assert t_osc.last_quarter_amplitude() > 0.1
-    d_conv = fhn_perturbation(res.e_o, res.g_eo, +0.05)
-    t_conv = fhn_simulate(model, d_conv, 200000,
-                          init=(fp.xbar + 0.002, fp.ybar))
+    t_conv = fhn_fig2["conv"]
     assert t_conv.last_quarter_amplitude() < 1e-3
 
 
@@ -369,3 +364,47 @@ def test_simulate_filter_equilibrium_keeps_fixed_point():
     traj = fhn_simulate(model, delta, 2000, init=(fp.xbar, fp.ybar))
     assert np.max(np.abs(traj.x - fp.xbar)) < 1e-12
     assert np.max(np.abs(traj.y - fp.ybar)) < 1e-12
+
+
+def test_simulate_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps"):
+        fhn_simulate(FHNModel(), None, -1)
+
+
+# x0 = 0 with y0 = 1e12 leaves the contracting region at the first step
+DIVERGING_INIT = (0.0, 1e12)
+FIRST_ORDER_DELTA = RationalTF([-0.04, -0.06], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("delta", [None, FIRST_ORDER_DELTA])
+def test_simulate_divergence_truncates(delta):
+    traj = fhn_simulate(FHNModel(), delta, 1000, init=DIVERGING_INIT)
+    assert traj.diverged
+    assert (len(traj.x), len(traj.y), len(traj.w)) == (2, 2, 1)
+    assert traj.verdict() == "diverged"
+
+
+def test_simulate_bit_identical_to_numpy_scalar_loop(fhn_chain):
+    model, res = fhn_chain["model"], fhn_chain["result"]
+    fp_eo = fhn_fixed_point(model, res.e_o)
+    # the filter and start of test_simulate_filter_equilibrium_keeps_fixed_point
+    res_e = -0.1
+    fp_eq = fhn_fixed_point(model, res_e)
+    equilibrium_delta = RationalTF([res_e * 0.4, res_e * 0.6], [1.0, 0.0])
+    cases = [
+        (None, 20000, None),
+        (equilibrium_delta, 2000, (fp_eq.xbar, fp_eq.ybar)),
+        (equilibrium_delta, 2000, None),
+        (RationalTF([-0.03, 0.01], [1.0, -0.5, 0.2]), 5000, None),
+        (fhn_chain["delta_osc"], 20000, None),
+        (fhn_chain["delta_conv"], 20000, (fp_eo.xbar + 0.002, fp_eo.ybar)),
+        (None, 1000, DIVERGING_INIT),
+        (FIRST_ORDER_DELTA, 1000, DIVERGING_INIT),
+    ]
+    for delta, steps, init in cases:
+        got = fhn_simulate(model, delta, steps, init=init)
+        want = reference_fhn_simulate(model, delta, steps, init=init)
+        assert got.diverged == want.diverged
+        for name in ("x", "y", "w"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                (delta, steps, init, name)

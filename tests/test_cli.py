@@ -196,3 +196,20 @@ def test_reports_parse_and_have_schema(capsys):
         assert code == 0
         rep = json.loads(out)
         assert rep["schema"] == "rirkit/1"
+
+
+def test_fhn_sim_negative_steps_exit_2(capsys):
+    code, out = run_cli(capsys, ["fhn-sim", "--param", "e_o=-0.11945",
+                                 "--steps=-1"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError" and "steps" in err["message"]
+
+
+@pytest.mark.parametrize("num", ['[{"a": 1}]', '["1"]', "[true]"])
+def test_analyze_non_numeric_coefficient_exit_2(capsys, num):
+    code, out = run_cli(capsys, ["analyze", "--input",
+                                 f'{{"num": {num}, "den": [1, -2]}}'])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError" and "'num'" in err["message"]
