@@ -494,9 +494,10 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     The perturbation filter runs as a transposed direct-form difference
     equation driven by y_n, with its state started at the DC equilibrium of
     the perturbed fixed point so that startup transients do not contaminate
-    oscillation verdicts.  Divergence (|x| > 1e6) truncates the trajectory.
-    The step loop works on Python floats; only loop-invariant values are
-    hoisted, so every step rounds exactly as the written expressions do.
+    oscillation verdicts.  Divergence (|x| > 1e6) truncates the trajectory;
+    a start beyond it, or not finite, is rejected.  The step loop works on
+    Python floats; only loop-invariant values are hoisted, so every step
+    rounds exactly as the written expressions do.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -532,6 +533,8 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     one_minus_a, a_minus_one, d_gain = 1.0 - A, A - 1.0, D * (1.0 - B)
 
     xn, yn = float(init[0]), float(init[1])
+    if not (abs(xn) <= 1e6 and math.isfinite(yn)):
+        raise ValueError(f"init must be finite with |x0| <= 1e6, got {init}")
     x, y, wout = [xn], [yn], []
     diverged = False
     for _ in range(steps):

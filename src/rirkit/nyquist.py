@@ -24,6 +24,7 @@ from .transfer import (
     _newton_root,
     _partition,
     _trim_to_rounding,
+    _u_to_t,
     evaluate,
 )
 
@@ -87,29 +88,17 @@ def _sin_series(L: RationalTF, radius: float):
     c_l = sum_k a_{k+l} b_k - a_k b_{k+l}.
     """
     n = max(len(L.num.coeffs), len(L.den.coeffs))
-    lags = np.arange(1, n)
 
     def weighted(coeffs):
         c = radius ** np.arange(len(coeffs)) * np.asarray(coeffs)[::-1]
-        return np.pad(c / np.max(np.abs(c)), (0, n - len(c)))
+        return np.concatenate((c, np.zeros(n - len(c)))) / np.max(np.abs(c))
 
     def u_series(a, b, sign):
         r = np.correlate(a, b, "full")
-        return _u_to_t(r[n - 1 + lags] + sign * r[n - 1 - lags])
+        return _u_to_t(r[n:] + sign * r[:n - 1][::-1])
 
     a, b = weighted(L.num.coeffs), weighted(L.den.coeffs)
     return u_series(a, b, -1.0), u_series(np.abs(a), np.abs(b), 1.0)
-
-
-def _u_to_t(c):
-    """sum_n c_n U_n as a Chebyshev T series: U_n = 2 (T_n + T_{n-2} + ...)
-    less T_0 for even n."""
-    t = np.array(c, dtype=float)
-    for j in range(len(t) - 3, -1, -1):
-        t[j] += t[j + 2]
-    t *= 2.0
-    t[:1] *= 0.5
-    return t
 
 
 def crossing_counts(L: RationalTF, spec: ContourSpec,

@@ -286,21 +286,36 @@ def logderiv(g: RationalTF, omega: float) -> DerivativeSample:
     )
 
 
-def _cos_series(coeffs):
-    """|p(e^{j omega})|^2, p scaled to unit max coefficient, as a Chebyshev
-    series in x = cos omega: c_0 = sum a_i^2, c_k = 2 sum a_i a_{i+k}."""
-    a = np.asarray(coeffs, dtype=float)
-    a = a / np.max(np.abs(a))
-    r = np.correlate(a, a, "full")[len(a) - 1:]
-    r[1:] *= 2.0
-    return r
+def _u_to_t(c):
+    """sum c_n U_n in T: U_n = 2 (T_n + T_{n-2} + ...), less T_0 for even n."""
+    t = np.array(c, dtype=float)
+    for j in range(len(t) - 3, -1, -1):
+        t[j] += t[j + 2]
+    t *= 2.0
+    t[:1] *= 0.5
+    return t
+
+
+def _stationary_series(g: RationalTF):
+    """S = P'Q - PQ' in x = cos omega, with P = |num|^2 and Q = |den|^2, as a
+    Chebyshev series, and the same series on absolute values (its majorant).
+    The autocorrelations p, q of the coefficients, scaled to unit max, are P
+    and Q as Laurent series over the lags k, so sin(omega) S = P Q_omega -
+    Q P_omega = 2 sum_{m>=1} c_m sin(m omega), c = (k p) * q - p * (k q)."""
+    a, b = (np.asarray(c) / np.max(np.abs(c))
+            for c in (g.num.coeffs, g.den.coeffs))
+    ka, kb = np.arange(1 - len(a), len(a)), np.arange(1 - len(b), len(b))
+    p, q, pa, qa = (np.correlate(x, x, "full")
+                    for x in (a, b, np.abs(a), np.abs(b)))
+    c = np.convolve(ka * p, q) - np.convolve(p, kb * q)
+    ca = np.convolve(np.abs(ka) * pa, qa) + np.convolve(pa, np.abs(kb) * qa)
+    return tuple(_u_to_t(2.0 * x[len(x) // 2 + 1:]) for x in (c, ca))
 
 
 def _trim_to_rounding(c, majorant):
     """Drop trailing coefficients within the rounding bound of their
-    majorant (the same series computed on absolute values)."""
-    n = max(len(c), len(majorant))
-    c, majorant = (np.pad(x, (0, n - len(x))) for x in (c, majorant))
+    majorant (the same series on absolute values, of equal length)."""
+    n = len(c)
     keep = np.nonzero(np.abs(c) > 8.0 * n * np.finfo(float).eps * majorant)[0]
     return c[:keep[-1] + 1] if keep.size else c[:0]
 
@@ -362,24 +377,17 @@ def linf_norm(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
 
     With P = |num|^2 and Q = |den|^2 as Chebyshev series in x = cos omega,
     the interior stationary points of the gain are the roots in (-1, 1) of
-    S = P'Q - PQ'.  Those, 0 and pi split [0, pi]; each split point whose
-    neighbouring midpoints show A' falling through zero brackets a maximum,
-    refined by Newton steps on A'.  ``unique`` is False when a second local
-    maximum comes within the relative uniqueness margin of the peak.  A
-    response whose S vanishes to rounding (all-pass or constant) is reported
-    at omega 0 and not unique.
+    S = P'Q - PQ' (two convolutions of coefficient autocorrelations).  Those,
+    0 and pi split [0, pi]; each split point whose neighbouring midpoints
+    show A' falling through zero brackets a maximum, refined by Newton steps
+    on A'.  ``unique`` is False when a second local maximum comes within the
+    relative uniqueness margin of the peak.  A response whose S vanishes to
+    rounding (all-pass or constant) is reported at omega 0 and not unique.
     """
     g.assert_rl_inf(circle_tol)
     if g.num.is_zero:
         return LinfResult(0.0, 0.0, False)
-    p, q = _cos_series(g.num.coeffs), _cos_series(g.den.coeffs)
-    pa, qa = (_cos_series(np.abs(g.num.coeffs)),
-              _cos_series(np.abs(g.den.coeffs)))
-    s = cheb.chebsub(cheb.chebmul(cheb.chebder(p), q),
-                     cheb.chebmul(p, cheb.chebder(q)))
-    majorant = cheb.chebadd(cheb.chebmul(cheb.chebder(pa), qa),
-                            cheb.chebmul(pa, cheb.chebder(qa)))
-    s = _trim_to_rounding(s, majorant)
+    s = _trim_to_rounding(*_stationary_series(g))
     if not s.size:
         # all-pass or constant: no stationary point beyond rounding
         return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)

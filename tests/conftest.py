@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
 from rirkit.casestudies import FHNModel, Trajectory, fhn_fixed_point
 from rirkit.errors import PreconditionError
@@ -104,6 +105,36 @@ def dense_phase(g: RationalTF, omega: float, n: int = 20001) -> float:
     phase = np.unwrap(np.angle(evaluate(g, np.exp(1j * w))))
     theta0 = np.pi if evaluate(g, 1.0 + 0.0j).real < 0.0 else 0.0
     return float(theta0 + phase[-1] - phase[0])
+
+
+def _cos_series(coeffs):
+    """|p(e^{j omega})|^2, p scaled to unit max coefficient, as a Chebyshev
+    series in x = cos omega: c_0 = sum a_i^2, c_k = 2 sum a_i a_{i+k}."""
+    a = np.asarray(coeffs, dtype=float)
+    a = a / np.max(np.abs(a))
+    r = np.correlate(a, a, "full")[len(a) - 1:]
+    r[1:] *= 2.0
+    return r
+
+
+def reference_stationary_series(g: RationalTF):
+    """Oracle for ``transfer._stationary_series``: S = P'Q - PQ' and its
+    majorant by ``numpy.polynomial.chebyshev`` algebra on the Chebyshev
+    series of |num|^2 and |den|^2.
+
+    This is the construction that the two-convolution form replaced, kept
+    unchanged; both series are zero-padded to one length at the end, since
+    ``chebsub``/``chebadd`` trim trailing zeros.
+    """
+    p, q = _cos_series(g.num.coeffs), _cos_series(g.den.coeffs)
+    pa, qa = (_cos_series(np.abs(g.num.coeffs)),
+              _cos_series(np.abs(g.den.coeffs)))
+    s = cheb.chebsub(cheb.chebmul(cheb.chebder(p), q),
+                     cheb.chebmul(p, cheb.chebder(q)))
+    majorant = cheb.chebadd(cheb.chebmul(cheb.chebder(pa), qa),
+                            cheb.chebmul(pa, cheb.chebder(qa)))
+    n = max(len(s), len(majorant))
+    return tuple(np.pad(x, (0, n - len(x))) for x in (s, majorant))
 
 
 def _reference_df2t_steady_state(bcoef, acoef, u: float, w: float):

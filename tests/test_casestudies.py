@@ -384,6 +384,15 @@ def test_simulate_divergence_truncates(delta):
     assert traj.verdict() == "diverged"
 
 
+@pytest.mark.parametrize("init", [(1e200, 0.0), (math.nan, 0.0),
+                                  (0.0, math.inf)])
+def test_simulate_rejects_unusable_init(init):
+    # x0**2 would overflow a Python float, and a non-finite start would
+    # give NaN trajectories
+    with pytest.raises(ValueError, match="init"):
+        fhn_simulate(FHNModel(), None, 5, init=init)
+
+
 def test_simulate_bit_identical_to_numpy_scalar_loop(fhn_chain):
     model, res = fhn_chain["model"], fhn_chain["result"]
     fp_eo = fhn_fixed_point(model, res.e_o)

@@ -1,24 +1,32 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_peak, dense_phase, random_tf
+from conftest import (
+    dense_peak,
+    dense_phase,
+    random_tf,
+    reference_stationary_series,
+)
+import rirkit.transfer as transfer
 from rirkit.errors import (
     ImproperTransferError,
     NotInGClassError,
     PoleOnCircleError,
     ZeroOnCircleError,
 )
-from rirkit.polycore import _horner_bound, from_roots, poly_eval
+from rirkit.polycore import Polynomial, _horner_bound, from_roots, poly_eval
 from rirkit.transfer import (
     G1_BOUNDARY,
     G2_INTERIOR,
     GN_OTHER,
     RationalTF,
     _dlog,
+    _stationary_series,
     _unwrapped_phase,
     classify,
     evaluate,
@@ -220,6 +228,67 @@ def test_linf_norm_matches_dense_peak(seed, log_gap):
                    for p in (g.num, g.den))
     assert abs(norm / dense_peak(g) - 1.0) <= 1e-9 + rounding
     assert abs(evaluate(g, z)) == norm
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=12), st.booleans(),
+       st.floats(min_value=-6.0, max_value=6.0))
+@settings(max_examples=60, deadline=None)
+def test_stationary_series_matches_chebyshev_algebra(seed, degree, biproper,
+                                                     log_gain):
+    # the two-convolution S against P'Q - PQ' by Chebyshev series algebra,
+    # for deg num < deg den and deg num = deg den
+    rng = np.random.default_rng(seed)
+    n_unstable = int(rng.integers(0, degree + 1))
+    n_zeros = degree if biproper or not degree else int(rng.integers(0, degree))
+    g = random_tf(rng, n_stable=degree - n_unstable, n_unstable=n_unstable,
+                  n_zeros=n_zeros, gain_range=(10.0 ** log_gain,) * 2)
+    s, _ = _stationary_series(g)
+    ref, majorant = reference_stationary_series(g)
+    # a constant plant has no S; the reference keeps one zero coefficient
+    s = np.pad(s, (0, len(ref) - len(s)))
+    bound = 16 * len(s) * np.finfo(float).eps * majorant
+    assert np.all(np.abs(s - ref) <= bound)
+    got = linf_norm(g)
+    with mock.patch.object(transfer, "_stationary_series",
+                           reference_stationary_series):
+        want = linf_norm(g)
+    assert got.unique == want.unique
+    assert abs(got.omega_p - want.omega_p) <= 1e-12
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_linf_norm_allpass_products_are_flat(seed):
+    # S vanishes to rounding for a product of 1-4 real first-order all-pass
+    # sections, so its majorant must cover that rounding.  a is uniform:
+    # with several poles within ~1e-3 of +-1 the expanded coefficients are
+    # no longer that all-pass to 1e-9, and Horner's rule at z = 1 cancels
+    rng = np.random.default_rng(seed)
+    gain = 10.0 ** rng.uniform(-3.0, 3.0)
+    num, den = Polynomial([gain]), Polynomial([1.0])
+    for a in rng.uniform(-1.0 + 1e-4, 1.0 - 1e-4, int(rng.integers(1, 5))):
+        num, den = num * Polynomial([-a, 1.0]), den * Polynomial([1.0, -a])
+    norm, omega_p, unique = linf_norm(RationalTF(num, den))
+    assert not unique and omega_p == 0.0
+    assert abs(norm - gain) <= 1e-9 * gain
+
+
+def test_analysis_needs_no_chebyshev_series_algebra(monkeypatch, fhn_chain):
+    # S and V come from convolutions: numpy.polynomial's series algebra
+    # spends more on argument handling than on arithmetic at these sizes
+    from numpy.polynomial import chebyshev as cheb
+
+    from rirkit.rir import exact_rir_analyze, synth_marginal_perturbation
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Chebyshev series algebra called")
+
+    for name in ("chebmul", "chebder", "chebadd", "chebsub"):
+        monkeypatch.setattr(cheb, name, forbidden)
+    for g in (FHN_G, fhn_chain["result"].g_eo):
+        exact_rir_analyze(g)
+        synth_marginal_perturbation(g)
 
 
 def test_peaks_and_crossings_evaluate_few_points(monkeypatch, fhn_chain):
