@@ -111,14 +111,14 @@ class Trajectory:
         tail = self.x[3 * n // 4:]
         return float(np.max(tail) - np.min(tail))
 
-    def verdict(self, oscillation_threshold: float = 0.1,
-                convergence_threshold: float = 1e-3) -> str:
+    def verdict(self) -> str:
+        """Oscillating above amplitude 0.1, converged below 1e-3."""
         amp = self.last_quarter_amplitude()
         if self.diverged:
             return "diverged"
-        if amp > oscillation_threshold:
+        if amp > 0.1:
             return "oscillating"
-        if amp < convergence_threshold:
+        if amp < 1e-3:
             return "converged"
         return "indeterminate"
 
@@ -162,11 +162,11 @@ def maglev_partial_fraction(params: MaglevParams, z: complex) -> complex:
     return k / p**2 * (N1 / (z - ep) + N2 / (z - em) + N3 / (z - et))
 
 
-def maglev_zoh(params: MaglevParams, check_tol: float = 1e-10) -> RationalTF:
+def maglev_zoh(params: MaglevParams) -> RationalTF:
     """Zero-order-hold discretization of the maglev plant.
 
     Assembles the rational form from the residues and cross-checks it
-    against the partial-fraction representation on a sample of points.
+    against the partial-fraction form, within 1e-10 (1 + |g|), at 8 points.
     """
     _, (b2, b1, b0), (ep, em, et) = _maglev_pieces(params)
     scale = params.k / params.p**2
@@ -177,7 +177,7 @@ def maglev_zoh(params: MaglevParams, check_tol: float = 1e-10) -> RationalTF:
     for z in zs:
         a = evaluate(g, complex(z))
         b = maglev_partial_fraction(params, complex(z))
-        if abs(a - b) > check_tol * (1.0 + abs(b)):
+        if abs(a - b) > 1e-10 * (1.0 + abs(b)):
             raise SynthesisVerificationError(
                 f"partial-fraction/product forms disagree at z={z}: {a} vs {b}")
     return g
@@ -214,14 +214,15 @@ def highpass_phase_rate(a: float, b: float, omega):
             / _hp_denominator(a, b, omega))
 
 
-def maglev_upper_bound(params: MaglevParams, eps: float,
-                       validate: bool = True) -> MaglevBound:
+def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
     """Reciprocal-radius bound ratio from high-pass compensation.
 
     P_eps exceeds twice the (negative) phase rate deficit at omega = 0;
     abar is the largest compensator parameter keeping the compensated gain
     non-increasing, via the closed form in the beta coefficients.  The
     returned ratio 1 + P_eps/abar bounds rho_*(g_d) / (p^2/k) from above.
+    Validated at a = abar (1 - 1e-6): compensated A' at most 1e-9 on the
+    validation grid, compensated phase rate at omega = 0 positive.
     """
     if eps <= 0.0:
         raise PreconditionError("eps must be positive")
@@ -238,20 +239,19 @@ def maglev_upper_bound(params: MaglevParams, eps: float,
         - P**2)
     if abar <= 0.0:
         raise SynthesisVerificationError(f"abar = {abar} not positive")
-    if validate:
-        # the closed-form rate expressions cancel at a^2 b^2 scale for the
-        # large compensator parameters this bound produces, so the check
-        # evaluates the compensator rates from its transfer function
-        a = abar * (1.0 - 1e-6)
-        fh = highpass(a, a + P)
-        w = np.linspace(1e-9, np.pi, _validation_grid(g) + 1)
-        gain_rate = np.real(_dlog(g, w)) + np.real(_dlog(fh, w))
-        if float(np.max(gain_rate)) > 1e-9:
-            raise SynthesisVerificationError(
-                f"compensated gain rate positive: max A' = {np.max(gain_rate)}")
-        if theta0 + float(np.imag(_dlog(fh, 0.0))) <= 0.0:
-            raise SynthesisVerificationError(
-                "compensated phase rate at 0 not positive")
+    # the closed-form rate expressions cancel at a^2 b^2 scale for the
+    # large compensator parameters this bound produces, so the check
+    # evaluates the compensator rates from its transfer function
+    a = abar * (1.0 - 1e-6)
+    fh = highpass(a, a + P)
+    w = np.linspace(1e-9, np.pi, _validation_grid(g) + 1)
+    gain_rate = np.real(_dlog(g, w)) + np.real(_dlog(fh, w))
+    if float(np.max(gain_rate)) > 1e-9:
+        raise SynthesisVerificationError(
+            f"compensated gain rate positive: max A' = {np.max(gain_rate)}")
+    if theta0 + float(np.imag(_dlog(fh, 0.0))) <= 0.0:
+        raise SynthesisVerificationError(
+            "compensated phase rate at 0 not positive")
     return MaglevBound(P_eps=float(P), abar=float(abar),
                        ratio=float(1.0 + P / abar))
 
@@ -274,13 +274,13 @@ def _fhn_x_update(model: FHNModel, x: float, y_eff: float) -> float:
         / (1.0 + (A - 1.0) * x**2 / 3.0)
 
 
-def fhn_fixed_point(model: FHNModel, e: float,
-                    residual_tol: float = 1e-12) -> FixedPoint:
+def fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
     """Fixed point of the map with DC perturbation gain e.
 
     Solves the scalar equation in xbar (ybar is eliminated) by Newton
     iteration from several starts; with multiple solutions the branch
-    continuous with the unperturbed fixed point is selected.
+    continuous with the unperturbed fixed point is selected.  The map's
+    residual there must not exceed 1e-12.
     """
     A, D, alpha, current = model.A, model.D, model.alpha, model.current
     gain = (1.0 + e) * D
@@ -317,13 +317,12 @@ def fhn_fixed_point(model: FHNModel, e: float,
         xbar = min(roots, key=lambda r: abs(r - ref))
     ybar = D * (xbar + alpha)
     resid = abs(_fhn_x_update(model, xbar, (1.0 + e) * ybar) - xbar)
-    if resid > residual_tol:
+    if resid > 1e-12:
         raise PreconditionError(f"fixed-point residual {resid} too large")
     return FixedPoint(xbar=xbar, ybar=ybar, e=e, residual=resid)
 
 
-def fhn_linearize(model: FHNModel, e: float,
-                  fd_tol: float = 1e-6) -> RationalTF:
+def fhn_linearize(model: FHNModel, e: float) -> RationalTF:
     """Loop transfer function seen by the perturbation block.
 
     The perturbation multiplies the full first-order variation of the
@@ -331,7 +330,7 @@ def fhn_linearize(model: FHNModel, e: float,
     signal is y + (ybar b'/b) x where b(x) is the injection gain; this is
     the wiring that also shifts the fixed point consistently with the DC
     gain.  Analytic Jacobian entries are cross-checked against central
-    finite differences.
+    finite differences, within 1e-6 max(1, |entry|).
     """
     fp = fhn_fixed_point(model, e)
     xb, yb = fp.xbar, fp.ybar
@@ -351,12 +350,11 @@ def fhn_linearize(model: FHNModel, e: float,
             - _fhn_x_update(model, xb - h, (1.0 + e) * yb)) / (2.0 * h)
     fd_y = (_fhn_x_update(model, xb, (1.0 + e) * (yb + h))
             - _fhn_x_update(model, xb, (1.0 + e) * (yb - h))) / (2.0 * h)
-    if abs(fd_x - J_std) > fd_tol * max(1.0, abs(J_std)):
-        raise SynthesisVerificationError(
-            f"Jacobian x-entry mismatch: analytic {J_std}, fd {fd_x}")
-    if abs(fd_y - J_y) > fd_tol * max(1.0, abs(J_y)):
-        raise SynthesisVerificationError(
-            f"Jacobian y-entry mismatch: analytic {J_y}, fd {fd_y}")
+    for name, analytic, fd in (("x", J_std, fd_x), ("y", J_y, fd_y)):
+        if abs(fd - analytic) > 1e-6 * max(1.0, abs(analytic)):
+            raise SynthesisVerificationError(
+                f"Jacobian {name}-entry mismatch: analytic {analytic}, "
+                f"fd {fd}")
 
     A11 = J_std - e * yb * bprime
     A21 = D * (1.0 - B)
@@ -366,16 +364,14 @@ def fhn_linearize(model: FHNModel, e: float,
     return RationalTF(num, den)
 
 
-def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
-                  e_tol: float = 1e-5,
-                  sweep_range: tuple[float, float] = (-0.25, 0.05),
-                  sweep_step: float = 0.005) -> EoSearchResult:
+def fhn_search_eo(model: FHNModel) -> EoSearchResult:
     """Smallest DC gain whose magnitude meets the reciprocal peak gain.
 
-    Marches away from 0 in the direction indicated by the sign of
-    |e| - 1/||g_e|| near the origin, brackets the sign change, bisects to
-    e_tol, and verifies the sufficient exact-RIR condition at the result.
-    A sweep of (e, 1/||g_e||) pairs is returned for plotting.
+    Marches away from 0 in steps of 0.02, up to |e| = 0.5, in the direction
+    indicated by the sign of |e| - 1/||g_e|| near the origin, brackets the
+    sign change, bisects to a width of 1e-5, and verifies the sufficient
+    exact-RIR condition at the result.  A sweep of (e, 1/||g_e||) pairs
+    over [-0.25, 0.05] in steps of 0.005 is returned for plotting.
     """
     from .transfer import linf_norm
 
@@ -385,14 +381,12 @@ def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
     def h(e):
         return abs(e) - inv_norm(e)
 
-    lo_lim, hi_lim = bracket
     step = 0.02
     direction = -1.0 if h(-0.01) >= h(0.01) else 1.0
-    limit = abs(lo_lim if direction < 0 else hi_lim)
     prev_e, prev_h = 0.0, h(0.0)
     bracket_pair = None
     k = 1
-    while step * k <= limit + 1e-12:
+    while step * k <= 0.5 + 1e-12:
         e = direction * step * k
         cur = h(e)
         if prev_h < 0.0 <= cur or prev_h >= 0.0 > cur:
@@ -402,11 +396,11 @@ def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
         k += 1
     if bracket_pair is None:
         raise PreconditionError(
-            f"no bracket for |e| = 1/||g_e|| found in [{lo_lim}, {hi_lim}]")
+            "no bracket for |e| = 1/||g_e|| found in [-0.5, 0.5]")
     a, b = bracket_pair
     h_a = prev_h  # h(a), carried so each step evaluates h once
     for _ in range(200):
-        if abs(b - a) <= e_tol:
+        if abs(b - a) <= 1e-5:
             break
         m = 0.5 * (a + b)
         h_m = h(m)
@@ -422,29 +416,27 @@ def fhn_search_eo(model: FHNModel, bracket: tuple[float, float] = (-0.5, 0.5),
             f"sufficient exact-RIR condition fails at e_o={e_o}: "
             f"{verdict.status}")
     sweep = []
-    e = sweep_range[0]
-    while e <= sweep_range[1] + 1e-12:
+    e = -0.25
+    while e <= 0.05 + 1e-12:
         sweep.append((float(e), float(inv_norm(e))))
-        e += sweep_step
+        e += 0.005
     return EoSearchResult(e_o=float(e_o), g_eo=g_eo,
                           fixed_point=fhn_fixed_point(model, e_o),
                           sweep=tuple(sweep))
 
 
-def h_shaper(eps: float, omega_p: float, r: float = 0.5) -> RationalTF:
+def h_shaper(eps: float, omega_p: float) -> RationalTF:
     """Stable shaper with h(e^{+-j omega_p}) = 1 and h(1) = 1/(1 + eps).
 
-    h = 1 + mu (z^2 - 2 cos(omega_p) z + 1)/(z - r)^2; the numerator factor
-    vanishes exactly on e^{+-j omega_p}.
+    h = 1 + mu (z^2 - 2 cos(omega_p) z + 1)/(z - 0.5)^2; the numerator
+    factor vanishes exactly on e^{+-j omega_p}.
     """
     if abs(1.0 + eps) < 1e-12:
         raise PreconditionError("eps = -1 is singular")
-    if not abs(r) < 1.0:
-        raise PreconditionError("|r| < 1 required for stability")
     if omega_p <= 0.0 or omega_p >= math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
-    mu = -eps / (1.0 + eps) * (1.0 - r) ** 2 / (2.0 - 2.0 * math.cos(omega_p))
-    den = Polynomial([1.0, -2.0 * r, r**2])
+    mu = -eps / (1.0 + eps) * 0.25 / (2.0 - 2.0 * math.cos(omega_p))
+    den = Polynomial([1.0, -1.0, 0.25])
     num = den + mu * Polynomial([1.0, -2.0 * math.cos(omega_p), 1.0])
     return RationalTF(num, den)
 
@@ -455,8 +447,7 @@ def _dc_gain(g: RationalTF) -> float:
     return math.fsum(g.num.coeffs) / math.fsum(g.den.coeffs)
 
 
-def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float,
-                     r: float = 0.5) -> RationalTF:
+def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float) -> RationalTF:
     """Shaped perturbation (1 + eps) h delta_f with the DC gain pinned at e_o,
     to the rounding bound of the expanded shaped coefficients at z = 1."""
     delta_f, _, verdict = _synthesize(g_eo)
@@ -467,7 +458,7 @@ def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float,
     if eps == 0.0:
         return delta_f
     omega_p = verdict.class_tag.peak_omega
-    shaped = (1.0 + eps) * (h_shaper(eps, omega_p, r) * delta_f)
+    shaped = (1.0 + eps) * (h_shaper(eps, omega_p) * delta_f)
     dc_shaped = _dc_gain(shaped)
     num, den = shaped.num.coeffs, shaped.den.coeffs
     dc_tol = (_horner_bound(num, 1.0) / abs(math.fsum(num))

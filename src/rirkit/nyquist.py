@@ -43,6 +43,9 @@ MODE_P1 = "pole_at_+1"
 MODE_M1 = "pole_at_-1"
 MODE_NONE = "none"
 
+BOUNDARY_TOL = 1e-6  # a closed-loop root this close to T lies on it
+EXCLUSION_WINDOW = 1e-4  # marginal-mode window around 1+j0 and omega_c
+
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -183,37 +186,37 @@ def closed_loop_poles(L: RationalTF) -> RootSet:
     return char.roots()
 
 
-def _epsilon_sweep(L: RationalTF, closed_loop: tuple[complex, ...],
-                   boundary_band: float = 1e-6):
+def _epsilon_sweep(L: RationalTF, closed_loop: tuple[complex, ...]):
     """Three-decade sweep below the structural margins of L and of its
-    closed-loop roots."""
+    closed-loop roots off the circle."""
     eps0 = 1e-2
     for p in L.poles():
         if abs(p) > 1.0:
             eps0 = min(eps0, (1.0 - 1.0 / abs(p)) / 2.0)
     for c in closed_loop:
         m = abs(c)
-        if abs(m - 1.0) > boundary_band and m > 0.0:
+        if abs(m - 1.0) > BOUNDARY_TOL and m > 0.0:
             eps0 = min(eps0, abs(1.0 - 1.0 / m) / 2.0)
     eps0 = max(eps0, 1e-8)
     return [eps0, eps0 / 10.0, eps0 / 100.0]
 
 
-def extended_nyquist_check(L: RationalTF, n: int,
-                           boundary_band: float = 1e-6) -> bool:
+def extended_nyquist_check(L: RationalTF) -> bool:
     """True iff the positive feedback loop has all poles in the closed disk.
 
-    Certified by clockwise encirclements of 1+j0 equal to n on a decreasing
-    contour sweep (unanimity demanded), and cross-validated against the
-    closed-loop roots; on disagreement the root verdict wins.
+    Certified by clockwise encirclements of 1+j0 equal to n, the number of
+    unstable poles of L, on a decreasing contour sweep (unanimity
+    demanded), and cross-validated against the closed-loop roots; on
+    disagreement the root verdict wins.
     """
+    n = sum(1 for p in L.poles() if abs(p) > 1.0)
     roots = closed_loop_poles(L).flat
     moduli = [abs(c) for c in roots]
     roots_ok = all(m <= 1.0 + 1e-9 for m in moduli)
     counts = [crossing_counts(L, ContourSpec(epsilon=e)).encirclements_cw
-              for e in _epsilon_sweep(L, roots, boundary_band)]
+              for e in _epsilon_sweep(L, roots)]
     if len(set(counts)) != 1:
-        clear = all(abs(m - 1.0) > boundary_band for m in moduli)
+        clear = all(abs(m - 1.0) > BOUNDARY_TOL for m in moduli)
         if clear:
             warnings.warn(
                 f"encirclement counts {counts} disagree across the sweep; "
@@ -229,63 +232,59 @@ def extended_nyquist_check(L: RationalTF, n: int,
     return nyq_ok
 
 
-def marginal_verdict(L: RationalTF, omega_c: float, n: int | None = None,
-                     value_tol: float = 1e-6,
-                     rate_zero_tol: float = 1e-8,
-                     boundary_tol: float = 1e-6,
-                     exclusion_window: float = 1e-4) -> StabilityVerdict:
+def marginal_verdict(L: RationalTF, omega_c: float) -> StabilityVerdict:
     """Single-mode marginal stability of the positive feedback loop.
 
-    omega_c must be a stationary point of the loop log-gain.  The verdict
-    itself comes from the characteristic roots; the crossing/phase-rate
-    certificate is evaluated alongside and a diagnostic is emitted when the
+    omega_c must be a stationary point of the loop log-gain: |A'| within
+    1e-8 (1 + |A''|).  The verdict itself comes from the characteristic
+    roots; the crossing/phase-rate certificate, with L within 1e-6 of 1 at
+    omega_c, is evaluated alongside and a diagnostic is emitted when the
     two disagree.
     """
     q = complex(_dlog(L, omega_c))
     # scale by the gain-rate curvature: at sharp resonances A' evaluation
     # noise grows with conditioning, but the implied omega offset must not
     ap, app = _gain_rate(L, omega_c)
-    if abs(ap) > rate_zero_tol * (1.0 + abs(app)):
+    if abs(ap) > 1e-8 * (1.0 + abs(app)):
         raise PreconditionError(
-            f"A'_L(omega_c) = {ap:.3e} not zero within "
-            f"{rate_zero_tol} * (1 + |A''|)")
-    if n is None:
-        n = sum(1 for p in L.poles() if abs(p) > 1.0)
+            f"A'_L(omega_c) = {ap:.3e} not zero within 1e-8 * (1 + |A''|)")
+    n = sum(1 for p in L.poles() if abs(p) > 1.0)
 
     at_bnd = omega_c <= 1e-9 or omega_c >= np.pi - 1e-9
     zc = complex(np.exp(1j * omega_c))
     vc = evaluate(L, zc)
-    cond_value = abs(vc - 1.0) <= value_tol
+    cond_value = abs(vc - 1.0) <= 1e-6
     dL = vc * q / (1j * zc)  # L'(z) = L(z) q / (j z)
     cond_deriv = abs(dL) > 1e-9
     rs = closed_loop_poles(L)
     boundary = tuple((r, m) for r, m in zip(rs.roots, rs.multiplicities)
-                     if abs(abs(r) - 1.0) <= boundary_tol)
+                     if abs(abs(r) - 1.0) <= BOUNDARY_TOL)
     # L = 1 on the circle exactly at the boundary closed-loop roots
-    cond_elsewhere = all(abs(abs(np.angle(r)) - omega_c) <= exclusion_window
+    cond_elsewhere = all(abs(abs(np.angle(r)) - omega_c) <= EXCLUSION_WINDOW
                          for r, _ in boundary)
     condition_i = cond_value and cond_deriv and cond_elsewhere
 
     rep = crossing_counts(L, ContourSpec(epsilon=0.0),
-                          exclude_near_one=exclusion_window)
+                          exclude_near_one=EXCLUSION_WINDOW)
     theta_rate = q.imag
     want_iia = (n - 1) if at_bnd else (n - 2)
     condition_iia = rep.nu_o == want_iia and theta_rate > 0.0
     condition_iib = rep.nu_o == n and theta_rate < 0.0
     cert_single = condition_i and (condition_iia or condition_iib)
 
-    outside = [r for r in rs.roots if abs(r) > 1.0 + boundary_tol]
+    outside = [r for r in rs.roots if abs(r) > 1.0 + BOUNDARY_TOL]
     all_in = not outside
     marginal = all_in and bool(boundary) and all(m == 1 for _, m in boundary)
     mode = MODE_NONE
     single = False
     if marginal:
         pts = sorted((r for r, _ in boundary), key=lambda r: r.imag)
-        if len(pts) == 1 and abs(pts[0].imag) <= boundary_tol:
+        if len(pts) == 1 and abs(pts[0].imag) <= BOUNDARY_TOL:
             mode = MODE_P1 if pts[0].real > 0 else MODE_M1
             single = True
-        elif (len(pts) == 2 and abs(pts[0] - np.conj(pts[1])) <= 10 * boundary_tol
-              and abs(pts[0].imag) > boundary_tol):
+        elif (len(pts) == 2
+              and abs(pts[0] - np.conj(pts[1])) <= 10 * BOUNDARY_TOL
+              and abs(pts[0].imag) > BOUNDARY_TOL):
             mode = MODE_CONJ
             single = True
 

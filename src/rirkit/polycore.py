@@ -29,15 +29,15 @@ CONJ_PAIR_TOL = 1e-9
 class Polynomial:
     """Real polynomial in descending powers of z.
 
-    Leading near-zeros (relative to the largest coefficient) are trimmed at
-    construction.  The zero polynomial is degree 0 with a single zero
-    coefficient and ``is_zero`` set.
+    Leading coefficients within TRIM_TOL of the largest (relative) are
+    trimmed at construction.  The zero polynomial is degree 0 with a single
+    zero coefficient and ``is_zero`` set.
     """
 
     coeffs: tuple[float, ...]
     is_zero: bool = field(default=False, compare=False)
 
-    def __init__(self, coeffs, trim_tol: float = TRIM_TOL):
+    def __init__(self, coeffs):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
@@ -48,7 +48,7 @@ class Polynomial:
             object.__setattr__(self, "coeffs", (0.0,))
             object.__setattr__(self, "is_zero", True)
             return
-        nz = np.nonzero(np.abs(arr) > trim_tol * scale)[0]
+        nz = np.nonzero(np.abs(arr) > TRIM_TOL * scale)[0]
         arr = arr[nz[0]:]
         object.__setattr__(self, "coeffs", tuple(float(c) for c in arr))
         object.__setattr__(self, "is_zero", False)

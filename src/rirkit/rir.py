@@ -58,6 +58,7 @@ STRICTLY_GREATER = "strictly_greater"
 INCONCLUSIVE = "inconclusive"
 
 RATE_TOL = 1e-7
+PCR_TOL = 1e-10  # slack of the phase-change-rate bound checks
 
 
 def wrap_angle(x: float) -> float:
@@ -251,13 +252,13 @@ def exact_rir_analyze(g: RationalTF, rate_tol: float = RATE_TOL) -> RIRVerdict:
 
 # -- synthesis ----------------------------------------------------------
 
-def allpass_phase_match(omega_p: float, theta_p: float,
-                        phase_tol: float = 1e-10) -> AllPassSpec:
+def allpass_phase_match(omega_p: float, theta_p: float) -> AllPassSpec:
     """First-order all-pass (or constant) with prescribed phase at omega_p.
 
     The plain section reaches phases in (-pi, 0); a sign flip shifts the
     range to (0, pi); the constants +-1 cover 0 and pi.  The parameter
-    comes in closed form from ``_ap1_param``.
+    comes in closed form from ``_ap1_param``, and the phase it achieves
+    must match within 1e-10.
     """
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
@@ -272,7 +273,7 @@ def allpass_phase_match(omega_p: float, theta_p: float,
         c, target = -1, t - math.pi
     a = float(_ap1_param(target, omega_p))
     achieved = float(ap1_phase(a, omega_p))
-    if abs(achieved - target) > phase_tol:
+    if abs(achieved - target) > 1e-10:
         raise SynthesisVerificationError(
             f"phase match failed: target {target}, achieved {achieved}")
     # consistency with the closed-form sine identity for the section phase
@@ -302,34 +303,33 @@ def synth_allpass_spec(g: RationalTF, rate_tol: float = RATE_TOL
     return spec, verdict
 
 
-def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL,
-                                loop_value_tol: float = 1e-6,
-                                norm_tol: float = 1e-9) -> RationalTF:
+def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL
+                                ) -> RationalTF:
     """Stable perturbation of norm 1/||g|| that marginally stabilizes g.
 
-    The result is verified post hoc: its norm, the loop value at the peak
-    frequency, and single-mode marginal stability of the closed loop.
+    The result is verified post hoc: its norm (relative to max(1, norm),
+    within 1e-9), the loop value at the peak frequency (1 within 1e-6),
+    and single-mode marginal stability of the closed loop.
     """
-    return _synthesize(g, rate_tol, loop_value_tol, norm_tol)[0]
+    return _synthesize(g, rate_tol)[0]
 
 
-def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL,
-                loop_value_tol: float = 1e-6, norm_tol: float = 1e-9
+def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL
                 ) -> tuple[RationalTF, AllPassSpec, RIRVerdict]:
     """Verified perturbation together with the spec and verdict behind it,
     for callers that need all three from a single analysis of g."""
     spec, verdict = synth_allpass_spec(g, rate_tol=rate_tol)
     f = spec.to_tf()
     fnorm = linf_norm(f).norm
-    if abs(fnorm - spec.scale) > norm_tol * max(1.0, spec.scale):
+    if abs(fnorm - spec.scale) > 1e-9 * max(1.0, spec.scale):
         raise SynthesisVerificationError(
             f"||f|| = {fnorm} differs from requested {spec.scale}")
     L = g * f
     omega_p = verdict.class_tag.peak_omega
     lv = evaluate(L, complex(np.exp(1j * omega_p)))
-    if abs(lv - 1.0) > loop_value_tol:
+    if abs(lv - 1.0) > 1e-6:
         raise SynthesisVerificationError(
-            f"L(e^(j omega_p)) = {lv} not 1 within {loop_value_tol}")
+            f"L(e^(j omega_p)) = {lv} not 1 within 1e-6")
     sv = marginal_verdict(L, omega_p)
     if not sv.single_mode:
         raise SynthesisVerificationError(
@@ -461,8 +461,9 @@ def _require_minimum_phase(f: RationalTF) -> None:
             raise PreconditionError("f must be minimum-phase (zeros inside D)")
 
 
-def _allpass_real_sections(f: RationalTF, tol: float = 1e-7):
-    """Recover (c, [a_i]) for a real-pole all-pass, validating structure."""
+def _allpass_real_sections(f: RationalTF):
+    """Recover (c, [a_i]) for a real-pole all-pass, validating structure:
+    the gain must be constant on the circle within 1e-7 max(scale, 1)."""
     if f.den.degree == 0:
         v = evaluate(f, 1.0 + 0.0j)
         return (1 if v.real >= 0 else -1), [], abs(v)
@@ -476,17 +477,16 @@ def _allpass_real_sections(f: RationalTF, tol: float = 1e-7):
     # all-pass structure: |f| constant on a few circle samples
     probe = np.exp(1j * np.array([0.3, 1.1, 1.9, 2.7]))
     mags = np.abs(evaluate(f, probe))
-    if np.max(np.abs(mags - scale)) > tol * max(scale, 1.0):
+    if np.max(np.abs(mags - scale)) > 1e-7 * max(scale, 1.0):
         raise PreconditionError("gain is not constant on the unit circle")
     return c, a, scale
 
 
-def allpass_pcr_bound_check(f: RationalTF, omega_p: float,
-                       tol: float = 1e-10) -> bool:
+def allpass_pcr_bound_check(f: RationalTF, omega_p: float) -> bool:
     """Real-pole all-pass PCR bound at an interior frequency.
 
     theta'(omega_p) <= -|sin(theta(omega_p)) / sin(omega_p)|, with equality
-    demanded at orders 0 and 1.
+    demanded at orders 0 and 1, each within PCR_TOL.
     """
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
@@ -497,9 +497,9 @@ def allpass_pcr_bound_check(f: RationalTF, omega_p: float,
         theta += float(np.sum(ap1_phase(np.asarray(a), omega_p)))
         rate = float(np.sum(ap1_rate(np.asarray(a), omega_p)))
     bound = -abs(math.sin(theta)) / abs(math.sin(omega_p))
-    holds = rate <= bound + tol
+    holds = rate <= bound + PCR_TOL
     if len(a) <= 1:
-        holds = holds and abs(rate - bound) <= tol
+        holds = holds and abs(rate - bound) <= PCR_TOL
     return holds
 
 
@@ -540,13 +540,13 @@ def construct_real_pole_dominator(alpha_c: float, beta_c: float,
         "no valid lambda found; this indicates a numerical fault")
 
 
-def gain_phase_integral(f: RationalTF, omega_p: float,
-                        conv_tol: float = 1e-8) -> float:
+def gain_phase_integral(f: RationalTF, omega_p: float) -> float:
     """Phase of a minimum-phase function recovered from its gain curve.
 
     Evaluates the principal-value integral of the gain difference against
     the Poisson-type kernel over [0, pi] with a shrinking symmetric
-    exclusion window and Richardson extrapolation.  The kernel integral as
+    exclusion window and Richardson extrapolation, halving the window until
+    two passes agree within 1e-8 (at most ten times).  The kernel integral as
     written was found numerically to reproduce the e^{+j omega} phase
     directly (checked against swept phases of known minimum-phase
     functions), so no sign flip is applied.
@@ -586,23 +586,23 @@ def gain_phase_integral(f: RationalTF, omega_p: float,
         h *= 0.5
         cur = windowed(h)
         est = 2.0 * cur - prev  # excluded mass is first order in h
-        if abs(cur - prev) < conv_tol:
+        if abs(cur - prev) < 1e-8:
             prev = cur
             break
         prev = cur
     return (-math.sin(omega_p) / math.pi) * est
 
 
-def minimum_phase_pcr_bound_check(f: RationalTF, tol: float = 1e-10) -> bool:
+def minimum_phase_pcr_bound_check(f: RationalTF) -> bool:
     """Minimum-phase PCR bounds at the peak-gain frequency.
 
     theta' <= 0 always; for an interior peak additionally
-    theta' <= -|theta(omega_p) / sin(omega_p)|.
+    theta' <= -|theta(omega_p) / sin(omega_p)|, each within PCR_TOL.
     """
     _require_minimum_phase(f)
     norm, omega_p, _ = linf_norm(f)
     rate = float(np.imag(_dlog(f, max(omega_p, 1e-12))))
-    if not rate <= tol:
+    if not rate <= PCR_TOL:
         return False
     if omega_p <= 1e-9 or omega_p >= math.pi - 1e-9:
         return True
@@ -610,16 +610,16 @@ def minimum_phase_pcr_bound_check(f: RationalTF, tol: float = 1e-10) -> bool:
     if abs(theta) > math.pi + 1e-9:
         raise PreconditionError(
             f"theta(omega_p) = {theta} outside (-pi, pi]; premise violated")
-    return rate <= -abs(theta) / abs(math.sin(omega_p)) + tol
+    return rate <= -abs(theta) / abs(math.sin(omega_p)) + PCR_TOL
 
 
-def verify_dominance_witness(w: RealPoleDominanceWitness, phase_tol: float = 1e-9):
-    """Phase equality and strict rate dominance for a constructed witness."""
+def verify_dominance_witness(w: RealPoleDominanceWitness):
+    """Phase equality within 1e-9 and strict rate dominance of a witness."""
     pc = float(ap2_phase(w.alpha_c, w.beta_c, w.omega_p))
     pr = float(ap2_phase(w.alpha_r, w.beta_r, w.omega_p))
     rc = float(ap2_rate(w.alpha_c, w.beta_c, w.omega_p))
     rr = float(ap2_rate(w.alpha_r, w.beta_r, w.omega_p))
-    return abs(pc - pr) <= phase_tol, rr - rc
+    return abs(pc - pr) <= 1e-9, rr - rc
 
 
 def stabilizer_search(g: RationalTF, trials: int = 2000, seed: int = 0,

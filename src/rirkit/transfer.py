@@ -91,18 +91,21 @@ class RationalTF:
         return self.num.is_zero or self.num.degree < self.den.degree
 
     def __mul__(self, other):
+        # each factor is already reduced; a root shared across factors is a
+        # closed-loop mode (a root of den - num), so it must not cancel
         if isinstance(other, RationalTF):
-            return RationalTF(self.num * other.num, self.den * other.den)
-        return RationalTF(float(other) * self.num, self.den)
+            return RationalTF(self.num * other.num, self.den * other.den,
+                              cancel_tol=0.0)
+        return RationalTF(float(other) * self.num, self.den, cancel_tol=0.0)
 
     __rmul__ = __mul__
 
-    def assert_rl_inf(self, circle_tol: float = CIRCLE_TOL) -> None:
-        """Raise unless bounded on the unit circle (no pole on T)."""
+    def assert_rl_inf(self) -> None:
+        """Raise unless no pole lies within CIRCLE_TOL of the unit circle."""
         for p in self.poles():
-            if abs(abs(p) - 1.0) < circle_tol:
+            if abs(abs(p) - 1.0) < CIRCLE_TOL:
                 raise PoleOnCircleError(
-                    f"pole {p} within {circle_tol} of the unit circle")
+                    f"pole {p} within {CIRCLE_TOL} of the unit circle")
 
 
 class LinfResult(NamedTuple):
@@ -175,36 +178,37 @@ def evaluate(g: RationalTF, z):
     return poly_eval(g.num, z) / dv
 
 
-def unstable_pole_count(g: RationalTF, circle_tol: float = CIRCLE_TOL) -> int:
+def unstable_pole_count(g: RationalTF) -> int:
     """Number of poles with |z| > 1, counting multiplicity."""
     count = 0
     for p in g.poles():
-        if abs(abs(p) - 1.0) < circle_tol:
+        if abs(abs(p) - 1.0) < CIRCLE_TOL:
             raise PoleOnCircleError(f"not in RL_inf: pole {p} on the unit circle")
         if abs(p) > 1.0:
             count += 1
     return count
 
 
-def _real_unstable_points(values, circle_tol: float = CIRCLE_TOL):
-    """Real points with |x| > 1, as (branch, x) keys ordered along the
-    extended real line 1 -> +inf = -inf -> -1."""
+def _real_unstable_points(values):
+    """Real points with |x| > 1 + CIRCLE_TOL, as (branch, x) keys ordered
+    along the extended real line 1 -> +inf = -inf -> -1."""
     out = []
     for v in values:
-        if abs(v.imag) <= 1e-9 * (1.0 + abs(v)) and abs(v.real) > 1.0 + circle_tol:
+        if (abs(v.imag) <= 1e-9 * (1.0 + abs(v))
+                and abs(v.real) > 1.0 + CIRCLE_TOL):
             x = v.real
             out.append((0, x) if x > 0 else (2, x))
     return out
 
 
-def pip_check(g: RationalTF, circle_tol: float = CIRCLE_TOL) -> bool:
+def pip_check(g: RationalTF) -> bool:
     """Parity interlacing property.
 
     Between consecutive real unstable zeros (a zero at infinity is appended
     for strictly proper systems) the number of real unstable poles must be
     even.  The extended real line is traversed 1 -> +inf, then -inf -> -1.
     """
-    g.assert_rl_inf(circle_tol)
+    g.assert_rl_inf()
     zeros = _real_unstable_points(g.zeros())
     if g.strictly_proper:
         zeros.append((1, 0.0))  # zero at infinity
@@ -333,17 +337,17 @@ def _partition(series):
     return pts, 0.5 * (pts[:-1] + pts[1:])
 
 
-def _newton_root(f, neg: float, pos: float, x: float,
-                 xtol: float = 1e-15, max_iter: int = 100) -> float:
+def _newton_root(f, neg: float, pos: float, x: float) -> float:
     """Root of f between neg and pos, where f(neg) <= 0 <= f(pos).
 
     Newton steps from x on f's (value, slope) pair, with a bisection
     whenever a step would leave the bracket or fails to halve the step
-    before last (Numerical Recipes' rtsafe).
+    before last (Numerical Recipes' rtsafe).  Stops once a step is within
+    1e-15, or after 100 steps.
     """
     dx_old = dx = abs(pos - neg)
     fx, dfx = f(x)
-    for _ in range(max_iter):
+    for _ in range(100):
         if fx == 0.0:
             return x
         if fx < 0.0:
@@ -357,7 +361,7 @@ def _newton_root(f, neg: float, pos: float, x: float,
         else:
             dx_old, dx = dx, fx / dfx
             x -= dx
-        if abs(dx) <= xtol:
+        if abs(dx) <= 1e-15:
             return x
         fx, dfx = f(x)
     return x
@@ -371,8 +375,7 @@ def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
             float((-z * (u + z * _log_curvature(g, z))).real))
 
 
-def linf_norm(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
-              circle_tol: float = CIRCLE_TOL) -> LinfResult:
+def linf_norm(g: RationalTF) -> LinfResult:
     """Peak gain over [0, pi] with refined peak frequency.
 
     With P = |num|^2 and Q = |den|^2 as Chebyshev series in x = cos omega,
@@ -380,11 +383,11 @@ def linf_norm(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
     S = P'Q - PQ' (two convolutions of coefficient autocorrelations).  Those,
     0 and pi split [0, pi]; each split point whose neighbouring midpoints
     show A' falling through zero brackets a maximum, refined by Newton steps
-    on A'.  ``unique`` is False when a second local maximum comes within the
-    relative uniqueness margin of the peak.  A response whose S vanishes to
-    rounding (all-pass or constant) is reported at omega 0 and not unique.
+    on A'.  ``unique`` is False when a second local maximum comes within
+    UNIQUENESS_MARGIN (relative) of the peak.  A response whose S vanishes
+    to rounding (all-pass or constant) is reported at omega 0, not unique.
     """
-    g.assert_rl_inf(circle_tol)
+    g.assert_rl_inf()
     if g.num.is_zero:
         return LinfResult(0.0, 0.0, False)
     s = _trim_to_rounding(*_stationary_series(g))
@@ -410,14 +413,14 @@ def linf_norm(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
         if all(abs(wp - m[0]) > 1e-6 for m in merged):
             merged.append((wp, gv))
     norm, omega_p = merged[0][1], merged[0][0]
-    unique = all(gv < (1.0 - uniqueness_margin) * norm for _, gv in merged[1:])
+    unique = all(gv < (1.0 - UNIQUENESS_MARGIN) * norm for _, gv in merged[1:])
     return LinfResult(float(norm), float(omega_p), bool(unique))
 
 
-def classify(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
-             boundary_tol: float = 1e-8) -> ClassTag:
+def classify(g: RationalTF) -> ClassTag:
     """Class membership among the single-peak unstable families.
 
+    A peak within 1e-8 of 0 or pi counts as a boundary peak.
     G1_boundary: one unstable pole, unique peak at 0 or pi.
     G2_interior: two unstable poles, unique interior peak.
     G1_interior: one unstable pole, unique interior peak.
@@ -427,8 +430,8 @@ def classify(g: RationalTF, uniqueness_margin: float = UNIQUENESS_MARGIN,
     if n == 0:
         raise NotInGClassError("not in G: no unstable pole")
     pip = pip_check(g)
-    norm, omega_p, unique = linf_norm(g, uniqueness_margin=uniqueness_margin)
-    at_boundary = omega_p <= boundary_tol or omega_p >= np.pi - boundary_tol
+    norm, omega_p, unique = linf_norm(g)
+    at_boundary = omega_p <= 1e-8 or omega_p >= np.pi - 1e-8
     if not pip or not unique:
         name = GN_OTHER
     elif n == 1 and at_boundary:

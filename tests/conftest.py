@@ -94,6 +94,18 @@ def dense_peak(g: RationalTF, n: int = 2 ** 14, zooms: int = 4) -> float:
     return float(np.max(gain(w)))
 
 
+def mp_gain(g: RationalTF, omega: float) -> float:
+    """|g(e^{j omega})| from g's stored coefficients, evaluated by mpmath at
+    50 digits, so rounding in the evaluation itself cannot show."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        z = mpmath.expj(mpmath.mpf(float(omega)))
+        num = mpmath.polyval([mpmath.mpf(c) for c in g.num.coeffs], z)
+        den = mpmath.polyval([mpmath.mpf(c) for c in g.den.coeffs], z)
+        return float(abs(num / den))
+
+
 def dense_phase(g: RationalTF, omega: float, n: int = 20001) -> float:
     """Dense-sampling oracle for the continuous phase along [0, omega].
 

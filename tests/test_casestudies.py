@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import reference_fhn_simulate
+from conftest import mp_gain, reference_fhn_simulate
 import rirkit.casestudies as casestudies
 from rirkit.casestudies import (
     FHNModel,
@@ -32,6 +32,7 @@ from rirkit.transfer import (
     _dlog,
     classify,
     evaluate,
+    linf_norm,
     unstable_pole_count,
 )
 
@@ -176,7 +177,7 @@ def test_maglev_bound_abar_matches_curvature_oracle():
     # abar = -2 A''(0)/P - P/2 with A'' from differentiating the gain rate
     params = MaglevParams(k=1, p=1, tau=0.1, T=0.01)
     g = maglev_zoh(params)
-    bound = maglev_upper_bound(params, 0.01, validate=False)
+    bound = maglev_upper_bound(params, 0.01)
     h = 1e-5
     app = float(np.real(_dlog(g, h))) / h  # A'(0) = 0
     oracle = -2.0 * app / bound.P_eps - bound.P_eps / 2.0
@@ -192,13 +193,42 @@ def test_maglev_ratio_decreases_with_sampling_period():
 
 def test_maglev_small_tau_limit():
     eps = 0.01
-    bound = maglev_upper_bound(MaglevParams(k=1, p=1, tau=1e-6, T=0.01), eps,
-                               validate=False)
+    bound = maglev_upper_bound(MaglevParams(k=1, p=1, tau=1e-6, T=0.01), eps)
     kappa = (2.0 - math.exp(0.01) - math.exp(-0.01)) / 2.0
     one = 1.0 + eps
     limit = 2.0 * one**2 / (1.0 - 4.0 / kappa - one**2)
     got = bound.P_eps / bound.abar
     assert abs(got - limit) / abs(limit) < 1e-3
+
+
+@pytest.mark.parametrize("scale, max_rate", [(3.0, 2.96), (1.5, 1.14)])
+def test_maglev_bound_validation_rejects_oversized_compensator(
+        monkeypatch, scale, max_rate):
+    # the check sees a = scale * abar, past the largest admissible a
+    real = casestudies.highpass
+    monkeypatch.setattr(casestudies, "highpass",
+                        lambda a, b: real(scale * a, scale * a + (b - a)))
+    with pytest.raises(SynthesisVerificationError,
+                       match="compensated gain rate positive") as exc:
+        maglev_upper_bound(MaglevParams(), 0.01)
+    got = float(str(exc.value).rsplit("=", 1)[1])
+    assert abs(got - max_rate) < 0.01
+
+
+@pytest.mark.xfail(strict=True, reason="linf_norm misses a peak near omega = 0 "
+                   "where S is below its own rounding floor")
+@pytest.mark.parametrize("scale", [3.0, 1.5])
+def test_linf_norm_finds_near_dc_peak_of_oversized_compensation(scale):
+    params = MaglevParams()
+    g = maglev_zoh(params)
+    bound = maglev_upper_bound(params, 0.01)
+    a = scale * bound.abar
+    fh = highpass(a, a + bound.P_eps)
+    L = RationalTF(g.num * fh.num, g.den * fh.den, cancel_tol=0.0)
+    # the 50-digit gain of the stored coefficients peaks inside (0, 2e-3)
+    peak = max(mp_gain(L, w) for w in np.linspace(0.0, 2e-3, 201))
+    assert peak > 1.0002
+    assert linf_norm(L).norm >= (1.0 - 1e-9) * peak
 
 
 # -- FitzHugh-Nagumo ---------------------------------------------------------
@@ -263,7 +293,7 @@ def test_h_shaper_identity_at_zero_eps():
 
 
 def test_h_shaper_pins_both_frequencies():
-    h = h_shaper(0.05, 0.003, 0.5)
+    h = h_shaper(0.05, 0.003)
     assert abs(evaluate(h, 1.0 + 0.0j) - 1.0 / 1.05) < 1e-9
     zp = complex(np.exp(1j * 0.003))
     assert abs(evaluate(h, zp) - 1.0) < 1e-12
@@ -272,7 +302,7 @@ def test_h_shaper_pins_both_frequencies():
 def test_h_shaper_gain_ordering():
     zp = complex(np.exp(1j * 0.003))
     for eps in (0.05, -0.05):
-        h = h_shaper(eps, 0.003, 0.5)
+        h = h_shaper(eps, 0.003)
         h1 = abs(evaluate(h, 1.0 + 0.0j))
         hp = abs(evaluate(h, zp))
         if eps > 0:
@@ -310,12 +340,12 @@ def test_perturbation_dc_check_is_at_rounding_scale(fhn_chain, monkeypatch):
     shaper = casestudies.h_shaper
     for dw in (1e-12, -1e-12, 1e-10, -1e-10):
         monkeypatch.setattr(casestudies, "h_shaper",
-                            lambda eps, w, r, dw=dw: shaper(eps, w + dw, r))
+                            lambda eps, w, dw=dw: shaper(eps, w + dw))
         for eps in (-0.05, 0.05):
             fhn_perturbation(res.e_o, res.g_eo, eps)
 
-    def off(eps, w, r):
-        h = shaper(eps, w, r)
+    def off(eps, w):
+        h = shaper(eps, w)
         return RationalTF((1.0 + 1e-6) * h.num, h.den)
 
     monkeypatch.setattr(casestudies, "h_shaper", off)

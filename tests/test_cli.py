@@ -189,6 +189,15 @@ def test_maglev_report_chain(capsys):
     assert rep["bound"]["ratio"] > 1.0
 
 
+def test_maglev_compensated_product_keeps_close_pole_zero_pair(capsys):
+    # the compensator's pole and zero lie 1.2e-9 apart at these parameters;
+    # cancelling them in g * f_h flipped the verdict to not_exact
+    code, out = run_cli(capsys, ["maglev", "--param", "tau=0.01",
+                                 "--param", "T=0.001", "--eps", "0.01"])
+    assert code == 0
+    assert json.loads(out)["compensated_status"] == "exact_sufficient"
+
+
 def test_reports_parse_and_have_schema(capsys):
     for argv in (["analyze", "--input", FHN_G_JSON],
                  ["maglev", "--eps", "0.01"]):

@@ -195,7 +195,7 @@ def test_synth_boundary_plant_constant():
     f = synth_marginal_perturbation(g)
     roots = closed_loop_poles(g * f).flat
     assert len(roots) == 1 and abs(roots[0] - 1.0) < 1e-9
-    assert extended_nyquist_check(g * f, 1) is True
+    assert extended_nyquist_check(g * f) is True
 
 
 def test_synth_random_resonant_plants_marginal_pair():
