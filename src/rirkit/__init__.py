@@ -14,6 +14,7 @@ from .casestudies import (
     MaglevParams,
     Trajectory,
     fhn_fixed_point,
+    fhn_inv_norm_sweep,
     fhn_linearize,
     fhn_perturbation,
     fhn_search_eo,

@@ -11,7 +11,7 @@ perturbations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PreconditionError, SynthesisVerificationError
 from .polycore import Polynomial, _horner_bound, from_roots
 from .rir import EXACT_SUFFICIENT, _synthesize, exact_rir_analyze
-from .transfer import RationalTF, _dlog, evaluate
+from .transfer import RationalTF, _dlog, evaluate, linf_norm
 
 __all__ = [
     "MaglevParams",
@@ -37,6 +37,7 @@ __all__ = [
     "fhn_fixed_point",
     "fhn_linearize",
     "fhn_search_eo",
+    "fhn_inv_norm_sweep",
     "h_shaper",
     "fhn_perturbation",
     "fhn_simulate",
@@ -134,7 +135,6 @@ class EoSearchResult:
     e_o: float
     g_eo: RationalTF
     fixed_point: FixedPoint
-    sweep: tuple[tuple[float, float], ...] = field(repr=False)
 
 
 # -- magnetic levitation ---------------------------------------------------
@@ -370,16 +370,10 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
     Marches away from 0 in steps of 0.02, up to |e| = 0.5, in the direction
     indicated by the sign of |e| - 1/||g_e|| near the origin, brackets the
     sign change, bisects to a width of 1e-5, and verifies the sufficient
-    exact-RIR condition at the result.  A sweep of (e, 1/||g_e||) pairs
-    over [-0.25, 0.05] in steps of 0.005 is returned for plotting.
+    exact-RIR condition at the result.
     """
-    from .transfer import linf_norm
-
-    def inv_norm(e):
-        return 1.0 / linf_norm(fhn_linearize(model, e)).norm
-
     def h(e):
-        return abs(e) - inv_norm(e)
+        return abs(e) - _inv_norm(model, e)
 
     step = 0.02
     direction = -1.0 if h(-0.01) >= h(0.01) else 1.0
@@ -415,14 +409,26 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
         raise SynthesisVerificationError(
             f"sufficient exact-RIR condition fails at e_o={e_o}: "
             f"{verdict.status}")
+    return EoSearchResult(e_o=float(e_o), g_eo=g_eo,
+                          fixed_point=fhn_fixed_point(model, e_o))
+
+
+def _inv_norm(model: FHNModel, e: float) -> float:
+    return 1.0 / linf_norm(fhn_linearize(model, e)).norm
+
+
+def fhn_inv_norm_sweep(model: FHNModel) -> tuple[tuple[float, float], ...]:
+    """The Fig. 1 curve: (e, 1/||g_e||) over [-0.25, 0.05].
+
+    e starts at -0.25 and grows by repeated addition of 0.005, so the
+    points carry that accumulated rounding (61 of them).
+    """
     sweep = []
     e = -0.25
     while e <= 0.05 + 1e-12:
-        sweep.append((float(e), float(inv_norm(e))))
+        sweep.append((float(e), float(_inv_norm(model, e))))
         e += 0.005
-    return EoSearchResult(e_o=float(e_o), g_eo=g_eo,
-                          fixed_point=fhn_fixed_point(model, e_o),
-                          sweep=tuple(sweep))
+    return tuple(sweep)
 
 
 def h_shaper(eps: float, omega_p: float) -> RationalTF:

@@ -9,6 +9,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -167,13 +168,20 @@ def cmd_nyquist(args) -> dict:
     }
 
 
+def _int_param(p: dict[str, float], key: str, default: int) -> int:
+    val = p.get(key, default)
+    if not float(val).is_integer():
+        raise ValueError(f"--param {key} must be an integer, got {val!r}")
+    return int(val)
+
+
 def cmd_pcr_max(args) -> dict:
     p = _params(args.param)
     omega_p = p["omega_p"]
     theta_p = p["theta_p"]
     best, desc = rir.pcr_max_search(omega_p, theta_p,
-                                    max_order=int(p.get("max_order", 4)),
-                                    trials=int(p.get("trials", 20000)),
+                                    max_order=_int_param(p, "max_order", 4),
+                                    trials=_int_param(p, "trials", 20000),
                                     seed=args.seed)
     ceiling = (0.0 if omega_p in (0.0, np.pi)
                else -rir.rho_threshold(omega_p, theta_p))
@@ -217,7 +225,9 @@ def _fhn_model(p: dict) -> casestudies.FHNModel:
 def cmd_fhn_find(args) -> dict:
     model = _fhn_model(_params(args.param))
     res = casestudies.fhn_search_eo(model)
-    _write_csv(args.out, "fig1.csv", ["e", "inv_norm"], res.sweep)
+    if args.out is not None:
+        _write_csv(args.out, "fig1.csv", ["e", "inv_norm"],
+                   casestudies.fhn_inv_norm_sweep(model))
     spec, _ = rir.synth_allpass_spec(res.g_eo)
     return {
         "schema": SCHEMA,
@@ -266,7 +276,35 @@ _COMMANDS = {
 }
 
 
+# Every flag the CLI knows, and the ones each subcommand's cmd_* reads.
+_FLAGS = {
+    "--input": {"help": "transfer function JSON (path or inline)"},
+    "--out": {"help": "output directory for reports and CSVs"},
+    "--seed": {"type": int, "default": 0},
+    "--grid": {"type": int, "default": 4096,
+               "help": "contour points in the nyquist --dump CSV"},
+    "--tol-rate": {"type": float, "default": rir.RATE_TOL, "dest": "tol_rate"},
+    "--eps": {"type": float, "default": 0.01},
+    "--steps": {"type": int, "default": 200000},
+    "--dump": {"action": "store_true", "help": "also write plot CSV data"},
+    "--param": {"action": "append",
+                "help": "model parameter key=value (repeatable)"},
+}
+_COMMAND_FLAGS = {
+    "analyze": ("--input", "--out", "--tol-rate", "--dump"),
+    "synth": ("--input", "--out", "--tol-rate"),
+    "nyquist": ("--input", "--out", "--eps", "--grid", "--dump"),
+    "pcr-max": ("--param", "--seed", "--out"),
+    "maglev": ("--param", "--eps", "--out"),
+    "fhn-find": ("--param", "--out"),
+    "fhn-sim": ("--param", "--eps", "--steps", "--out"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args keeps no state
+    in it between calls."""
     ap = argparse.ArgumentParser(
         prog="rirkit",
         description="Robust instability radius analysis for discrete-time "
@@ -274,19 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--input", help="transfer function JSON (path or inline)")
-        sp.add_argument("--out", help="output directory for reports and CSVs")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--grid", type=int, default=4096,
-                        help="contour points in the nyquist --dump CSV")
-        sp.add_argument("--tol-rate", type=float, default=rir.RATE_TOL,
-                        dest="tol_rate")
-        sp.add_argument("--eps", type=float, default=0.01)
-        sp.add_argument("--steps", type=int, default=200000)
-        sp.add_argument("--dump", action="store_true",
-                        help="also write plot CSV data")
-        sp.add_argument("--param", action="append",
-                        help="model parameter key=value (repeatable)")
+        for flag in _COMMAND_FLAGS[name]:
+            sp.add_argument(flag, **_FLAGS[flag])
     return ap
 
 

@@ -8,6 +8,7 @@ Newton step on the polynomial's own coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,13 @@ class RootSet:
     multiplicities: tuple[int, ...]
     residual: float
 
-    @property
+    @cached_property
     def flat(self) -> tuple[complex, ...]:
-        """Roots repeated according to multiplicity."""
+        """Roots repeated according to multiplicity, built on first use.
+
+        The tuple is cached in the instance ``__dict__``, outside the
+        dataclass fields, so ``==``, ``hash`` and ``repr`` ignore it.
+        """
         out: list[complex] = []
         for r, m in zip(self.roots, self.multiplicities):
             out.extend([r] * m)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SynthesisVerificationError
-from .nyquist import closed_loop_poles, marginal_verdict
+from .nyquist import marginal_verdict
 from .polycore import Polynomial
 from .transfer import (
     G1_BOUNDARY,
@@ -67,6 +67,17 @@ def wrap_angle(x: float) -> float:
     if y <= -math.pi:
         y += 2.0 * math.pi
     return y
+
+
+def _wrap_angles(x: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` on an array, equal to it bit for bit.
+
+    ``fmod`` is exact, and so is each 2*pi correction (Sterbenz's lemma):
+    every element is the one representative of x mod 2*pi in (-pi, pi].
+    """
+    r = np.fmod(x, 2.0 * math.pi)
+    r = np.where(r > math.pi, r - 2.0 * math.pi, r)
+    return np.where(r <= -math.pi, r + 2.0 * math.pi, r)
 
 
 @dataclass(frozen=True)
@@ -349,8 +360,10 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
     required phase.  Returns the best rate found and a description of the
     maximizer.  Deterministic for a fixed seed.
     """
-    if max_order > 6:
-        raise PreconditionError("max_order must be <= 6")
+    if not 1 <= max_order <= 6:
+        raise PreconditionError(f"max_order must be in 1..6, got {max_order}")
+    if trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     t_goal = wrap_angle(theta_p)
     at_bnd = omega_p <= 1e-12 or omega_p >= math.pi - 1e-12
@@ -388,7 +401,7 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
     rates = np.sum(np.where(mask1, r1, 0.0), axis=1) \
         + np.sum(np.where(mask2, r2, 0.0), axis=1)
 
-    resid = np.array([wrap_angle(t_goal - p) for p in phases])
+    resid = _wrap_angles(t_goal - phases)
     skipped = 0
     if at_bnd:
         # only phases 0 (constant +1) and pi (sign flip) are reachable
@@ -620,24 +633,3 @@ def verify_dominance_witness(w: RealPoleDominanceWitness):
     rc = float(ap2_rate(w.alpha_c, w.beta_c, w.omega_p))
     rr = float(ap2_rate(w.alpha_r, w.beta_r, w.omega_p))
     return abs(pc - pr) <= 1e-9, rr - rc
-
-
-def stabilizer_search(g: RationalTF, trials: int = 2000, seed: int = 0,
-                      gain_range: tuple[float, float] = (1e-3, 10.0)):
-    """Random first-order stable controllers that stabilize g.
-
-    Spot-check helper for the strictly-greater verdicts: every stabilizer
-    found must have norm above the reciprocal peak gain.
-    """
-    rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(trials):
-        a = float(rng.uniform(-0.999, 0.999))
-        k = float(np.exp(rng.uniform(np.log(gain_range[0]),
-                                     np.log(gain_range[1]))))
-        c = 1 if rng.uniform() < 0.5 else -1
-        f = AllPassSpec(c=c, a=a, scale=k).to_tf()
-        roots = closed_loop_poles(g * f).flat
-        if roots and max(abs(r) for r in roots) < 1.0 - 1e-9:
-            found.append((f, k))
-    return found

@@ -8,7 +8,9 @@ from numpy.polynomial import chebyshev as cheb
 
 from rirkit.casestudies import FHNModel, Trajectory, fhn_fixed_point
 from rirkit.errors import PreconditionError
+from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import from_roots
+from rirkit.rir import AllPassSpec
 from rirkit.transfer import RationalTF, evaluate
 
 
@@ -55,6 +57,27 @@ def random_tf(rng, n_stable=2, n_unstable=1, n_zeros=1,
             k += 2
     gain = float(rng.uniform(*gain_range)) * (1.0 if rng.uniform() < 0.5 else -1.0)
     return RationalTF(from_roots(zeros, gain), from_roots(poles))
+
+
+def stabilizer_search(g: RationalTF, trials: int = 2000, seed: int = 0,
+                      gain_range: tuple[float, float] = (1e-3, 10.0)):
+    """Random first-order stable controllers that stabilize g.
+
+    Spot-check helper for the strictly-greater verdicts: every stabilizer
+    found must have norm above the reciprocal peak gain.
+    """
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(trials):
+        a = float(rng.uniform(-0.999, 0.999))
+        k = float(np.exp(rng.uniform(np.log(gain_range[0]),
+                                     np.log(gain_range[1]))))
+        c = 1 if rng.uniform() < 0.5 else -1
+        f = AllPassSpec(c=c, a=a, scale=k).to_tf()
+        roots = closed_loop_poles(g * f).flat
+        if roots and max(abs(r) for r in roots) < 1.0 - 1e-9:
+            found.append((f, k))
+    return found
 
 
 def brute_force_crossings(L: RationalTF, epsilon: float, n: int = 1_000_000):
@@ -147,6 +170,21 @@ def reference_stationary_series(g: RationalTF):
                             cheb.chebmul(pa, cheb.chebder(qa)))
     n = max(len(s), len(majorant))
     return tuple(np.pad(x, (0, n - len(x))) for x in (s, majorant))
+
+
+def reference_fig1_rows(model: FHNModel) -> list[tuple[float, float]]:
+    """The Fig. 1 sweep as fhn_search_eo computed it inline before it
+    became fhn_inv_norm_sweep: e from -0.25 by repeated += 0.005."""
+    from rirkit.casestudies import fhn_linearize
+    from rirkit.transfer import linf_norm
+
+    rows = []
+    e = -0.25
+    while e <= 0.05 + 1e-12:
+        rows.append((float(e),
+                     float(1.0 / linf_norm(fhn_linearize(model, e)).norm)))
+        e += 0.005
+    return rows
 
 
 def _reference_df2t_steady_state(bcoef, acoef, u: float, w: float):

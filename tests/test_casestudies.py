@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import mp_gain, reference_fhn_simulate
+from conftest import mp_gain, reference_fhn_simulate, reference_fig1_rows
 import rirkit.casestudies as casestudies
 from rirkit.casestudies import (
     FHNModel,
     MaglevParams,
     fhn_fixed_point,
+    fhn_inv_norm_sweep,
     fhn_linearize,
     fhn_perturbation,
     fhn_simulate,
@@ -281,9 +282,15 @@ def test_search_eo(fhn_chain):
     tag = fhn_chain["verdict"].class_tag
     assert 0.0024 <= tag.peak_omega <= 0.0036
     assert fhn_chain["verdict"].status == EXACT_SUFFICIENT
-    assert len(res.sweep) > 10
-    for e, inv in res.sweep:
+
+
+def test_inv_norm_sweep_is_the_fig1_curve():
+    sweep = fhn_inv_norm_sweep(FHNModel())
+    assert len(sweep) == 61
+    assert sweep[0][0] == -0.25 and abs(sweep[-1][0] - 0.05) < 1e-12
+    for e, inv in sweep:
         assert inv > 0.0
+    assert list(sweep) == reference_fig1_rows(FHNModel())
 
 
 def test_h_shaper_identity_at_zero_eps():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,7 +8,11 @@ from pathlib import Path
 import pytest
 
 import rirkit
-from rirkit.cli import main
+import rirkit.casestudies as casestudies
+from conftest import reference_fig1_rows
+from rirkit.casestudies import FHNModel
+from rirkit.cli import build_parser, main
+from rirkit.rir import RATE_TOL
 
 FHN_G_JSON = json.dumps({"num": [1.5679e-5, -2.5685e-5],
                          "den": [1.0, -2.000985, 1.000994]})
@@ -109,6 +114,29 @@ def test_fhn_find_reports_eo_and_fig1(tmp_path, capsys):
     assert fig1[0] == "e,inv_norm"
     assert len(fig1) > 10
     assert all(len(line.split(",")) == 2 for line in fig1[1:])
+
+
+def test_fhn_find_fig1_rows_are_the_old_inline_sweep(tmp_path, capsys):
+    code, _ = run_cli(capsys, ["fhn-find", "--out", str(tmp_path)])
+    assert code == 0
+    expected = "e,inv_norm\n" + "".join(
+        f"{e:.17g},{inv:.17g}\n" for e, inv in reference_fig1_rows(FHNModel()))
+    assert (tmp_path / "fig1.csv").read_text() == expected
+
+
+def test_fhn_find_sweeps_only_with_out(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = casestudies.fhn_inv_norm_sweep
+    monkeypatch.setattr(casestudies, "fhn_inv_norm_sweep",
+                        lambda model: calls.append(model) or real(model))
+    monkeypatch.chdir(tmp_path)
+    code1, out1 = run_cli(capsys, ["fhn-find", "--out", "d1"])
+    code2, out2 = run_cli(capsys, ["fhn-find"])
+    assert code1 == code2 == 0 and out1 == out2
+    assert len(calls) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d1"]
+    assert sorted(p.name for p in (tmp_path / "d1").iterdir()) == [
+        "fig1.csv", "report.json"]
 
 
 def test_fhn_sim_with_given_eo(tmp_path, capsys):
@@ -222,3 +250,114 @@ def test_analyze_non_numeric_coefficient_exit_2(capsys, num):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError" and "'num'" in err["message"]
+
+
+# -- search settings --------------------------------------------------------
+
+PCR_ARGV = ["pcr-max", "--param", "omega_p=1.0", "--param", "theta_p=-0.8"]
+
+
+@pytest.mark.parametrize("setting", ["trials=0", "trials=-5", "max_order=0",
+                                     "max_order=-3", "max_order=7"])
+def test_pcr_max_empty_search_exit_3(capsys, setting):
+    code, out = run_cli(capsys, PCR_ARGV + ["--param", setting])
+    assert code == 3
+    err = json.loads(out)["error"]
+    key = setting.split("=")[0]
+    assert err["type"] == "PreconditionError" and key in err["message"]
+
+
+@pytest.mark.parametrize("setting", ["trials=2.5", "max_order=2.5",
+                                     "trials=inf", "trials=nan"])
+def test_pcr_max_non_integer_setting_exit_2(capsys, setting):
+    code, out = run_cli(capsys, PCR_ARGV + ["--param", setting])
+    assert code == 2
+    err = json.loads(out)["error"]
+    key = setting.split("=")[0]
+    assert err["type"] == "ValueError"
+    assert f"{key} must be an integer" in err["message"]
+
+
+def test_pcr_max_accepts_integral_float_setting(capsys):
+    code, out = run_cli(capsys, PCR_ARGV + ["--param", "trials=2e3"])
+    assert code == 0
+    assert json.loads(out)["search"]["trials"] == 2000
+
+
+# -- the parser -------------------------------------------------------------
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    code1, out1 = run_cli(capsys, PCR_ARGV + ["--param", "trials=2000",
+                                              "--seed", "4"])
+    code2, out2 = run_cli(capsys, PCR_ARGV)
+    assert code1 == code2 == 0
+    assert json.loads(out1)["search"]["trials"] == 2000
+    assert json.loads(out2)["search"]["trials"] == 20000
+    assert build_parser().parse_args(PCR_ARGV).seed == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", FHN_G_JSON, "--steps", "5"],
+    ["synth", "--input", FHN_G_JSON, "--eps", "0.1"],
+    ["nyquist", "--input", FHN_G_JSON, "--seed", "1"],
+    PCR_ARGV + ["--input", "x"],
+    ["maglev", "--grid", "10"],
+    ["fhn-find", "--eps", "0.1"],
+    ["fhn-sim", "--param", "e_o=-0.11945", "--dump"],
+])
+def test_flag_of_another_subcommand_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_unchanged():
+    parse = build_parser().parse_args
+    a = parse(["analyze", "--input", "x"])
+    assert (a.tol_rate, a.dump, a.out) == (RATE_TOL, False, None)
+    n = parse(["nyquist", "--input", "x"])
+    assert (n.eps, n.grid, n.dump) == (0.01, 4096, False)
+    s = parse(["fhn-sim"])
+    assert (s.eps, s.steps, s.param) == (0.01, 200000, None)
+    assert parse(["pcr-max"]).seed == 0
+
+
+def _bench_paper_argvs() -> list[list[str]]:
+    """bench/workloads.py's PaperChain.COMMANDS with {seed} and {e_o}
+    filled in, read with ast: importing the module would write its
+    bytecode under bench/."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    consts = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            try:
+                consts[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    chain = next(n for n in tree.body
+                 if isinstance(n, ast.ClassDef) and n.name == "PaperChain")
+    commands = next(n.value for n in chain.body if isinstance(n, ast.Assign)
+                    and n.targets[0].id == "COMMANDS")
+    expr = compile(ast.Expression(commands), str(path), "eval")
+    pairs = eval(expr, {"__builtins__": {}, "json": json, **consts})
+    fill = {"{seed}": "7", "{e_o}": repr(-0.1194482421875)}
+    out = []
+    for kind, template in pairs:
+        argv = list(template)
+        for key, val in fill.items():
+            argv = [a.replace(key, val) for a in argv]
+        assert argv[0] == kind
+        out.append(argv)
+    return out
+
+
+def test_benchmark_paper_chain_argv_parses():
+    argvs = _bench_paper_argvs()
+    assert [a[0] for a in argvs] == ["analyze", "synth", "maglev", "fhn-find",
+                                     "pcr-max", "fhn-sim", "fhn-sim"]
+    for argv in argvs:
+        build_parser().parse_args(argv)  # exits 2 on a flag it lacks

@@ -9,10 +9,23 @@ from hypothesis import strategies as st
 import rirkit.polycore as polycore
 from rirkit.polycore import (
     Polynomial,
+    RootSet,
     from_roots,
     poly_eval,
     poly_roots,
 )
+
+
+def test_rootset_flat_is_stored_once_outside_the_fields():
+    rs = RootSet(roots=(1.0 + 0j, -0.5 + 0j), multiplicities=(2, 1),
+                 residual=0.0)
+    before = (repr(rs), hash(rs))
+    flat = rs.flat
+    assert flat == (1.0 + 0j, 1.0 + 0j, -0.5 + 0j)
+    assert rs.flat is flat
+    assert (repr(rs), hash(rs)) == before
+    assert rs == RootSet(roots=rs.roots, multiplicities=(2, 1), residual=0.0)
+    assert "flat" not in repr(rs)
 
 
 def test_eval_factored_root():

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rirkit.rir as rir
+from conftest import stabilizer_search
 from rirkit.errors import PreconditionError
 from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import Polynomial, from_roots
@@ -19,7 +25,6 @@ from rirkit.rir import (
     minimum_phase_pcr_bound_check,
     pcr_max_search,
     rho_threshold,
-    stabilizer_search,
     synth_allpass_spec,
     synth_marginal_perturbation,
     verify_dominance_witness,
@@ -274,6 +279,74 @@ def test_pcr_ceiling_small_grid():
             ceiling = -abs(np.sin(theta) / np.sin(omega))
             assert best <= ceiling + 1e-6
             assert abs(desc["bare_first_order_rate"] - ceiling) < 1e-9
+
+
+def _near_pi_multiples():
+    """k*pi for |k| <= 2e6 (so k*2*pi for |k| <= 1e6) and neighbours."""
+    def step(x, moves):
+        for d in moves:
+            x = math.nextafter(x, d)
+        return x
+    return st.builds(step, st.integers(-2 * 10**6, 2 * 10**6).map(
+        lambda k: k * math.pi), st.lists(
+            st.sampled_from((-math.inf, math.inf)), max_size=2))
+
+
+_WRAP_EDGES = [s * v for s in (1.0, -1.0) for v in (
+    0.0, math.pi, 2 * math.pi, 3 * math.pi, 1e10,
+    math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0))]
+_ANGLES = st.one_of(st.floats(-30.0, 30.0),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_WRAP_EDGES), _near_pi_multiples())
+
+
+def _wrapped_one_by_one(xs) -> bytes:
+    return np.array([wrap_angle(x) for x in xs], dtype=float).tobytes()
+
+
+@given(st.lists(_ANGLES, min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_array_wrap_equals_wrap_angle_bit_for_bit(xs):
+    assert rir._wrap_angles(np.array(xs)).tobytes() == _wrapped_one_by_one(xs)
+
+
+def test_array_wrap_on_edges_and_uniform_draws():
+    xs = np.concatenate([_WRAP_EDGES, np.random.default_rng(3).uniform(
+        -30.0, 30.0, 100_000)])
+    assert rir._wrap_angles(xs).tobytes() == _wrapped_one_by_one(xs)
+    # signed zeros survive: wrap_angle keeps the sign of a zero remainder
+    assert np.signbit(rir._wrap_angles(np.array([-0.0, -2 * math.pi]))).all()
+
+
+def test_pcr_search_wraps_residuals_as_an_array(monkeypatch):
+    calls = []
+    real = rir.wrap_angle
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(rir, "wrap_angle", counting)
+    pcr_max_search(1.0, -0.8, trials=20000)
+    assert 0 < len(calls) < 10
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_order": 0}, "max_order must be in 1..6"),
+    ({"max_order": -3}, "max_order must be in 1..6"),
+    ({"max_order": 7}, "max_order must be in 1..6"),
+    ({"trials": 0}, "trials must be >= 1"),
+    ({"trials": -5}, "trials must be >= 1"),
+])
+def test_pcr_search_rejects_empty_search_space(kwargs, message):
+    with pytest.raises(PreconditionError, match=message):
+        pcr_max_search(1.0, -0.8, **kwargs)
+
+
+def test_pcr_search_smallest_settings_give_the_bare_rate():
+    best, desc = pcr_max_search(1.0, -0.8, max_order=1, trials=1)
+    assert best == desc["bare_first_order_rate"]
+    assert desc["trials"] == 1
 
 
 def test_boundary_pcr_negative_for_low_order_sections():

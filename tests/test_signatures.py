@@ -24,9 +24,6 @@ KEPT_DEFAULTS = {
     "rir.pcr_max_search(max_order)",
     "rir.pcr_max_search(trials)",
     "rir.pcr_max_search(seed)",
-    "rir.stabilizer_search(trials)",
-    "rir.stabilizer_search(seed)",
-    "rir.stabilizer_search(gain_range)",
     "casestudies.MaglevParams.__init__(k)",
     "casestudies.MaglevParams.__init__(p)",
     "casestudies.MaglevParams.__init__(tau)",
@@ -66,7 +63,7 @@ def _defaulted_parameters():
 
 
 def test_defaulted_parameters_are_the_kept_ones():
-    assert len(KEPT_DEFAULTS) == 28
+    assert len(KEPT_DEFAULTS) == 25
     assert _defaulted_parameters() == KEPT_DEFAULTS
 
 
