@@ -197,7 +197,7 @@ def cmd_maglev(args) -> dict:
     g = casestudies.maglev_zoh(params)
     static = casestudies.maglev_partial_fraction(params, 1.0 + 0.0j).real
     verdict = rir.exact_rir_analyze(g)
-    bound = casestudies.maglev_upper_bound(params, args.eps)
+    bound = casestudies._maglev_bound(g, params, args.eps)
     fh = casestudies.highpass(bound.abar * (1.0 - 1e-6),
                               bound.abar * (1.0 - 1e-6) + bound.P_eps)
     comp_verdict = rir.exact_rir_analyze(g * fh)
@@ -276,10 +276,17 @@ _COMMANDS = {
 }
 
 
+def _out_dir(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 # Every flag the CLI knows, and the ones each subcommand's cmd_* reads.
 _FLAGS = {
     "--input": {"help": "transfer function JSON (path or inline)"},
-    "--out": {"help": "output directory for reports and CSVs"},
+    "--out": {"type": _out_dir,
+              "help": "output directory for reports and CSVs"},
     "--seed": {"type": int, "default": 0},
     "--grid": {"type": int, "default": 4096,
                "help": "contour points in the nyquist --dump CSV"},

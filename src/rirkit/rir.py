@@ -226,7 +226,19 @@ def exact_rir_analyze(g: RationalTF, rate_tol: float = RATE_TOL) -> RIRVerdict:
     interior-peak plants generally) have a strictly larger radius than the
     reciprocal peak gain; everything else is inconclusive.  A zero plant,
     or one whose reciprocal peak gain overflows, is rejected as invalid.
+
+    The verdict is computed once per instance and ``rate_tol``: like the
+    roots, it is cached in the instance ``__dict__`` outside the dataclass
+    fields, so equality, hashing and repr are unaffected; a ``RIRVerdict``
+    is immutable, so sharing it is safe.
     """
+    verdicts = g.__dict__.setdefault("_verdicts", {})
+    if rate_tol not in verdicts:
+        verdicts[rate_tol] = _analyze(g, rate_tol)
+    return verdicts[rate_tol]
+
+
+def _analyze(g: RationalTF, rate_tol: float) -> RIRVerdict:
     tag = classify(g)
     if tag.peak_gain == 0.0 or not math.isfinite(1.0 / tag.peak_gain):
         raise ValueError(
@@ -373,60 +385,51 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
     k2 = rng.integers(0, max_k2 + 1, size=trials) if max_k2 > 0 else \
         np.zeros(trials, dtype=int)
     k1 = rng.integers(0, budget - 2 * k2 + 1)
-    max_k1 = budget
+    a_params = rng.uniform(-0.999, 0.999, size=(trials, budget))
+    alpha = rng.uniform(1e-3, 0.999, size=(trials, max_k2))
+    u_beta = rng.uniform(-1.0, 1.0, size=(trials, max_k2))
 
-    a_params = rng.uniform(-0.999, 0.999, size=(trials, max_k1))
-    mask1 = np.arange(max_k1)[None, :] < k1[:, None]
-    alpha = rng.uniform(1e-3, 0.999, size=(trials, max(max_k2, 1)))
-    beta = rng.uniform(-1.0, 1.0, size=(trials, max(max_k2, 1))) \
-        * 2.0 * np.sqrt(alpha) * 0.999
-    mask2 = np.arange(max(max_k2, 1))[None, :] < k2[:, None]
-
-    if at_bnd:
-        ph1 = 0.0 if omega_p < 1.0 else -math.pi
-        ph2 = 0.0 if omega_p < 1.0 else -2.0 * math.pi
-        phases = np.sum(np.where(mask1, ph1, 0.0), axis=1) \
-            + np.sum(np.where(mask2, ph2, 0.0), axis=1)
-        w0 = omega_p if omega_p > 1e-12 else 0.0
-        za = np.exp(1j * w0)
-        r1 = (a_params**2 - 1.0) / np.abs(za + a_params) ** 2
-        r2 = ap2_rate(alpha, beta, w0)
-    else:
-        r1 = ap1_rate(a_params, omega_p)
-        r2 = ap2_rate(alpha, beta, omega_p)
-        phases = np.sum(np.where(mask1, ap1_phase(a_params, omega_p), 0.0),
-                        axis=1) \
-            + np.sum(np.where(mask2, ap2_phase(alpha, beta, omega_p), 0.0),
-                     axis=1)
-    rates = np.sum(np.where(mask1, r1, 0.0), axis=1) \
-        + np.sum(np.where(mask2, r2, 0.0), axis=1)
+    # Only the sections a trial draws are evaluated.  Each trial's phase and
+    # rate add up its first-order sections and its second-order sections
+    # separately, column by column, in the order a row sum adds them.
+    w0 = omega_p if omega_p > 1e-12 else 0.0
+    ph1 = 0.0 if omega_p < 1.0 else -math.pi
+    ph2 = 0.0 if omega_p < 1.0 else -2.0 * math.pi
+    p1, r1 = np.zeros(trials), np.zeros(trials)
+    for j in range(budget):
+        idx = np.flatnonzero(k1 > j)
+        a = a_params[idx, j]
+        p1[idx] += ph1 if at_bnd else ap1_phase(a, omega_p)
+        r1[idx] += ap1_rate(a, w0)
+    p2, r2 = np.zeros(trials), np.zeros(trials)
+    for j in range(max_k2):
+        idx = np.flatnonzero(k2 > j)
+        al = alpha[idx, j]
+        be = u_beta[idx, j] * 2.0 * np.sqrt(al) * 0.999
+        p2[idx] += ph2 if at_bnd else ap2_phase(al, be, omega_p)
+        r2[idx] += ap2_rate(al, be, w0)
+    phases = p1 + p2
+    rates = r1 + r2
 
     resid = _wrap_angles(t_goal - phases)
-    skipped = 0
     if at_bnd:
         # only phases 0 (constant +1) and pi (sign flip) are reachable
         feasible = (np.abs(resid) <= 1e-9) | \
             (np.abs(np.abs(resid) - math.pi) <= 1e-9)
-        skipped = int(np.sum(~feasible))
-        corr_rate = np.zeros(trials)
-        corr_a = np.full(trials, np.nan)
-        total = np.where(feasible, rates + corr_rate, -np.inf)
+        skipped = trials - int(np.count_nonzero(feasible))
+        total = np.where(feasible, rates, -np.inf)
     else:
-        need_flip = resid > 1e-15
-        targets = np.where(need_flip, resid - math.pi, resid)
-        exact_const = np.abs(targets) <= 1e-15
-        exact_pi = np.abs(targets + math.pi) <= 1e-15
-        solve = ~(exact_const | exact_pi)
-        corr_a = np.full(trials, np.nan)
-        if np.any(solve):
-            corr_a[solve] = _ap1_param(targets[solve], omega_p)
-        corr_rate = np.zeros(trials)
-        corr_rate[solve] = ap1_rate(corr_a[solve], omega_p)
-        achieved = np.where(solve, ap1_phase(np.where(solve, corr_a, 0.0),
-                                             omega_p), targets)
-        bad = np.abs(achieved - targets) > 1e-9
-        skipped = int(np.sum(bad))
-        total = np.where(bad, -np.inf, rates + corr_rate)
+        targets = np.where(resid > 1e-15, resid - math.pi, resid)
+        # a target of 0 or -pi is met by a constant; the rest by a section
+        solve = np.flatnonzero(~((np.abs(targets) <= 1e-15)
+                                 | (np.abs(targets + math.pi) <= 1e-15)))
+        t = targets[solve]
+        corr_a = _ap1_param(t, omega_p)
+        total = rates.copy()
+        total[solve] += ap1_rate(corr_a, omega_p)
+        bad = solve[np.abs(ap1_phase(corr_a, omega_p) - t) > 1e-9]
+        skipped = len(bad)
+        total[bad] = -np.inf
 
     # deterministic bare candidate: the matched first-order all-pass alone
     if at_bnd:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
@@ -10,7 +12,17 @@ from rirkit.casestudies import FHNModel, Trajectory, fhn_fixed_point
 from rirkit.errors import PreconditionError
 from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import from_roots
-from rirkit.rir import AllPassSpec
+from rirkit.rir import (
+    AllPassSpec,
+    _ap1_param,
+    _wrap_angles,
+    allpass_phase_match,
+    ap1_phase,
+    ap1_rate,
+    ap2_phase,
+    ap2_rate,
+    wrap_angle,
+)
 from rirkit.transfer import RationalTF, evaluate
 
 
@@ -259,6 +271,110 @@ def reference_fhn_simulate(model: FHNModel, delta: RationalTF | None,
     if not diverged:
         wout[steps] = b0 * y[steps] + (state[0] if m else 0.0)
     return Trajectory(x=x, y=y, w=wout, diverged=diverged)
+
+
+def reference_pcr_max_search(omega_p: float, theta_p: float,
+                             max_order: int = 4, trials: int = 20000,
+                             seed: int = 0):
+    """Bit-exact oracle for ``pcr_max_search``: the search that evaluated
+    every section slot of every trial and summed masked copies row by row.
+
+    This is the implementation that the drawn-sections-only search
+    replaced, kept unchanged so that tests can require identical results.
+    """
+    if not 1 <= max_order <= 6:
+        raise PreconditionError(f"max_order must be in 1..6, got {max_order}")
+    if trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    t_goal = wrap_angle(theta_p)
+    at_bnd = omega_p <= 1e-12 or omega_p >= math.pi - 1e-12
+
+    budget = max_order - 1
+    max_k2 = budget // 2
+    k2 = rng.integers(0, max_k2 + 1, size=trials) if max_k2 > 0 else \
+        np.zeros(trials, dtype=int)
+    k1 = rng.integers(0, budget - 2 * k2 + 1)
+    max_k1 = budget
+
+    a_params = rng.uniform(-0.999, 0.999, size=(trials, max_k1))
+    mask1 = np.arange(max_k1)[None, :] < k1[:, None]
+    alpha = rng.uniform(1e-3, 0.999, size=(trials, max(max_k2, 1)))
+    beta = rng.uniform(-1.0, 1.0, size=(trials, max(max_k2, 1))) \
+        * 2.0 * np.sqrt(alpha) * 0.999
+    mask2 = np.arange(max(max_k2, 1))[None, :] < k2[:, None]
+
+    if at_bnd:
+        ph1 = 0.0 if omega_p < 1.0 else -math.pi
+        ph2 = 0.0 if omega_p < 1.0 else -2.0 * math.pi
+        phases = np.sum(np.where(mask1, ph1, 0.0), axis=1) \
+            + np.sum(np.where(mask2, ph2, 0.0), axis=1)
+        w0 = omega_p if omega_p > 1e-12 else 0.0
+        za = np.exp(1j * w0)
+        r1 = (a_params**2 - 1.0) / np.abs(za + a_params) ** 2
+        r2 = ap2_rate(alpha, beta, w0)
+    else:
+        r1 = ap1_rate(a_params, omega_p)
+        r2 = ap2_rate(alpha, beta, omega_p)
+        phases = np.sum(np.where(mask1, ap1_phase(a_params, omega_p), 0.0),
+                        axis=1) \
+            + np.sum(np.where(mask2, ap2_phase(alpha, beta, omega_p), 0.0),
+                     axis=1)
+    rates = np.sum(np.where(mask1, r1, 0.0), axis=1) \
+        + np.sum(np.where(mask2, r2, 0.0), axis=1)
+
+    resid = _wrap_angles(t_goal - phases)
+    skipped = 0
+    if at_bnd:
+        # only phases 0 (constant +1) and pi (sign flip) are reachable
+        feasible = (np.abs(resid) <= 1e-9) | \
+            (np.abs(np.abs(resid) - math.pi) <= 1e-9)
+        skipped = int(np.sum(~feasible))
+        corr_rate = np.zeros(trials)
+        corr_a = np.full(trials, np.nan)
+        total = np.where(feasible, rates + corr_rate, -np.inf)
+    else:
+        need_flip = resid > 1e-15
+        targets = np.where(need_flip, resid - math.pi, resid)
+        exact_const = np.abs(targets) <= 1e-15
+        exact_pi = np.abs(targets + math.pi) <= 1e-15
+        solve = ~(exact_const | exact_pi)
+        corr_a = np.full(trials, np.nan)
+        if np.any(solve):
+            corr_a[solve] = _ap1_param(targets[solve], omega_p)
+        corr_rate = np.zeros(trials)
+        corr_rate[solve] = ap1_rate(corr_a[solve], omega_p)
+        achieved = np.where(solve, ap1_phase(np.where(solve, corr_a, 0.0),
+                                             omega_p), targets)
+        bad = np.abs(achieved - targets) > 1e-9
+        skipped = int(np.sum(bad))
+        total = np.where(bad, -np.inf, rates + corr_rate)
+
+    # deterministic bare candidate: the matched first-order all-pass alone
+    if at_bnd:
+        bare = 0.0 if (abs(wrap_angle(t_goal)) <= 1e-9
+                       or abs(abs(wrap_angle(t_goal)) - math.pi) <= 1e-9) \
+            else -np.inf
+    else:
+        spec = allpass_phase_match(omega_p, t_goal)
+        bare = spec.phase_rate_at(omega_p)
+
+    best_idx = int(np.argmax(total))
+    best = float(max(total[best_idx], bare))
+    desc = {
+        "omega_p": float(omega_p),
+        "theta_p": float(t_goal),
+        "best_rate": best,
+        "bare_first_order_rate": float(bare),
+        "trials": int(trials),
+        "skipped": skipped,
+        "best_trial": {
+            "n_first_order": int(k1[best_idx]),
+            "n_second_order": int(k2[best_idx]),
+            "rate": float(total[best_idx]),
+        },
+    }
+    return best, desc
 
 
 @pytest.fixture

@@ -313,6 +313,23 @@ def test_flag_of_another_subcommand_exits_2(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", FHN_G_JSON, "--dump"],
+    ["synth", "--input", FHN_G_JSON],
+    ["nyquist", "--input", FHN_G_JSON, "--dump"],
+    PCR_ARGV,
+    ["maglev"],
+    ["fhn-find"],
+    ["fhn-sim", "--param", "e_o=-0.11945", "--steps", "10"],
+])
+def test_empty_out_dir_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --out" in captured.err and captured.out == ""
+
+
 def test_flag_defaults_are_unchanged():
     parse = build_parser().parse_args
     a = parse(["analyze", "--input", "x"])

@@ -1,0 +1,45 @@
+"""Every third-party module the tests import is a declared dependency.
+
+An undeclared one fails only where it happens to be missing, and there it
+can hide: a strict xfail without ``raises=`` counts an ``ImportError`` as
+the expected failure.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_top_levels(path: Path) -> set[str]:
+    """Top-level names of every absolute import in the file, those inside
+    functions included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _declared() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    reqs = project["dependencies"] + project["optional-dependencies"]["test"]
+    return {re.split(r"[\s<>=!~;\[]", r, maxsplit=1)[0].lower()
+            .replace("-", "_") for r in reqs}
+
+
+def test_test_imports_are_declared_dependencies():
+    local = {"rirkit"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
+    imported = set().union(*(_imported_top_levels(p)
+                             for p in (ROOT / "tests").glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert "mpmath" in third_party  # conftest.mp_gain's function-level import
+    assert third_party <= _declared(), third_party - _declared()

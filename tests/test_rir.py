@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rirkit.rir as rir
-from conftest import stabilizer_search
+from conftest import reference_pcr_max_search, stabilizer_search
 from rirkit.errors import PreconditionError
 from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import Polynomial, from_roots
@@ -238,6 +238,45 @@ def test_analyze_and_synth_factor_the_plant_once(solved):
                     if p is g.num or p is g.den]) == after_analyze
 
 
+def _count_classify(monkeypatch) -> list:
+    calls = []
+    real = rir.classify
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(rir, "classify", counting)
+    return calls
+
+
+def test_verdict_cached_per_instance_and_rate_tol(monkeypatch):
+    calls = _count_classify(monkeypatch)
+    g = RationalTF([0.4, 0.1], np.convolve([1.0, -1.5], [1.0, 0.2]))
+    before = (g, hash(g), repr(g))
+    verdict = exact_rir_analyze(g)
+    synth_marginal_perturbation(g)
+    spec, again = synth_allpass_spec(g)
+    assert again is verdict and len(calls) == 1
+    # the cache is no field: equality, hash and repr are those of num, den
+    assert (g, hash(g), repr(g)) == before
+    assert exact_rir_analyze(g, rate_tol=1e-6) is not verdict
+    assert len(calls) == 2
+    assert exact_rir_analyze(g, rate_tol=1e-6).status == verdict.status
+    assert len(calls) == 2
+    exact_rir_analyze(RationalTF(g.num, g.den))  # a new instance analyzes
+    assert len(calls) == 3
+
+
+def test_fhn_search_verdict_serves_the_synthesis(monkeypatch):
+    from rirkit.casestudies import FHNModel, fhn_search_eo
+
+    calls = _count_classify(monkeypatch)
+    res = fhn_search_eo(FHNModel())
+    synth_allpass_spec(res.g_eo)
+    assert len(calls) == 1
+
+
 def test_synth_requires_sufficient_status():
     from rirkit.casestudies import MaglevParams, maglev_zoh
     g = maglev_zoh(MaglevParams())
@@ -347,6 +386,52 @@ def test_pcr_search_smallest_settings_give_the_bare_rate():
     best, desc = pcr_max_search(1.0, -0.8, max_order=1, trials=1)
     assert best == desc["bare_first_order_rate"]
     assert desc["trials"] == 1
+
+
+# omega_p on and next to the boundary threshold 1e-12 at both ends, and
+# theta_p on the wrap edges, plus the open intervals
+_PCR_OMEGA = st.one_of(st.sampled_from([0.0, 1e-13, np.pi - 1e-13, np.pi]),
+                       st.floats(0.0, np.pi, exclude_min=True,
+                                 exclude_max=True))
+_PCR_THETA = st.one_of(st.sampled_from([0.0, -0.0, np.pi, -np.pi]),
+                       st.floats(-10.0, 10.0))
+
+
+@given(_PCR_OMEGA, _PCR_THETA, st.integers(1, 6), st.integers(1, 3000),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pcr_search_matches_reference_bit_for_bit(omega, theta, max_order,
+                                                   trials, seed):
+    args = (omega, theta, max_order, trials, seed)
+    assert repr(pcr_max_search(*args)) == repr(reference_pcr_max_search(*args))
+
+
+@pytest.mark.parametrize("omega, theta", [
+    (1.0, -0.8), (1.2, 0.8), (np.pi / 2, -np.pi / 2), (np.pi, np.pi),
+    (1e-13, 0.3)])
+def test_pcr_search_matches_reference_at_cli_defaults(omega, theta):
+    for seed in range(4):
+        assert repr(pcr_max_search(omega, theta, seed=seed)) == \
+            repr(reference_pcr_max_search(omega, theta, seed=seed))
+
+
+def test_pcr_search_evaluates_only_drawn_sections(monkeypatch):
+    evaluated = []
+    real = rir.ap1_phase
+
+    def counting(a, omega):
+        evaluated.append(np.size(a))
+        return real(a, omega)
+
+    monkeypatch.setattr(rir, "ap1_phase", counting)
+    trials = 20000
+    pcr_max_search(1.0, -0.8, trials=trials)
+    # the draws pcr_max_search makes at max_order 4, seed 0
+    rng = np.random.default_rng(0)
+    k2 = rng.integers(0, 2, size=trials)
+    k1 = rng.integers(0, 3 - 2 * k2 + 1)
+    # drawn sections, at most one correction per trial, the bare candidate
+    assert sum(evaluated) <= int(np.sum(k1)) + trials + 1
 
 
 def test_boundary_pcr_negative_for_low_order_sections():
