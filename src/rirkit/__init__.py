@@ -26,7 +26,6 @@ from .casestudies import (
 )
 from .errors import (
     DegenerateCrossingError,
-    EpsilonSweepError,
     ImproperTransferError,
     NotInGClassError,
     PoleOnCircleError,

@@ -20,7 +20,6 @@ import numpy as np
 from . import casestudies, nyquist, rir, transfer
 from .errors import (
     DegenerateCrossingError,
-    EpsilonSweepError,
     ImproperTransferError,
     NotInGClassError,
     PoleOnCircleError,
@@ -35,8 +34,7 @@ SCHEMA = "rirkit/1"
 _INPUT_ERRORS = (ImproperTransferError, PoleOnCircleError, ZeroOnCircleError,
                  json.JSONDecodeError, KeyError, ValueError)
 _PRECONDITION_ERRORS = (NotInGClassError, PreconditionError)
-_INTERNAL_ERRORS = (SynthesisVerificationError, DegenerateCrossingError,
-                    EpsilonSweepError)
+_INTERNAL_ERRORS = (SynthesisVerificationError, DegenerateCrossingError)
 
 
 def _load_tf(spec: str) -> RationalTF:

@@ -29,9 +29,5 @@ class DegenerateCrossingError(RirkitError, RuntimeError):
     """A Nyquist crossing lies on 1+j0 to rounding and cannot be classified."""
 
 
-class EpsilonSweepError(RirkitError, RuntimeError):
-    """Crossing counts disagree across the contour-radius sweep."""
-
-
 class SynthesisVerificationError(RirkitError, RuntimeError):
     """Post-hoc verification of a synthesized perturbation failed."""

@@ -1,9 +1,9 @@
 """Extended Nyquist machinery for positive-feedback loops.
 
-Transverse-crossing counts on indented contours, encirclements of 1+j0,
-and the marginal / single-mode marginal stability verdicts.  Where contour
-counting and direct root computation disagree, roots win and a diagnostic
-warning is attached.
+Transverse-crossing counts on a contour of radius 1 - epsilon,
+encirclements of 1+j0, and the marginal / single-mode marginal stability
+verdicts.  The verdicts come from the closed-loop roots; the contour counts
+certify them, and a diagnostic warning is attached where the two disagree.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import DegenerateCrossingError, EpsilonSweepError, PreconditionError
+from .errors import DegenerateCrossingError, PreconditionError
 from .polycore import RootSet, _horner_bound, poly_eval
 from .transfer import (
     RationalTF,
@@ -186,50 +186,40 @@ def closed_loop_poles(L: RationalTF) -> RootSet:
     return char.roots()
 
 
-def _epsilon_sweep(L: RationalTF, closed_loop: tuple[complex, ...]):
-    """Three-decade sweep below the structural margins of L and of its
-    closed-loop roots off the circle."""
-    eps0 = 1e-2
+def _contour_epsilon(L: RationalTF, closed_loop: tuple[complex, ...]) -> float:
+    """Half the smallest structural margin of L's unstable poles and of its
+    closed-loop roots off the circle, capped at 1e-2 and floored at 1e-8."""
+    eps = 1e-2
     for p in L.poles():
         if abs(p) > 1.0:
-            eps0 = min(eps0, (1.0 - 1.0 / abs(p)) / 2.0)
+            eps = min(eps, (1.0 - 1.0 / abs(p)) / 2.0)
     for c in closed_loop:
         m = abs(c)
         if abs(m - 1.0) > BOUNDARY_TOL and m > 0.0:
-            eps0 = min(eps0, abs(1.0 - 1.0 / m) / 2.0)
-    eps0 = max(eps0, 1e-8)
-    return [eps0, eps0 / 10.0, eps0 / 100.0]
+            eps = min(eps, abs(1.0 - 1.0 / m) / 2.0)
+    return max(eps, 1e-8)
 
 
 def extended_nyquist_check(L: RationalTF) -> bool:
     """True iff the positive feedback loop has all poles in the closed disk.
 
-    Certified by clockwise encirclements of 1+j0 equal to n, the number of
-    unstable poles of L, on a decreasing contour sweep (unanimity
-    demanded), and cross-validated against the closed-loop roots; on
-    disagreement the root verdict wins.
+    The verdict comes from the closed-loop roots.  It is cross-checked by
+    the clockwise encirclements of 1+j0 on one contour, of radius
+    1 - epsilon with epsilon from ``_contour_epsilon``, which by the argument
+    principle equal n, the number of unstable poles of L, exactly when no
+    closed-loop root lies outside the closed disk; a count that disagrees
+    warns.
     """
     n = sum(1 for p in L.poles() if abs(p) > 1.0)
     roots = closed_loop_poles(L).flat
-    moduli = [abs(c) for c in roots]
-    roots_ok = all(m <= 1.0 + 1e-9 for m in moduli)
-    counts = [crossing_counts(L, ContourSpec(epsilon=e)).encirclements_cw
-              for e in _epsilon_sweep(L, roots)]
-    if len(set(counts)) != 1:
-        clear = all(abs(m - 1.0) > BOUNDARY_TOL for m in moduli)
-        if clear:
-            warnings.warn(
-                f"encirclement counts {counts} disagree across the sweep; "
-                f"falling back to the root verdict {roots_ok}")
-            return roots_ok
-        raise EpsilonSweepError(f"eps_+ not found: sweep counts {counts}")
-    nyq_ok = counts[0] == n
-    if nyq_ok != roots_ok:
+    roots_ok = all(abs(c) <= 1.0 + 1e-9 for c in roots)
+    cw = crossing_counts(L, ContourSpec(epsilon=_contour_epsilon(L, roots))
+                         ).encirclements_cw
+    if (cw == n) != roots_ok:
         warnings.warn(
-            f"Nyquist verdict {nyq_ok} (cw={counts[0]}, n={n}) disagrees "
+            f"Nyquist verdict {cw == n} (cw={cw}, n={n}) disagrees "
             f"with root verdict {roots_ok}; using roots")
-        return roots_ok
-    return nyq_ok
+    return roots_ok
 
 
 def marginal_verdict(L: RationalTF, omega_c: float) -> StabilityVerdict:

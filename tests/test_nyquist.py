@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import rirkit.nyquist as nyquist
 from conftest import brute_force_crossings, random_tf
 from rirkit.errors import DegenerateCrossingError, PreconditionError
 from rirkit.nyquist import (
@@ -102,7 +105,7 @@ def test_extended_nyquist_agrees_with_roots_on_random_loops():
     rng = np.random.default_rng(109)
     checked = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")  # the contour count must agree too
         while checked < 25:
             g = random_tf(rng, n_stable=2,
                           n_unstable=int(rng.integers(1, 3)), n_zeros=1)
@@ -186,6 +189,36 @@ def test_extended_nyquist_solves_the_loop_once(solved):
     char = L.den - L.num
     assert extended_nyquist_check(L) is False
     assert sum(p == char for p in solved) == 1
+
+
+def test_extended_nyquist_counts_on_one_contour(monkeypatch):
+    calls = []
+
+    def counting(L, spec, exclude_near_one=0.0):
+        calls.append(spec.epsilon)
+        return crossing_counts(L, spec, exclude_near_one)
+
+    monkeypatch.setattr(nyquist, "crossing_counts", counting)
+    L = RationalTF([0.5, 0.1], from_roots([2.0, 0.3]))
+    assert extended_nyquist_check(L) is False
+    assert calls == [1e-2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_unstable=st.integers(0, 3),
+       scale=st.floats(0.1, 10.0))
+def test_one_contour_count_is_n_iff_closed_loop_in_disk(seed, n_unstable,
+                                                        scale):
+    rng = np.random.default_rng(seed)
+    L = scale * random_tf(rng, n_stable=2, n_unstable=n_unstable, n_zeros=2)
+    roots = closed_loop_poles(L).flat
+    assume(all(abs(abs(c) - 1.0) > 1e-6 for c in roots))
+    n = unstable_pole_count(L)
+    eps = nyquist._contour_epsilon(L, roots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cw = crossing_counts(L, ContourSpec(epsilon=eps)).encirclements_cw
+    assert (cw == n) is all(abs(c) <= 1.0 for c in roots)
 
 
 def test_marginal_verdict_close_to_the_window_without_warning():

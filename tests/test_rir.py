@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import rirkit.rir as rir
 from conftest import reference_pcr_max_search, stabilizer_search
-from rirkit.errors import PreconditionError
+from rirkit.errors import PreconditionError, SynthesisVerificationError
 from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import Polynomial, from_roots
 from rirkit.rir import (
@@ -526,10 +527,69 @@ def test_gain_phase_integral_constant():
 def test_gain_phase_integral_first_order_examples():
     f = RationalTF([1.0, 0.5], [1.0, 0.25])
     direct = _unwrapped_phase(f, 1.0)
-    assert abs(gain_phase_integral(f, 1.0) - direct) < 1e-4
+    assert abs(gain_phase_integral(f, 1.0) - direct) < 1e-10
     f2 = RationalTF([1.0, 0.9], [1.0, 0.1])
     direct2 = _unwrapped_phase(f2, 2.0)
-    assert abs(gain_phase_integral(f2, 2.0) - direct2) < 1e-4
+    assert abs(gain_phase_integral(f2, 2.0) - direct2) < 1e-10
+
+
+def test_gain_phase_integral_on_a_midpoint_node():
+    # omega_p = pi/32 is a node of the midpoint rule on [0, pi] with n = 16,
+    # where (A(w) - A(omega_p)) / (cos w - cos omega_p) is 0/0
+    f = RationalTF([1.0, 0.5], [1.0, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = gain_phase_integral(f, math.pi / 32)
+    assert abs(est - _unwrapped_phase(f, math.pi / 32)) < 1e-12
+
+
+def test_gain_phase_integral_near_the_band_edge_with_clustered_factors():
+    # three zeros and two poles of modulus ~0.97 near z = 1, omega_p = 0.05:
+    # Horner's log-gain is off by up to 7e-12 here and nodes near omega_p amplify
+    # rounded gain differences, so a midpoint rule on [0, pi] never settled
+    zeros = [0.13992147410826372, 0.97,
+             0.5380495057789559 + 0.8070952417967915j,
+             0.5380495057789559 - 0.8070952417967915j,
+             0.9696573954382935 + 0.02577858552800973j,
+             0.9696573954382935 - 0.02577858552800973j]
+    poles = [0.10637752625742217 + 0.39674849902702813j,
+             0.10637752625742217 - 0.39674849902702813j, 0.0, 0.0, 0.0, 0.0]
+    f = RationalTF(from_roots(zeros), from_roots(poles))
+    assert evaluate(f, 1.0 + 0.0j).real > 0.0
+    est = gain_phase_integral(f, 0.05)
+    assert abs(est - _unwrapped_phase(f, 0.05)) < 1e-12
+
+
+def test_gain_phase_integral_raises_rather_than_return_unconverged():
+    # a real pole 1e-6 inside the circle needs far more than 2^17 nodes
+    f = RationalTF([1.0, 0.0], [1.0, -(1.0 - 1e-6)])
+    with pytest.raises(SynthesisVerificationError, match="omega_p=1.0"):
+        gain_phase_integral(f, 1.0)
+
+
+def _conjugate_closed_roots(draw):
+    """Up to two real roots and one conjugate pair, all of modulus <= 0.97."""
+    roots = draw(st.lists(st.floats(-0.97, 0.97), max_size=2))
+    if draw(st.booleans()):
+        r, th = draw(st.floats(0.0, 0.97)), draw(st.floats(0.0, math.pi))
+        roots += [r * np.exp(1j * th), r * np.exp(-1j * th)]
+    return roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), omega_p=st.floats(0.05, math.pi - 0.05))
+def test_gain_phase_integral_matches_phase_of_minimum_phase_draws(data,
+                                                                  omega_p):
+    zeros = _conjugate_closed_roots(data.draw)
+    poles = _conjugate_closed_roots(data.draw)
+    pad = [0.0] * abs(len(zeros) - len(poles))  # biproper
+    num = from_roots(zeros + pad if len(zeros) < len(poles) else zeros)
+    den = from_roots(poles + pad if len(poles) < len(zeros) else poles)
+    if evaluate(RationalTF(num, den), 1.0 + 0.0j).real < 0.0:
+        num = -1.0 * num
+    f = RationalTF(num, den)
+    est = gain_phase_integral(f, omega_p)
+    assert abs(est - _unwrapped_phase(f, omega_p)) < 1e-11
 
 
 def test_gain_phase_integral_rejects_nonminimum_phase():
