@@ -18,7 +18,11 @@ import numpy as np
 
 from .errors import PreconditionError, SynthesisVerificationError
 from .polycore import Polynomial, _horner_bound, from_roots
-from .rir import EXACT_SUFFICIENT, _synthesize, exact_rir_analyze
+from .rir import (
+    EXACT_SUFFICIENT,
+    exact_rir_analyze,
+    synth_marginal_perturbation,
+)
 from .transfer import RationalTF, _dlog, _log_slope, evaluate, linf_norm
 
 __all__ = [
@@ -468,14 +472,14 @@ def _dc_gain(g: RationalTF) -> float:
 def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float) -> RationalTF:
     """Shaped perturbation (1 + eps) h delta_f with the DC gain pinned at e_o,
     to the rounding bound of the expanded shaped coefficients at z = 1."""
-    delta_f, _, verdict = _synthesize(g_eo)
+    delta_f = synth_marginal_perturbation(g_eo)
     dc = _dc_gain(delta_f)
     if dc * e_o <= 0.0:
         raise SynthesisVerificationError(
             f"synthesized DC gain {dc} does not match the sign of e_o={e_o}")
     if eps == 0.0:
         return delta_f
-    omega_p = verdict.class_tag.peak_omega
+    omega_p = exact_rir_analyze(g_eo).class_tag.peak_omega
     shaped = (1.0 + eps) * (h_shaper(eps, omega_p) * delta_f)
     dc_shaped = _dc_gain(shaped)
     num, den = shaped.num.coeffs, shaped.den.coeffs

@@ -134,7 +134,8 @@ def cmd_analyze(args) -> dict:
 
 def cmd_synth(args) -> dict:
     g = _load_tf(args.input)
-    f, spec, verdict = rir._synthesize(g, rate_tol=args.tol_rate)
+    f = rir.synth_marginal_perturbation(g, rate_tol=args.tol_rate)
+    spec, verdict = rir.synth_allpass_spec(g, rate_tol=args.tol_rate)
     return {
         "schema": SCHEMA,
         "command": "synth",
@@ -148,8 +149,7 @@ def cmd_nyquist(args) -> dict:
     g = _load_tf(args.input)
     rep = nyquist.crossing_counts(g, nyquist.ContourSpec(epsilon=args.eps))
     if args.dump and args.out:
-        n = max(args.grid, 1024)
-        w = -np.pi + (np.arange(n) + 0.5) * (2 * np.pi / n)
+        w = -np.pi + (np.arange(4096) + 0.5) * (2 * np.pi / 4096)
         vals = transfer.evaluate(g, np.exp(-1j * w) / (1.0 - args.eps))
         _write_csv(args.out, "contour.csv", ["omega", "re", "im"],
                    zip(w, vals.real, vals.imag))
@@ -286,8 +286,6 @@ _FLAGS = {
     "--out": {"type": _out_dir,
               "help": "output directory for reports and CSVs"},
     "--seed": {"type": int, "default": 0},
-    "--grid": {"type": int, "default": 4096,
-               "help": "contour points in the nyquist --dump CSV"},
     "--tol-rate": {"type": float, "default": rir.RATE_TOL, "dest": "tol_rate"},
     "--eps": {"type": float, "default": 0.01},
     "--steps": {"type": int, "default": 200000},
@@ -298,7 +296,7 @@ _FLAGS = {
 _COMMAND_FLAGS = {
     "analyze": ("--input", "--out", "--tol-rate", "--dump"),
     "synth": ("--input", "--out", "--tol-rate"),
-    "nyquist": ("--input", "--out", "--eps", "--grid", "--dump"),
+    "nyquist": ("--input", "--out", "--eps", "--dump"),
     "pcr-max": ("--param", "--seed", "--out"),
     "maglev": ("--param", "--eps", "--out"),
     "fhn-find": ("--param", "--out"),

@@ -9,7 +9,7 @@ certify them, and a diagnostic warning is attached where the two disagree.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -64,7 +64,6 @@ class CrossingReport:
     nu_minus: int
     nu_o: int
     encirclements_cw: int
-    crossings: tuple[tuple[float, float], ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,13 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
     positive one as omega increases; nu_minus the reverse.  On the contour
     Im L = -sin(omega) V(cos omega) / |den|^2, so L meets the real axis at
     omega = 0 and pi and at +-arccos of the roots of V where V changes sign;
-    each of the latter is refined by Newton steps on Im L.  Crossings whose
-    value lies within ``exclude_near_one`` of 1+j0 are skipped (used when a
-    marginal loop touches the critical point); without that window, a
-    crossing at 1+j0 to rounding raises ``DegenerateCrossingError``.
+    each of the latter is refined by Newton steps on Im L.  L has real
+    coefficients, so L at -omega is the conjugate of L at omega: each
+    interior crossing is evaluated once, at omega, and counted twice.
+    Crossings whose value lies within ``exclude_near_one`` of 1+j0 are
+    skipped (used when a marginal loop touches the critical point); without
+    that window, a crossing at 1+j0 to rounding raises
+    ``DegenerateCrossingError``.
     """
     epsilon = spec.epsilon
     r_eval = 1.0 / (1.0 - epsilon)
@@ -140,14 +142,14 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
         lv = evaluate(L, z)
         return lv.imag, float((-1j * z * lv * _log_slope(L, z)).imag)
 
-    found = [(0.0, im_sign[0] > 0.0), (np.pi, im_sign[-1] < 0.0)]
+    # (omega, direction, multiplicity)
+    found = [(0.0, im_sign[0] > 0.0, 1), (np.pi, im_sign[-1] < 0.0, 1)]
     for i in range(1, len(pts) - 1):
         if im_sign[i - 1] * im_sign[i] < 0.0:
             up = im_sign[i - 1] < 0.0
             lo, hi = (mids[i - 1], mids[i]) if up else (mids[i], mids[i - 1])
             w = _newton_root(im_rate, neg=lo, pos=hi, x=pts[i])
-            found += [(-w, up), (w, up)]
-    found.sort()
+            found.append((w, up, 2))
     w = np.array([f[0] for f in found])
     z = r_eval * np.exp(-1j * w)
     dv = poly_eval(L.den, z)
@@ -158,8 +160,7 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
                 ) / np.abs(dv)
 
     nu_plus = nu_minus = 0
-    crossings = []
-    for (phi, up), val, tol in zip(found, vals, rounding):
+    for (phi, up, count), val, tol in zip(found, vals, rounding):
         near = abs(val - 1.0)
         if exclude_near_one > 0.0 and near <= exclude_near_one:
             continue
@@ -168,14 +169,12 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
                 f"L crosses the real axis at 1+j0 to rounding (omega={phi})")
         if val.real > 1.0:
             if up:
-                nu_plus += 1
+                nu_plus += count
             else:
-                nu_minus += 1
-            crossings.append((float(phi), float(val.real)))
+                nu_minus += count
     nu_o = nu_plus - nu_minus
     return CrossingReport(nu_plus=nu_plus, nu_minus=nu_minus, nu_o=nu_o,
-                          encirclements_cw=-nu_o,
-                          crossings=tuple(crossings))
+                          encirclements_cw=-nu_o)
 
 
 def closed_loop_poles(L: RationalTF) -> RootSet:

@@ -177,35 +177,6 @@ def _horner_bound(coeffs, absz):
     return 4.0 * n * np.finfo(float).eps * np.polyval(np.abs(coeffs), absz)
 
 
-def _symmetrize_conjugates(roots: np.ndarray, pair_tol: float) -> np.ndarray:
-    """Force the root multiset of a real polynomial to be conjugate-closed."""
-    out = roots.copy()
-    scale = 1.0 + np.abs(out)
-    real_mask = np.abs(out.imag) <= pair_tol * scale
-    out[real_mask] = out[real_mask].real
-    pending = [i for i in range(len(out)) if not real_mask[i]]
-    used: set[int] = set()
-    for i in pending:
-        if i in used:
-            continue
-        best_j, best_d = None, np.inf
-        for j in pending:
-            if j == i or j in used:
-                continue
-            d = abs(out[i] - np.conj(out[j]))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None:
-            out[i] = out[i].real  # unpaired leftover collapses to the axis
-            continue
-        used.add(i)
-        used.add(best_j)
-        avg = 0.5 * (out[i] + np.conj(out[best_j]))
-        out[i] = avg
-        out[best_j] = np.conj(avg)
-    return out
-
-
 def _cluster(roots: np.ndarray, tol: float):
     order = np.lexsort((roots.imag, roots.real))
     centers: list[complex] = []
@@ -247,8 +218,14 @@ def poly_roots(p: Polynomial) -> RootSet:
 
 
 def _root_set(p: Polynomial, z: np.ndarray) -> RootSet:
-    """Conjugate-symmetrize and cluster approximate roots z of p."""
-    z = _symmetrize_conjugates(z, CONJ_PAIR_TOL)
+    """Snap near-real roots to the axis and cluster approximate roots z of p.
+
+    ``np.roots`` returns LAPACK's exact conjugate pairs for real p, and the
+    Newton step in ``poly_roots`` keeps them exact, so only roots within
+    CONJ_PAIR_TOL (1 + |z|) of the real axis need symmetrizing.
+    """
+    z = np.where(np.abs(z.imag) <= CONJ_PAIR_TOL * (1.0 + np.abs(z)),
+                 z.real, z)
     centers, counts = _cluster(z, CLUSTER_TOL)
     residual = max((abs(poly_eval(p, c)) for c in centers), default=0.0)
     return RootSet(roots=tuple(centers), multiplicities=tuple(counts),

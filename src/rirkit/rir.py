@@ -19,7 +19,6 @@ from .nyquist import marginal_verdict
 from .polycore import Polynomial
 from .transfer import (
     G1_BOUNDARY,
-    G1_INTERIOR,
     G2_INTERIOR,
     ClassTag,
     RationalTF,
@@ -254,10 +253,8 @@ def _analyze(g: RationalTF, rate_tol: float) -> RIRVerdict:
         thr = 0.0
     elif tag.class_name == G2_INTERIOR:
         thr = rho_threshold(omega_p, theta_p)
-    elif tag.class_name == G1_INTERIOR:
-        return RIRVerdict(tag, theta_p, theta_rate, 0.0, STRICTLY_GREATER,
-                          lower)
     else:
+        # odd n, pip and a unique interior peak; G1_interior is n = 1
         if (tag.pip and tag.peak_unique and interior
                 and tag.n_unstable % 2 == 1):
             return RIRVerdict(tag, theta_p, theta_rate, 0.0,
@@ -333,15 +330,10 @@ def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL
 
     The result is verified post hoc: its norm (relative to max(1, norm),
     within 1e-9), the loop value at the peak frequency (1 within 1e-6),
-    and single-mode marginal stability of the closed loop.
+    and single-mode marginal stability of the closed loop.  Its all-pass
+    parameters and the verdict behind them come from ``synth_allpass_spec``,
+    which reuses the verdict cached on g.
     """
-    return _synthesize(g, rate_tol)[0]
-
-
-def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL
-                ) -> tuple[RationalTF, AllPassSpec, RIRVerdict]:
-    """Verified perturbation together with the spec and verdict behind it,
-    for callers that need all three from a single analysis of g."""
     spec, verdict = synth_allpass_spec(g, rate_tol=rate_tol)
     f = spec.to_tf()
     fnorm = linf_norm(f).norm
@@ -358,7 +350,7 @@ def _synthesize(g: RationalTF, rate_tol: float = RATE_TOL
     if not sv.single_mode:
         raise SynthesisVerificationError(
             f"closed loop not single-mode marginal: {sv}")
-    return f, spec, verdict
+    return f
 
 
 # -- PCR maximization search --------------------------------------------

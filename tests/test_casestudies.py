@@ -359,8 +359,9 @@ def test_perturbation_dc_check_is_at_rounding_scale(fhn_chain, monkeypatch):
     # last-bit moves of omega_p stay within the rounding bound of the
     # expanded shaped coefficients; a 1e-6 shaper error does not
     res = fhn_chain["result"]
-    synthesized = casestudies._synthesize(res.g_eo)
-    monkeypatch.setattr(casestudies, "_synthesize", lambda g: synthesized)
+    synthesized = casestudies.synth_marginal_perturbation(res.g_eo)
+    monkeypatch.setattr(casestudies, "synth_marginal_perturbation",
+                        lambda g: synthesized)
     shaper = casestudies.h_shaper
     for dw in (1e-12, -1e-12, 1e-10, -1e-10):
         monkeypatch.setattr(casestudies, "h_shaper",

@@ -173,6 +173,16 @@ def test_synth_reports_allpass(capsys):
     assert len(rep["perturbation"]["num"]) == 2
 
 
+def test_analyze_dump_writes_the_response(tmp_path, capsys):
+    code, _ = run_cli(capsys, ["analyze", "--input", FHN_G_JSON, "--dump",
+                               "--out", str(tmp_path)])
+    assert code == 0
+    dump = (tmp_path / "response.csv").read_text().splitlines()
+    assert dump[0] == "omega,gain,gain_db,phase"
+    assert len(dump) == 1 + 2048
+    assert all(len(line.split(",")) == 4 for line in dump[1:])
+
+
 def test_nyquist_counts_and_dump(tmp_path, capsys):
     code, out = run_cli(capsys, [
         "nyquist", "--input", '{"num": [2], "den": [1, -0.5]}',
@@ -183,6 +193,7 @@ def test_nyquist_counts_and_dump(tmp_path, capsys):
     assert rep["encirclements_cw"] == -rep["nu_o"]
     dump = (tmp_path / "contour.csv").read_text().splitlines()
     assert dump[0] == "omega,re,im"
+    assert len(dump) == 1 + 4096
     assert all(len(line.split(",")) == 3 for line in dump[1:])
     report_file = json.loads((tmp_path / "report.json").read_text())
     assert report_file == rep
@@ -302,7 +313,8 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     ["synth", "--input", FHN_G_JSON, "--eps", "0.1"],
     ["nyquist", "--input", FHN_G_JSON, "--seed", "1"],
     PCR_ARGV + ["--input", "x"],
-    ["maglev", "--grid", "10"],
+    ["nyquist", "--input", FHN_G_JSON, "--grid", "10"],
+    ["maglev", "--steps", "10"],
     ["fhn-find", "--eps", "0.1"],
     ["fhn-sim", "--param", "e_o=-0.11945", "--dump"],
 ])
@@ -335,7 +347,7 @@ def test_flag_defaults_are_unchanged():
     a = parse(["analyze", "--input", "x"])
     assert (a.tol_rate, a.dump, a.out) == (RATE_TOL, False, None)
     n = parse(["nyquist", "--input", "x"])
-    assert (n.eps, n.grid, n.dump) == (0.01, 4096, False)
+    assert (n.eps, n.dump) == (0.01, False)
     s = parse(["fhn-sim"])
     assert (s.eps, s.steps, s.param) == (0.01, 200000, None)
     assert parse(["pcr-max"]).seed == 0

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -179,6 +180,12 @@ def test_reconstruction_invariant_degrees_up_to_12():
         assert err <= 1e-6 * scale
 
 
+def _assert_conjugate_closed(p):
+    # exact: the root multiset equals its own conjugate, bit for bit
+    flat = poly_roots(p).flat
+    assert Counter(flat) == Counter(r.conjugate() for r in flat)
+
+
 def test_conjugate_closure():
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -186,10 +193,30 @@ def test_conjugate_closure():
         p = Polynomial(rng.uniform(-1, 1, deg + 1))
         if p.degree < 1:
             continue
-        flat = poly_roots(p).flat
-        for r in flat:
-            if abs(r.imag) > 1e-9:
-                assert any(abs(r - np.conj(s)) < 1e-9 for s in flat)
+        _assert_conjugate_closed(p)
+
+
+# (modulus, angle, split): split 0 gives one conjugate pair, a small split
+# a second pair that far from the first in modulus and angle
+_NEAR_DOUBLE_PAIR = st.tuples(
+    st.floats(0.2, 2.0), st.floats(0.05, np.pi - 0.05),
+    st.one_of(st.just(0.0), st.floats(1e-10, 1e-4)))
+
+
+@given(st.lists(_NEAR_DOUBLE_PAIR, min_size=1, max_size=6),
+       st.lists(st.floats(-2.0, 2.0), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_conjugate_closure_with_near_double_pairs(pairs, reals):
+    roots = list(reals)
+    for r, th, split in pairs:
+        roots += [r * np.exp(1j * th), r * np.exp(-1j * th)]
+        if split:
+            w = r * (1.0 + split) * np.exp(1j * (th + split))
+            roots += [w, np.conj(w)]
+    assume(len(roots) <= 24)
+    p = Polynomial(np.poly(roots).real)
+    assume(p.degree == len(roots))
+    _assert_conjugate_closed(p)
 
 
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
