@@ -132,6 +132,8 @@ class MaglevBound(NamedTuple):
     P_eps: float
     abar: float
     ratio: float
+    g_d: RationalTF
+    compensator: RationalTF
 
 
 @dataclass(frozen=True)
@@ -226,19 +228,12 @@ def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
     non-increasing, via the closed form in the beta coefficients.  The
     returned ratio 1 + P_eps/abar bounds rho_*(g_d) / (p^2/k) from above.
     Validated at a = abar (1 - 1e-6): compensated A' at most 1e-9 on the
-    validation grid, compensated phase rate at omega = 0 positive.
+    validation grid, compensated phase rate at omega = 0 positive.  Returns
+    g_d = maglev_zoh(params) and that compensator highpass(a, a + P_eps).
     """
     if eps <= 0.0:
         raise PreconditionError("eps must be positive")
-    return _maglev_bound(maglev_zoh(params), params, eps)
-
-
-def _maglev_bound(g: RationalTF, params: MaglevParams,
-                  eps: float) -> MaglevBound:
-    """``maglev_upper_bound`` for the plant g = maglev_zoh(params), for
-    callers that have already built it."""
-    if eps <= 0.0:
-        raise PreconditionError("eps must be positive")
+    g = maglev_zoh(params)
     theta0 = float(np.imag(_dlog(g, 0.0)))
     if theta0 >= 0.0:
         raise PreconditionError("compensation unnecessary: theta'_gd(0) >= 0")
@@ -269,7 +264,7 @@ def _maglev_bound(g: RationalTF, params: MaglevParams,
         raise SynthesisVerificationError(
             "compensated phase rate at 0 not positive")
     return MaglevBound(P_eps=float(P), abar=float(abar),
-                       ratio=float(1.0 + P / abar))
+                       ratio=float(1.0 + P / abar), g_d=g, compensator=fh)
 
 
 def _validation_grid(g: RationalTF) -> int:

@@ -9,6 +9,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -68,13 +69,42 @@ def _tf_json(g: RationalTF) -> dict:
     return {"num": list(g.num.coeffs), "den": list(g.den.coeffs)}
 
 
-def _params(pairs: list[str] | None) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in pairs or []:
-        key, _, val = item.partition("=")
-        if not _:
+def _model_keys(cls) -> dict[str, type]:
+    return {f.name: float for f in dataclasses.fields(cls)}
+
+
+# The --param keys each subcommand accepts, and the type each value must have.
+_PARAM_KEYS = {
+    "pcr-max": {"omega_p": float, "theta_p": float, "trials": int,
+                "max_order": int},
+    "maglev": _model_keys(casestudies.MaglevParams),
+    "fhn-find": _model_keys(casestudies.FHNModel),
+    "fhn-sim": {**_model_keys(casestudies.FHNModel), "e_o": float},
+}
+
+
+def _params(args) -> dict[str, float | int]:
+    """The subcommand's --param pairs, each key one it accepts and each
+    value finite (and integral for an integer key)."""
+    accepted = _PARAM_KEYS[args.command]
+    out: dict[str, float | int] = {}
+    for item in args.param or []:
+        key, sep, text = item.partition("=")
+        key = key.strip()
+        if not sep:
             raise ValueError(f"--param expects key=value, got {item!r}")
-        out[key.strip()] = float(val)
+        if key not in accepted:
+            raise ValueError(f"unknown --param {key!r} for {args.command}; "
+                             f"accepted: {', '.join(accepted)}")
+        val = float(text)
+        if accepted[key] is int:
+            if not val.is_integer():
+                raise ValueError(
+                    f"--param {key} must be an integer, got {val!r}")
+            val = int(val)
+        elif not math.isfinite(val):
+            raise ValueError(f"--param {key} must be finite, got {val!r}")
+        out[key] = val
     return out
 
 
@@ -87,17 +117,12 @@ def _emit(report: dict, out_dir: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _write_csv(out_dir: str | None, name: str, header: list[str],
-               rows) -> str | None:
-    if out_dir is None:
-        return None
+def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return path
 
 
 def _verdict_json(v: rir.RIRVerdict) -> dict:
@@ -119,8 +144,8 @@ def _verdict_json(v: rir.RIRVerdict) -> dict:
 
 def cmd_analyze(args) -> dict:
     g = _load_tf(args.input)
-    verdict = rir.exact_rir_analyze(g, rate_tol=args.tol_rate)
-    if args.dump and args.out:
+    verdict = rir.exact_rir_analyze(g)
+    if args.out is not None:
         w = np.linspace(0.0, np.pi, 2048)
         vals = transfer.evaluate(g, np.exp(1j * w))
         gain = np.abs(vals)
@@ -134,8 +159,8 @@ def cmd_analyze(args) -> dict:
 
 def cmd_synth(args) -> dict:
     g = _load_tf(args.input)
-    f = rir.synth_marginal_perturbation(g, rate_tol=args.tol_rate)
-    spec, verdict = rir.synth_allpass_spec(g, rate_tol=args.tol_rate)
+    f = rir.synth_marginal_perturbation(g)
+    spec, verdict = rir.synth_allpass_spec(g)
     return {
         "schema": SCHEMA,
         "command": "synth",
@@ -148,7 +173,7 @@ def cmd_synth(args) -> dict:
 def cmd_nyquist(args) -> dict:
     g = _load_tf(args.input)
     rep = nyquist.crossing_counts(g, nyquist.ContourSpec(epsilon=args.eps))
-    if args.dump and args.out:
+    if args.out is not None:
         w = -np.pi + (np.arange(4096) + 0.5) * (2 * np.pi / 4096)
         vals = transfer.evaluate(g, np.exp(-1j * w) / (1.0 - args.eps))
         _write_csv(args.out, "contour.csv", ["omega", "re", "im"],
@@ -166,45 +191,25 @@ def cmd_nyquist(args) -> dict:
     }
 
 
-def _int_param(p: dict[str, float], key: str, default: int) -> int:
-    val = p.get(key, default)
-    if not float(val).is_integer():
-        raise ValueError(f"--param {key} must be an integer, got {val!r}")
-    return int(val)
-
-
 def cmd_pcr_max(args) -> dict:
-    p = _params(args.param)
-    omega_p = p["omega_p"]
-    theta_p = p["theta_p"]
-    best, desc = rir.pcr_max_search(omega_p, theta_p,
-                                    max_order=_int_param(p, "max_order", 4),
-                                    trials=_int_param(p, "trials", 20000),
-                                    seed=args.seed)
-    ceiling = (0.0 if omega_p in (0.0, np.pi)
-               else -rir.rho_threshold(omega_p, theta_p))
+    p = _params(args)
+    ceiling = rir.pcr_ceiling(p["omega_p"], p["theta_p"])
+    best, desc = rir.pcr_max_search(seed=args.seed, **p)
     return {"schema": SCHEMA, "command": "pcr-max", "best": best,
             "ceiling": ceiling, "search": desc}
 
 
 def cmd_maglev(args) -> dict:
-    p = _params(args.param)
-    params = casestudies.MaglevParams(k=p.get("k", 1.0), p=p.get("p", 1.0),
-                                      tau=p.get("tau", 0.1),
-                                      T=p.get("T", 0.01))
-    g = casestudies.maglev_zoh(params)
+    params = casestudies.MaglevParams(**_params(args))
+    bound = casestudies.maglev_upper_bound(params, args.eps)
     static = casestudies.maglev_partial_fraction(params, 1.0 + 0.0j).real
-    verdict = rir.exact_rir_analyze(g)
-    bound = casestudies._maglev_bound(g, params, args.eps)
-    fh = casestudies.highpass(bound.abar * (1.0 - 1e-6),
-                              bound.abar * (1.0 - 1e-6) + bound.P_eps)
-    comp_verdict = rir.exact_rir_analyze(g * fh)
+    verdict = rir.exact_rir_analyze(bound.g_d)
+    comp_verdict = rir.exact_rir_analyze(bound.g_d * bound.compensator)
     return {
         "schema": SCHEMA,
         "command": "maglev",
-        "params": {"k": params.k, "p": params.p, "tau": params.tau,
-                   "T": params.T},
-        "g_d": _tf_json(g),
+        "params": dataclasses.asdict(params),
+        "g_d": _tf_json(bound.g_d),
         "static_gain": static,
         "verdict": _verdict_json(verdict),
         "bound": {"P_eps": bound.P_eps, "abar": bound.abar,
@@ -213,15 +218,8 @@ def cmd_maglev(args) -> dict:
     }
 
 
-def _fhn_model(p: dict) -> casestudies.FHNModel:
-    return casestudies.FHNModel(
-        c=p.get("c", 1.0), alpha=p.get("alpha", 0.7), beta=p.get("beta", 0.8),
-        tau=p.get("tau", 0.01), d=p.get("d", 10.0),
-        current=p.get("I", p.get("current", 0.4)))
-
-
 def cmd_fhn_find(args) -> dict:
-    model = _fhn_model(_params(args.param))
+    model = casestudies.FHNModel(**_params(args))
     res = casestudies.fhn_search_eo(model)
     if args.out is not None:
         _write_csv(args.out, "fig1.csv", ["e", "inv_norm"],
@@ -238,19 +236,20 @@ def cmd_fhn_find(args) -> dict:
 
 
 def cmd_fhn_sim(args) -> dict:
-    p = _params(args.param)
-    model = _fhn_model(p)
-    if "e_o" in p:
-        e_o = p["e_o"]
+    p = _params(args)
+    e_o = p.pop("e_o", None)
+    model = casestudies.FHNModel(**p)
+    if e_o is not None:
         g_eo = casestudies.fhn_linearize(model, e_o)
     else:
         res = casestudies.fhn_search_eo(model)
         e_o, g_eo = res.e_o, res.g_eo
     delta = casestudies.fhn_perturbation(e_o, g_eo, args.eps)
     traj = casestudies.fhn_simulate(model, delta, args.steps)
-    _write_csv(args.out, "trajectory.csv", ["n", "x", "y"],
-               ((i, xv, yv) for i, (xv, yv) in
-                enumerate(zip(traj.x, traj.y))))
+    if args.out is not None:
+        _write_csv(args.out, "trajectory.csv", ["n", "x", "y"],
+                   ((i, xv, yv) for i, (xv, yv) in
+                    enumerate(zip(traj.x, traj.y))))
     return {
         "schema": SCHEMA,
         "command": "fhn-sim",
@@ -286,17 +285,15 @@ _FLAGS = {
     "--out": {"type": _out_dir,
               "help": "output directory for reports and CSVs"},
     "--seed": {"type": int, "default": 0},
-    "--tol-rate": {"type": float, "default": rir.RATE_TOL, "dest": "tol_rate"},
     "--eps": {"type": float, "default": 0.01},
     "--steps": {"type": int, "default": 200000},
-    "--dump": {"action": "store_true", "help": "also write plot CSV data"},
     "--param": {"action": "append",
                 "help": "model parameter key=value (repeatable)"},
 }
 _COMMAND_FLAGS = {
-    "analyze": ("--input", "--out", "--tol-rate", "--dump"),
-    "synth": ("--input", "--out", "--tol-rate"),
-    "nyquist": ("--input", "--out", "--eps", "--dump"),
+    "analyze": ("--input", "--out"),
+    "synth": ("--input", "--out"),
+    "nyquist": ("--input", "--out", "--eps"),
     "pcr-max": ("--param", "--seed", "--out"),
     "maglev": ("--param", "--eps", "--out"),
     "fhn-find": ("--param", "--out"),

@@ -39,6 +39,7 @@ __all__ = [
     "synth_allpass_spec",
     "synth_marginal_perturbation",
     "pcr_max_search",
+    "pcr_ceiling",
     "allpass_pcr_bound_check",
     "construct_real_pole_dominator",
     "gain_phase_integral",
@@ -57,6 +58,7 @@ STRICTLY_GREATER = "strictly_greater"
 INCONCLUSIVE = "inconclusive"
 
 RATE_TOL = 1e-7
+BOUNDARY_BAND = 1e-12  # omega_p this close to 0 or pi is a boundary frequency
 PCR_TOL = 1e-10  # slack of the phase-change-rate bound checks
 GAIN_PHASE_MAX_NODES = 2**17  # node cap of gain_phase_integral
 
@@ -148,16 +150,6 @@ class RealPoleDominanceWitness:
     u3: float
     omega_p: float
 
-    def fc_tf(self) -> RationalTF:
-        return RationalTF(Polynomial([self.alpha_c, self.beta_c, 1.0]),
-                          Polynomial([1.0, self.beta_c, self.alpha_c]),
-                          cancel_tol=0.0)
-
-    def fr_tf(self) -> RationalTF:
-        return RationalTF(Polynomial([self.alpha_r, self.beta_r, 1.0]),
-                          Polynomial([1.0, self.beta_r, self.alpha_r]),
-                          cancel_tol=0.0)
-
 
 # -- all-pass section formulas ------------------------------------------
 
@@ -217,7 +209,7 @@ def rho_threshold(omega_p: float, theta_p: float) -> float:
     return abs(math.sin(theta_p)) / abs(math.sin(omega_p))
 
 
-def exact_rir_analyze(g: RationalTF, rate_tol: float = RATE_TOL) -> RIRVerdict:
+def exact_rir_analyze(g: RationalTF) -> RIRVerdict:
     """Exact-RIR verdict for a single-peak unstable plant.
 
     One-unstable-pole boundary-peak plants are tested on the sign of the
@@ -227,18 +219,17 @@ def exact_rir_analyze(g: RationalTF, rate_tol: float = RATE_TOL) -> RIRVerdict:
     reciprocal peak gain; everything else is inconclusive.  A zero plant,
     or one whose reciprocal peak gain overflows, is rejected as invalid.
 
-    The verdict is computed once per instance and ``rate_tol``: like the
-    roots, it is cached in the instance ``__dict__`` outside the dataclass
-    fields, so equality, hashing and repr are unaffected; a ``RIRVerdict``
-    is immutable, so sharing it is safe.
+    The verdict is computed once per instance.  Like the roots, it is cached
+    in the instance ``__dict__`` outside the dataclass fields, so equality,
+    hashing and repr are unaffected; a ``RIRVerdict`` is immutable, so
+    sharing it is safe.
     """
-    verdicts = g.__dict__.setdefault("_verdicts", {})
-    if rate_tol not in verdicts:
-        verdicts[rate_tol] = _analyze(g, rate_tol)
-    return verdicts[rate_tol]
+    if "_verdict" not in g.__dict__:
+        g.__dict__["_verdict"] = _analyze(g)
+    return g.__dict__["_verdict"]
 
 
-def _analyze(g: RationalTF, rate_tol: float) -> RIRVerdict:
+def _analyze(g: RationalTF) -> RIRVerdict:
     tag = classify(g)
     if tag.peak_gain == 0.0 or not math.isfinite(1.0 / tag.peak_gain):
         raise ValueError(
@@ -262,9 +253,9 @@ def _analyze(g: RationalTF, rate_tol: float) -> RIRVerdict:
         return RIRVerdict(tag, theta_p, theta_rate, 0.0, INCONCLUSIVE, lower)
 
     delta = theta_rate - thr
-    if delta > rate_tol:
+    if delta > RATE_TOL:
         status = EXACT_SUFFICIENT
-    elif delta < -rate_tol:
+    elif delta < -RATE_TOL:
         status = NOT_EXACT
     else:
         status = EXACT_BOUNDARY
@@ -305,10 +296,9 @@ def allpass_phase_match(omega_p: float, theta_p: float) -> AllPassSpec:
     return AllPassSpec(c=c, a=float(a))
 
 
-def synth_allpass_spec(g: RationalTF, rate_tol: float = RATE_TOL
-                       ) -> tuple[AllPassSpec, RIRVerdict]:
+def synth_allpass_spec(g: RationalTF) -> tuple[AllPassSpec, RIRVerdict]:
     """All-pass parameters of the minimum-norm marginal perturbation."""
-    verdict = exact_rir_analyze(g, rate_tol=rate_tol)
+    verdict = exact_rir_analyze(g)
     if verdict.status != EXACT_SUFFICIENT:
         raise PreconditionError(
             f"synthesis requires exact_sufficient, got {verdict.status}")
@@ -324,8 +314,7 @@ def synth_allpass_spec(g: RationalTF, rate_tol: float = RATE_TOL
     return spec, verdict
 
 
-def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL
-                                ) -> RationalTF:
+def synth_marginal_perturbation(g: RationalTF) -> RationalTF:
     """Stable perturbation of norm 1/||g|| that marginally stabilizes g.
 
     The result is verified post hoc: its norm (relative to max(1, norm),
@@ -334,7 +323,7 @@ def synth_marginal_perturbation(g: RationalTF, rate_tol: float = RATE_TOL
     parameters and the verdict behind them come from ``synth_allpass_spec``,
     which reuses the verdict cached on g.
     """
-    spec, verdict = synth_allpass_spec(g, rate_tol=rate_tol)
+    spec, verdict = synth_allpass_spec(g)
     f = spec.to_tf()
     fnorm = linf_norm(f).norm
     if abs(fnorm - spec.scale) > 1e-9 * max(1.0, spec.scale):
@@ -371,7 +360,7 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     t_goal = wrap_angle(theta_p)
-    at_bnd = omega_p <= 1e-12 or omega_p >= math.pi - 1e-12
+    at_bnd = _at_boundary(omega_p)
 
     budget = max_order - 1
     max_k2 = budget // 2
@@ -385,7 +374,7 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
     # Only the sections a trial draws are evaluated.  Each trial's phase and
     # rate add up its first-order sections and its second-order sections
     # separately, column by column, in the order a row sum adds them.
-    w0 = omega_p if omega_p > 1e-12 else 0.0
+    w0 = omega_p if omega_p > BOUNDARY_BAND else 0.0
     ph1 = 0.0 if omega_p < 1.0 else -math.pi
     ph2 = 0.0 if omega_p < 1.0 else -2.0 * math.pi
     p1, r1 = np.zeros(trials), np.zeros(trials)
@@ -426,9 +415,7 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
 
     # deterministic bare candidate: the matched first-order all-pass alone
     if at_bnd:
-        bare = 0.0 if (abs(wrap_angle(t_goal)) <= 1e-9
-                       or abs(abs(wrap_angle(t_goal)) - math.pi) <= 1e-9) \
-            else -np.inf
+        bare = 0.0 if _boundary_reachable(t_goal) else -np.inf
     else:
         spec = allpass_phase_match(omega_p, t_goal)
         bare = spec.phase_rate_at(omega_p)
@@ -449,6 +436,29 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
         },
     }
     return best, desc
+
+
+def _at_boundary(omega_p: float) -> bool:
+    return omega_p <= BOUNDARY_BAND or omega_p >= math.pi - BOUNDARY_BAND
+
+
+def _boundary_reachable(theta_p: float) -> bool:
+    """Whether theta_p is 0 or pi (within 1e-9), as it is at a boundary."""
+    t = abs(wrap_angle(theta_p))
+    return t <= 1e-9 or abs(t - math.pi) <= 1e-9
+
+
+def pcr_ceiling(omega_p: float, theta_p: float) -> float:
+    """The rate ``pcr_max_search`` cannot beat: -rho_threshold inside the
+    band, 0.0 at a boundary frequency, where other phases are rejected."""
+    if not 0.0 <= omega_p <= math.pi:
+        raise PreconditionError(f"omega_p must lie in [0, pi], got {omega_p}")
+    if not _at_boundary(omega_p):
+        return -rho_threshold(omega_p, theta_p)
+    if not _boundary_reachable(theta_p):
+        raise PreconditionError(f"no all-pass has phase {theta_p} at "
+                                f"boundary omega_p={omega_p}")
+    return 0.0
 
 
 # -- supporting PCR bound checks ------------------------------------------

@@ -73,9 +73,6 @@ class RationalTF:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
     def poles(self) -> tuple[complex, ...]:
         if self.den.degree == 0:
             return ()

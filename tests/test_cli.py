@@ -1,6 +1,9 @@
 import ast
+import dataclasses
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +13,13 @@ import pytest
 import rirkit
 import rirkit.casestudies as casestudies
 from conftest import reference_fig1_rows
-from rirkit.casestudies import FHNModel
-from rirkit.cli import build_parser, main
-from rirkit.rir import RATE_TOL
+from rirkit.casestudies import FHNModel, MaglevParams
+from rirkit.cli import _COMMAND_FLAGS, _PARAM_KEYS, build_parser, main
 
 FHN_G_JSON = json.dumps({"num": [1.5679e-5, -2.5685e-5],
                          "den": [1.0, -2.000985, 1.000994]})
+# z/((z - 2)(z - 0.5)): exact_boundary, theta' = 0 at its peak omega = 0
+BOUNDARY_G_JSON = json.dumps({"num": [1.0, 0.0], "den": [1.0, -2.5, 1.0]})
 
 
 def run_cli(capsys, argv):
@@ -163,6 +167,23 @@ def test_synth_exit_3_for_not_exact(capsys):
     assert code2 == 3
 
 
+def test_synth_exit_3_for_exact_boundary(capsys):
+    code, out = run_cli(capsys, ["analyze", "--input", BOUNDARY_G_JSON])
+    assert code == 0
+    assert json.loads(out)["verdict"]["status"] == "exact_boundary"
+    code, out = run_cli(capsys, ["synth", "--input", BOUNDARY_G_JSON])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
+def test_fhn_sim_searches_eo_when_not_given(capsys):
+    code, out = run_cli(capsys, ["fhn-sim", "--steps", "10"])
+    assert code == 0
+    _, found = run_cli(capsys, ["fhn-find"])
+    assert json.loads(out)["e_o"] == json.loads(found)["e_o"]
+    assert json.loads(out)["e_o"] == -0.1194482421875
+
+
 def test_synth_reports_allpass(capsys):
     code, out = run_cli(capsys, ["synth", "--input", FHN_G_JSON])
     assert code == 0
@@ -174,7 +195,7 @@ def test_synth_reports_allpass(capsys):
 
 
 def test_analyze_dump_writes_the_response(tmp_path, capsys):
-    code, _ = run_cli(capsys, ["analyze", "--input", FHN_G_JSON, "--dump",
+    code, _ = run_cli(capsys, ["analyze", "--input", FHN_G_JSON,
                                "--out", str(tmp_path)])
     assert code == 0
     dump = (tmp_path / "response.csv").read_text().splitlines()
@@ -186,7 +207,7 @@ def test_analyze_dump_writes_the_response(tmp_path, capsys):
 def test_nyquist_counts_and_dump(tmp_path, capsys):
     code, out = run_cli(capsys, [
         "nyquist", "--input", '{"num": [2], "den": [1, -0.5]}',
-        "--eps", "0.01", "--dump", "--out", str(tmp_path)])
+        "--eps", "0.01", "--out", str(tmp_path)])
     assert code == 0
     rep = json.loads(out)
     assert rep["nu_o"] == rep["nu_plus"] - rep["nu_minus"]
@@ -295,6 +316,87 @@ def test_pcr_max_accepts_integral_float_setting(capsys):
     assert json.loads(out)["search"]["trials"] == 2000
 
 
+def test_pcr_max_unreachable_boundary_phase_exits_3(capsys):
+    code, out = run_cli(capsys, ["pcr-max", "--param", "omega_p=0",
+                                 "--param", "theta_p=0.3"])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "PreconditionError" and "boundary" in err["message"]
+
+
+def test_pcr_max_boundary_band_is_the_search_band(capsys):
+    code, out = run_cli(capsys, ["pcr-max", "--param", "omega_p=1e-13",
+                                 "--param", "theta_p=3.141592653589793"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["best"] == rep["ceiling"] == 0.0
+
+
+# -- --param keys -----------------------------------------------------------
+
+@pytest.mark.parametrize("argv, names", [
+    (["maglev", "--param", "tua=0.2"],
+     "'tua' for maglev; accepted: k, p, tau, T"),
+    (["pcr-max", "--param", "omega_p=1", "--param", "theta_p=-0.8",
+      "--param", "trails=5"], "'trails'"),
+    (["fhn-find", "--param", "I=0.4"], "'I'"),
+    (["fhn-sim", "--param", "e_o=-0.11945", "--param", "E_o=1"], "'E_o'"),
+    (["maglev", "--param", "k=nan"], "--param k "),
+    (["fhn-sim", "--param", "e_o=inf", "--steps", "10"], "--param e_o "),
+    (["pcr-max", "--param", "omega_p=-inf", "--param", "theta_p=0"],
+     "--param omega_p "),
+], ids=["tua", "trails", "I", "E_o", "k-nan", "e_o-inf", "omega_p-inf"])
+def test_unknown_or_non_finite_param_exits_2(capsys, argv, names):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]  # one JSON object, no traceback
+    assert err["type"] == "ValueError" and names in err["message"]
+    assert "Traceback" not in captured.err
+
+
+def test_model_params_reach_the_dataclass(capsys):
+    code, out = run_cli(capsys, ["maglev", "--param", "k=2",
+                                 "--param", "tau=0.05"])
+    assert code == 0
+    assert json.loads(out)["params"] == dataclasses.asdict(
+        MaglevParams(k=2.0, tau=0.05))
+    argv = ["fhn-sim", "--param", "e_o=-0.11945", "--steps", "10"]
+    _, default = run_cli(capsys, argv)
+    _, given = run_cli(capsys, argv + ["--param", "current=0.4"])
+    _, other = run_cli(capsys, argv + ["--param", "current=0.5"])
+    assert default == given != other
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", FHN_G_JSON],
+    ["analyze", "--input", BOUNDARY_G_JSON],
+    ["synth", "--input", FHN_G_JSON],
+    ["synth", "--input", BOUNDARY_G_JSON],
+    ["nyquist", "--input", FHN_G_JSON],
+    PCR_ARGV + ["--param", "trials=2000"],
+    ["pcr-max", "--param", "omega_p=0", "--param", "theta_p=0"],
+    ["pcr-max", "--param", "omega_p=0", "--param", "theta_p=0.3"],
+    ["pcr-max", "--param", "omega_p=3.141592653589793",
+     "--param", "theta_p=-3.141592653589793"],
+    ["pcr-max", "--param", "omega_p=1e-13",
+     "--param", "theta_p=3.141592653589793"],
+    ["maglev"],
+    ["maglev", "--param", "k=nan"],
+    ["fhn-sim", "--param", "e_o=-0.11945", "--steps", "10"],
+])
+def test_reports_are_strict_json(capsys, argv):
+    _, out = run_cli(capsys, argv)
+    rep = _strict_json(out)
+    assert rep["schema"] == "rirkit/1"
+
+
 # -- the parser -------------------------------------------------------------
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
@@ -316,7 +418,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     ["nyquist", "--input", FHN_G_JSON, "--grid", "10"],
     ["maglev", "--steps", "10"],
     ["fhn-find", "--eps", "0.1"],
-    ["fhn-sim", "--param", "e_o=-0.11945", "--dump"],
+    ["fhn-sim", "--param", "e_o=-0.11945", "--seed", "1"],
 ])
 def test_flag_of_another_subcommand_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -326,9 +428,9 @@ def test_flag_of_another_subcommand_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--input", FHN_G_JSON, "--dump"],
+    ["analyze", "--input", FHN_G_JSON],
     ["synth", "--input", FHN_G_JSON],
-    ["nyquist", "--input", FHN_G_JSON, "--dump"],
+    ["nyquist", "--input", FHN_G_JSON],
     PCR_ARGV,
     ["maglev"],
     ["fhn-find"],
@@ -342,15 +444,48 @@ def test_empty_out_dir_exits_2(capsys, argv):
     assert "argument --out" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", FHN_G_JSON, "--tol-rate", "1e-6"],
+    ["analyze", "--input", FHN_G_JSON, "--dump"],
+    ["synth", "--input", FHN_G_JSON, "--tol-rate", "1e-6"],
+    ["nyquist", "--input", FHN_G_JSON, "--dump"],
+])
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_flag_defaults_are_unchanged():
     parse = build_parser().parse_args
     a = parse(["analyze", "--input", "x"])
-    assert (a.tol_rate, a.dump, a.out) == (RATE_TOL, False, None)
+    assert a.out is None
     n = parse(["nyquist", "--input", "x"])
-    assert (n.eps, n.dump) == (0.01, False)
+    assert n.eps == 0.01
     s = parse(["fhn-sim"])
     assert (s.eps, s.steps, s.param) == (0.01, 200000, None)
     assert parse(["pcr-max"]).seed == 0
+
+
+def _readme_table(header: str) -> dict[str, tuple[str, ...]]:
+    """The README table under ``header``: each subcommand and the
+    back-quoted names of its second column, in order."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index(header) + 2:])
+    table = {}
+    for row in rows:
+        name, names = row.strip("|").split("|")
+        table[name.strip().strip("`")] = tuple(re.findall(r"`([^`]+)`",
+                                                          names))
+    return table
+
+
+def test_readme_tables_are_the_flags_and_param_keys():
+    assert _readme_table("| subcommand | flags |") == _COMMAND_FLAGS
+    assert _readme_table("| subcommand | `--param` keys |") == {
+        name: tuple(keys) for name, keys in _PARAM_KEYS.items()}
 
 
 def _bench_paper_argvs() -> list[list[str]]:

@@ -17,6 +17,7 @@ from rirkit.errors import (
 from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import Polynomial, from_roots
 from rirkit.rir import (
+    EXACT_BOUNDARY,
     EXACT_SUFFICIENT,
     INCONCLUSIVE,
     NOT_EXACT,
@@ -30,6 +31,7 @@ from rirkit.rir import (
     allpass_pcr_bound_check,
     construct_real_pole_dominator,
     minimum_phase_pcr_bound_check,
+    pcr_ceiling,
     pcr_max_search,
     rho_threshold,
     synth_allpass_spec,
@@ -38,6 +40,7 @@ from rirkit.rir import (
     wrap_angle,
 )
 from rirkit.transfer import (
+    G1_BOUNDARY,
     G1_INTERIOR,
     GN_OTHER,
     RationalTF,
@@ -165,6 +168,14 @@ def test_analyze_maglev_not_exact():
     assert v.theta_rate < 0.0
 
 
+def test_analyze_boundary_peak_with_zero_rate_is_exact_boundary():
+    # z/((z - 2)(z - 0.5)): peak gain 2 at omega = 0, where theta' = 0
+    v = exact_rir_analyze(RationalTF([1.0, 0.0], [1.0, -2.5, 1.0]))
+    assert v.class_tag.class_name == G1_BOUNDARY
+    assert v.status == EXACT_BOUNDARY
+    assert (v.theta_rate, v.lower_bound) == (0.0, 0.5)
+
+
 def test_analyze_one_pole_interior_peak_strictly_greater():
     g = g1_interior_plant()
     assert classify(g).class_name == G1_INTERIOR
@@ -282,12 +293,8 @@ def test_verdict_cached_per_instance_and_rate_tol(monkeypatch):
     assert again is verdict and len(calls) == 1
     # the cache is no field: equality, hash and repr are those of num, den
     assert (g, hash(g), repr(g)) == before
-    assert exact_rir_analyze(g, rate_tol=1e-6) is not verdict
-    assert len(calls) == 2
-    assert exact_rir_analyze(g, rate_tol=1e-6).status == verdict.status
-    assert len(calls) == 2
     exact_rir_analyze(RationalTF(g.num, g.den))  # a new instance analyzes
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_fhn_search_verdict_serves_the_synthesis(monkeypatch):
@@ -454,6 +461,19 @@ def test_pcr_search_matches_reference_at_cli_defaults(omega, theta):
     for seed in range(4):
         assert repr(pcr_max_search(omega, theta, seed=seed)) == \
             repr(reference_pcr_max_search(omega, theta, seed=seed))
+
+
+def test_pcr_ceiling_shares_the_search_boundary_band():
+    assert pcr_ceiling(1.0, -0.8) == -rho_threshold(1.0, -0.8)
+    for omega in (0.0, 1e-13, math.pi - 1e-13, math.pi):
+        assert pcr_ceiling(omega, math.pi) == pcr_ceiling(omega, 0.0) == 0.0
+        best, desc = pcr_max_search(omega, math.pi, trials=500)
+        assert best == desc["bare_first_order_rate"] == 0.0
+        with pytest.raises(PreconditionError, match="boundary"):
+            pcr_ceiling(omega, 0.3)
+    for omega in (-0.1, 3.5):
+        with pytest.raises(PreconditionError, match=r"\[0, pi\]"):
+            pcr_ceiling(omega, 0.0)
 
 
 def test_pcr_search_evaluates_only_drawn_sections(monkeypatch):

@@ -16,9 +16,6 @@ KEPT_DEFAULTS = {
     "nyquist.ContourSpec.__init__(epsilon)",
     "nyquist.crossing_counts(exclude_near_one)",
     "rir.AllPassSpec.__init__(scale)",
-    "rir.exact_rir_analyze(rate_tol)",
-    "rir.synth_allpass_spec(rate_tol)",
-    "rir.synth_marginal_perturbation(rate_tol)",
     "rir.pcr_max_search(max_order)",
     "rir.pcr_max_search(trials)",
     "rir.pcr_max_search(seed)",
@@ -61,7 +58,7 @@ def _defaulted_parameters():
 
 
 def test_defaulted_parameters_are_the_kept_ones():
-    assert len(KEPT_DEFAULTS) == 23
+    assert len(KEPT_DEFAULTS) == 20
     assert _defaulted_parameters() == KEPT_DEFAULTS
 
 
