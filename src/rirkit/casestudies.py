@@ -10,6 +10,7 @@ perturbations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,11 +105,10 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated states plus the perturbation output per step."""
+    """Simulated membrane (x) and recovery (y) states, start included."""
 
     x: np.ndarray
     y: np.ndarray
-    w: np.ndarray
     diverged: bool = False
 
     def last_quarter_amplitude(self) -> float:
@@ -487,12 +487,59 @@ def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float) -> RationalTF:
 
 
 def _df2t_steady_state(bcoef, acoef, u: float, w: float) -> list[float]:
-    """DC-equilibrium filter state, plus a trailing 0.0 past the last tap."""
-    m = len(acoef) - 1
-    state = [0.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        state[i] = bcoef[i + 1] * u - acoef[i + 1] * w + state[i + 1]
-    return state
+    """DC-equilibrium filter state, one entry per tap."""
+    state: list[float] = []
+    nxt = 0.0
+    for i in range(len(acoef) - 2, -1, -1):
+        nxt = bcoef[i + 1] * u - acoef[i + 1] * w + nxt
+        state.append(nxt)
+    return state[::-1]
+
+
+_STEP_LOOP = """\
+def steps_order_{m}(xn, yn, steps, b, a, s, A, B, one_minus_a, a_minus_one,
+                    d_gain, alpha, current):
+    {b_names}, = b
+    {a_names}, = a
+    {s_unpack}
+    x, y = [xn], [yn]
+    x_append, y_append = x.append, y.append
+    for _ in range(steps):
+        w = b0 * yn + {s0}
+{state_updates}
+        xn, yn = ((A * xn + one_minus_a * (yn + w - current))
+                  / (1.0 + a_minus_one * xn**2 / 3.0),
+                  B * yn + d_gain * (xn + alpha))
+        x_append(xn)
+        y_append(yn)
+        if abs(xn) > 1e6:
+            break
+    return x, y
+"""
+_STEP_TAP = "        s{i} = b{j} * yn - a{j} * w + {nxt}"
+
+
+@functools.cache
+def _step_loop(m: int):
+    """The FHN step loop for a perturbation filter of order m.
+
+    Generated from one template so that the filter coefficients and the
+    transposed direct-form state are locals and each tap is one written
+    statement; the last tap adds the literal 0.0 where the state runs out.
+    """
+    s = [f"s{i}" for i in range(m)] + ["0.0"]
+    src = _STEP_LOOP.format(
+        m=m,
+        b_names=", ".join(f"b{i}" for i in range(m + 1)),
+        a_names=", ".join(f"a{i}" for i in range(m + 1)),
+        s_unpack=f"{', '.join(s[:m])}, = s" if m else "",
+        s0=s[0],
+        state_updates="\n".join(
+            _STEP_TAP.format(i=i, j=i + 1, nxt=s[i + 1]) for i in range(m)))
+    namespace: dict = {}
+    exec(compile(src, f"<fhn_simulate step loop, order {m}>", "exec"),
+         namespace)
+    return namespace[f"steps_order_{m}"]
 
 
 def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
@@ -536,29 +583,12 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
 
     b, a = bcoef.tolist(), acoef.tolist()
     state = _df2t_steady_state(b, a, fp.ybar, e * fp.ybar)
-    taps = list(zip(range(len(a) - 1), b[1:], a[1:]))
-    b0 = b[0]
-    one_minus_a, a_minus_one, d_gain = 1.0 - A, A - 1.0, D * (1.0 - B)
 
     xn, yn = float(init[0]), float(init[1])
     if not (abs(xn) <= 1e6 and math.isfinite(yn)):
         raise ValueError(f"init must be finite with |x0| <= 1e6, got {init}")
-    x, y, wout = [xn], [yn], []
-    diverged = False
-    for _ in range(steps):
-        w = b0 * yn + state[0]
-        wout.append(w)
-        for i, bi, ai in taps:
-            state[i] = bi * yn - ai * w + state[i + 1]
-        xn, yn = ((A * xn + one_minus_a * (yn + w - current))
-                  / (1.0 + a_minus_one * xn**2 / 3.0),
-                  B * yn + d_gain * (xn + alpha))
-        x.append(xn)
-        y.append(yn)
-        if abs(xn) > 1e6:
-            diverged = True
-            break
-    if not diverged:
-        wout.append(b0 * yn + state[0])
-    return Trajectory(x=np.array(x), y=np.array(y), w=np.array(wout),
-                      diverged=diverged)
+    x, y = _step_loop(len(a) - 1)(xn, yn, steps, b, a, state, A, B, 1.0 - A,
+                                  A - 1.0, D * (1.0 - B), alpha, current)
+    # the start passed the check above, so only a step can leave |x| <= 1e6
+    return Trajectory(x=np.array(x), y=np.array(y),
+                      diverged=abs(x[-1]) > 1e6)

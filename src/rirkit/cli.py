@@ -96,7 +96,11 @@ def _params(args) -> dict[str, float | int]:
         if key not in accepted:
             raise ValueError(f"unknown --param {key!r} for {args.command}; "
                              f"accepted: {', '.join(accepted)}")
-        val = float(text)
+        try:
+            val = float(text)
+        except ValueError:
+            raise ValueError(
+                f"--param {key} must be a number, got {text!r}") from None
         if accepted[key] is int:
             if not val.is_integer():
                 raise ValueError(

@@ -270,7 +270,7 @@ def reference_fhn_simulate(model: FHNModel, delta: RationalTF | None,
             break
     if not diverged:
         wout[steps] = b0 * y[steps] + (state[0] if m else 0.0)
-    return Trajectory(x=x, y=y, w=wout, diverged=diverged)
+    return Trajectory(x=x, y=y, diverged=diverged)
 
 
 def reference_pcr_max_search(omega_p: float, theta_p: float,

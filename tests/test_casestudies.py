@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import mp_gain, reference_fhn_simulate, reference_fig1_rows
@@ -25,6 +27,7 @@ from rirkit.casestudies import (
 )
 from rirkit.errors import PreconditionError, SynthesisVerificationError
 from rirkit.nyquist import closed_loop_poles
+from rirkit.polycore import from_roots
 from rirkit.rir import EXACT_SUFFICIENT, NOT_EXACT, exact_rir_analyze
 from rirkit.transfer import (
     G1_BOUNDARY,
@@ -430,7 +433,7 @@ FIRST_ORDER_DELTA = RationalTF([-0.04, -0.06], [1.0, 0.0])
 def test_simulate_divergence_truncates(delta):
     traj = fhn_simulate(FHNModel(), delta, 1000, init=DIVERGING_INIT)
     assert traj.diverged
-    assert (len(traj.x), len(traj.y), len(traj.w)) == (2, 2, 1)
+    assert (len(traj.x), len(traj.y)) == (2, 2)
     assert traj.verdict() == "diverged"
 
 
@@ -443,6 +446,13 @@ def test_simulate_rejects_unusable_init(init):
         fhn_simulate(FHNModel(), None, 5, init=init)
 
 
+def _assert_same_trajectory(got, want, case):
+    assert got.diverged == want.diverged, case
+    for name in ("x", "y"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
+            (case, name)
+
+
 def test_simulate_bit_identical_to_numpy_scalar_loop(fhn_chain):
     model, res = fhn_chain["model"], fhn_chain["result"]
     fp_eo = fhn_fixed_point(model, res.e_o)
@@ -452,6 +462,8 @@ def test_simulate_bit_identical_to_numpy_scalar_loop(fhn_chain):
     equilibrium_delta = RationalTF([res_e * 0.4, res_e * 0.6], [1.0, 0.0])
     cases = [
         (None, 20000, None),
+        (None, 0, None),
+        (FIRST_ORDER_DELTA, 1, None),
         (equilibrium_delta, 2000, (fp_eq.xbar, fp_eq.ybar)),
         (equilibrium_delta, 2000, None),
         (RationalTF([-0.03, 0.01], [1.0, -0.5, 0.2]), 5000, None),
@@ -459,11 +471,42 @@ def test_simulate_bit_identical_to_numpy_scalar_loop(fhn_chain):
         (fhn_chain["delta_conv"], 20000, (fp_eo.xbar + 0.002, fp_eo.ybar)),
         (None, 1000, DIVERGING_INIT),
         (FIRST_ORDER_DELTA, 1000, DIVERGING_INIT),
+        # divergence on the final step
+        (None, 1, DIVERGING_INIT),
+        (FIRST_ORDER_DELTA, 1, DIVERGING_INIT),
     ]
+    for poles in ([0.5, -0.3, 0.2 + 0.4j, 0.2 - 0.4j],
+                  [0.9, -0.6, 0.1, 0.7j, -0.7j],
+                  [0.8 + 0.1j, 0.8 - 0.1j, -0.5, 0.3, 0.6j, -0.6j]):
+        zeros = [0.4 - 0.2 * k for k in range(len(poles) - 1)]
+        delta = RationalTF(from_roots(zeros, -0.01), from_roots(poles))
+        cases.append((delta, 3000, None))
     for delta, steps, init in cases:
         got = fhn_simulate(model, delta, steps, init=init)
         want = reference_fhn_simulate(model, delta, steps, init=init)
-        assert got.diverged == want.diverged
-        for name in ("x", "y", "w"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), \
-                (delta, steps, init, name)
+        _assert_same_trajectory(got, want, (delta, steps, init))
+
+
+_STABLE_POLE = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _stable_filters(draw):
+    poles = draw(st.lists(_STABLE_POLE, max_size=6))
+    zeros = draw(st.lists(st.floats(-2.0, 2.0), max_size=len(poles)))
+    gain = draw(st.floats(1e-3, 0.05)) * draw(st.sampled_from([-1.0, 1.0]))
+    return RationalTF(from_roots(zeros, gain), from_roots(poles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stable_filters())
+def test_simulate_matches_reference_on_random_filters(delta):
+    model = FHNModel()
+    _assert_same_trajectory(fhn_simulate(model, delta, 300),
+                            reference_fhn_simulate(model, delta, 300), delta)
+
+
+def test_step_loop_is_cached_and_named_per_order():
+    loop = casestudies._step_loop(3)
+    assert casestudies._step_loop(3) is loop
+    assert loop.__code__.co_filename == "<fhn_simulate step loop, order 3>"

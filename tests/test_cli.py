@@ -342,10 +342,12 @@ def test_pcr_max_boundary_band_is_the_search_band(capsys):
     (["fhn-find", "--param", "I=0.4"], "'I'"),
     (["fhn-sim", "--param", "e_o=-0.11945", "--param", "E_o=1"], "'E_o'"),
     (["maglev", "--param", "k=nan"], "--param k "),
+    (["maglev", "--param", "k=abc"], "--param k "),
     (["fhn-sim", "--param", "e_o=inf", "--steps", "10"], "--param e_o "),
     (["pcr-max", "--param", "omega_p=-inf", "--param", "theta_p=0"],
      "--param omega_p "),
-], ids=["tua", "trails", "I", "E_o", "k-nan", "e_o-inf", "omega_p-inf"])
+], ids=["tua", "trails", "I", "E_o", "k-nan", "k-abc", "e_o-inf",
+        "omega_p-inf"])
 def test_unknown_or_non_finite_param_exits_2(capsys, argv, names):
     code = main(argv)
     captured = capsys.readouterr()
