@@ -63,6 +63,7 @@ from .transfer import (
     ClassTag,
     DerivativeSample,
     RationalTF,
+    cancel_common_roots,
     classify,
     evaluate,
     linf_norm,

@@ -193,10 +193,8 @@ def highpass(a: float, b: float) -> RationalTF:
     """Stable high-pass compensator ((b+1)z + 1 - b)/((a+1)z + 1 - a)."""
     if not b > a > 0.0:
         raise PreconditionError("requires b > a > 0")
-    # zero and pole approach each other as a grows (gap ~ 2(b-a)/a^2);
-    # they are coprime by construction, so bypass the cleanup tolerance
     f = RationalTF(Polynomial([b + 1.0, 1.0 - b]),
-                   Polynomial([a + 1.0, 1.0 - a]), cancel_tol=0.0)
+                   Polynomial([a + 1.0, 1.0 - a]))
     pole = (a - 1.0) / (a + 1.0)
     if not abs(pole) < 1.0:
         raise SynthesisVerificationError("compensator pole left the disk")
@@ -446,12 +444,14 @@ def h_shaper(eps: float, omega_p: float) -> RationalTF:
     """Stable shaper with h(e^{+-j omega_p}) = 1 and h(1) = 1/(1 + eps).
 
     h = 1 + mu (z^2 - 2 cos(omega_p) z + 1)/(z - 0.5)^2; the numerator
-    factor vanishes exactly on e^{+-j omega_p}.
+    factor vanishes exactly on e^{+-j omega_p}.  At eps = 0, h is 1.
     """
     if abs(1.0 + eps) < 1e-12:
         raise PreconditionError("eps = -1 is singular")
     if omega_p <= 0.0 or omega_p >= math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
+    if eps == 0.0:
+        return RationalTF([1.0], [1.0])
     mu = -eps / (1.0 + eps) * 0.25 / (2.0 - 2.0 * math.cos(omega_p))
     den = Polynomial([1.0, -1.0, 0.25])
     num = den + mu * Polynomial([1.0, -2.0 * math.cos(omega_p), 1.0])
@@ -472,8 +472,6 @@ def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float) -> RationalTF:
     if dc * e_o <= 0.0:
         raise SynthesisVerificationError(
             f"synthesized DC gain {dc} does not match the sign of e_o={e_o}")
-    if eps == 0.0:
-        return delta_f
     omega_p = exact_rir_analyze(g_eo).class_tag.peak_omega
     shaped = (1.0 + eps) * (h_shaper(eps, omega_p) * delta_f)
     dc_shaped = _dc_gain(shaped)

@@ -39,7 +39,7 @@ _INTERNAL_ERRORS = (SynthesisVerificationError, DegenerateCrossingError)
 
 
 def _load_tf(spec: str) -> RationalTF:
-    """Accept a path to a JSON file or an inline JSON object."""
+    """A JSON file path or inline JSON object, common roots cancelled."""
     text = spec
     if not spec.lstrip().startswith("{"):
         try:
@@ -50,7 +50,8 @@ def _load_tf(spec: str) -> RationalTF:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("--input must be a JSON object with num and den")
-    return RationalTF(_coeffs(obj, "num"), _coeffs(obj, "den"))
+    return transfer.cancel_common_roots(
+        RationalTF(_coeffs(obj, "num"), _coeffs(obj, "den")))
 
 
 def _coeffs(obj: dict, key: str) -> list[float]:

@@ -25,6 +25,7 @@ from .transfer import (
     _partition,
     _trim_to_rounding,
     _u_to_t,
+    at_boundary,
     evaluate,
 )
 
@@ -239,7 +240,7 @@ def marginal_verdict(L: RationalTF, omega_c: float) -> StabilityVerdict:
             f"A'_L(omega_c) = {ap:.3e} not zero within 1e-8 * (1 + |A''|)")
     n = sum(1 for p in L.poles() if abs(p) > 1.0)
 
-    at_bnd = omega_c <= 1e-9 or omega_c >= np.pi - 1e-9
+    at_bnd = at_boundary(omega_c)
     zc = complex(np.exp(1j * omega_c))
     vc = evaluate(L, zc)
     cond_value = abs(vc - 1.0) <= 1e-6

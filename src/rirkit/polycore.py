@@ -201,17 +201,20 @@ def poly_roots(p: Polynomial) -> RootSet:
 
     ``np.roots`` gives the eigenvalues of the balanced companion matrix,
     backward stable up to coefficient scaling; one Newton step on p's own
-    coefficients brings them to Horner's rounding floor.  The step is
-    skipped where p or p' is exactly zero (zero and exact multiple roots).
+    coefficients brings them to Horner's rounding floor.  Both run on an
+    exact power-of-two rescaling, so subnormal p' cannot overflow the step.
+    The step is skipped where p or p' is exactly zero (zero and exact
+    multiple roots).
     Raises ValueError for the zero polynomial (roots undefined).
     """
     if p.is_zero:
         raise ValueError("undefined roots: zero polynomial")
     if p.degree == 0:
         return RootSet(roots=(), multiplicities=(), residual=0.0)
-    z = np.roots(p.coeffs).astype(complex)
-    pv = np.polyval(p.coeffs, z)
-    dv = np.polyval(np.polyder(p.coeffs), z)
+    c = np.ldexp(p.coeffs, -np.frexp(max(map(abs, p.coeffs)))[1])
+    z = np.roots(c).astype(complex)
+    pv = np.polyval(c, z)
+    dv = np.polyval(np.polyder(c), z)
     step = (pv != 0.0) & (dv != 0.0)
     z[step] -= pv[step] / dv[step]
     return _root_set(p, z)

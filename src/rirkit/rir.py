@@ -24,6 +24,7 @@ from .transfer import (
     RationalTF,
     _dlog,
     _unwrapped_phase,
+    at_boundary,
     classify,
     evaluate,
     linf_norm,
@@ -58,7 +59,6 @@ STRICTLY_GREATER = "strictly_greater"
 INCONCLUSIVE = "inconclusive"
 
 RATE_TOL = 1e-7
-BOUNDARY_BAND = 1e-12  # omega_p this close to 0 or pi is a boundary frequency
 PCR_TOL = 1e-10  # slack of the phase-change-rate bound checks
 GAIN_PHASE_MAX_NODES = 2**17  # node cap of gain_phase_integral
 
@@ -114,10 +114,8 @@ class AllPassSpec:
         k = self.scale * self.c
         if self.a is None:
             return RationalTF(Polynomial([k]), Polynomial([1.0]))
-        # -1/a and -a never coincide for |a| < 1; cancelling them when
-        # |a| is within CANCEL_TOL of 1 would drop the section's phase
         return RationalTF(Polynomial([k * self.a, k]),
-                          Polynomial([1.0, self.a]), cancel_tol=0.0)
+                          Polynomial([1.0, self.a]))
 
     def phase_at(self, omega: float) -> float:
         """Continuous phase on [0, pi] referenced to omega = 0."""
@@ -238,7 +236,7 @@ def _analyze(g: RationalTF) -> RIRVerdict:
     omega_p = tag.peak_omega
     theta_p = _unwrapped_phase(g, omega_p)
     theta_rate = float(np.imag(_dlog(g, omega_p)))
-    interior = 0.0 < omega_p < math.pi
+    interior = not at_boundary(omega_p)
 
     if tag.class_name == G1_BOUNDARY:
         thr = 0.0
@@ -352,15 +350,17 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
     complex-pole second-order sections within the order budget; one
     first-order section (or a sign flip) corrects each candidate to the
     required phase.  Returns the best rate found and a description of the
-    maximizer.  Deterministic for a fixed seed.
+    maximizer.  Deterministic for a fixed seed.  A boundary omega_p with
+    a phase no all-pass reaches there is rejected before any draw.
     """
     if not 1 <= max_order <= 6:
         raise PreconditionError(f"max_order must be in 1..6, got {max_order}")
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
+    _require_reachable_phase(omega_p, theta_p)
     rng = np.random.default_rng(seed)
     t_goal = wrap_angle(theta_p)
-    at_bnd = _at_boundary(omega_p)
+    at_bnd = at_boundary(omega_p)
 
     budget = max_order - 1
     max_k2 = budget // 2
@@ -374,7 +374,7 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
     # Only the sections a trial draws are evaluated.  Each trial's phase and
     # rate add up its first-order sections and its second-order sections
     # separately, column by column, in the order a row sum adds them.
-    w0 = omega_p if omega_p > BOUNDARY_BAND else 0.0
+    w0 = 0.0 if at_bnd and omega_p < 1.0 else omega_p
     ph1 = 0.0 if omega_p < 1.0 else -math.pi
     ph2 = 0.0 if omega_p < 1.0 else -2.0 * math.pi
     p1, r1 = np.zeros(trials), np.zeros(trials)
@@ -415,7 +415,7 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
 
     # deterministic bare candidate: the matched first-order all-pass alone
     if at_bnd:
-        bare = 0.0 if _boundary_reachable(t_goal) else -np.inf
+        bare = 0.0
     else:
         spec = allpass_phase_match(omega_p, t_goal)
         bare = spec.phase_rate_at(omega_p)
@@ -438,14 +438,13 @@ def pcr_max_search(omega_p: float, theta_p: float, max_order: int = 4,
     return best, desc
 
 
-def _at_boundary(omega_p: float) -> bool:
-    return omega_p <= BOUNDARY_BAND or omega_p >= math.pi - BOUNDARY_BAND
-
-
-def _boundary_reachable(theta_p: float) -> bool:
-    """Whether theta_p is 0 or pi (within 1e-9), as it is at a boundary."""
+def _require_reachable_phase(omega_p: float, theta_p: float) -> None:
+    """At a boundary omega_p every all-pass has phase 0 or pi; raise unless
+    theta_p is one of them (within 1e-9)."""
     t = abs(wrap_angle(theta_p))
-    return t <= 1e-9 or abs(t - math.pi) <= 1e-9
+    if at_boundary(omega_p) and not (t <= 1e-9 or abs(t - math.pi) <= 1e-9):
+        raise PreconditionError(f"no all-pass has phase {theta_p} at "
+                                f"boundary omega_p={omega_p}")
 
 
 def pcr_ceiling(omega_p: float, theta_p: float) -> float:
@@ -453,12 +452,8 @@ def pcr_ceiling(omega_p: float, theta_p: float) -> float:
     band, 0.0 at a boundary frequency, where other phases are rejected."""
     if not 0.0 <= omega_p <= math.pi:
         raise PreconditionError(f"omega_p must lie in [0, pi], got {omega_p}")
-    if not _at_boundary(omega_p):
-        return -rho_threshold(omega_p, theta_p)
-    if not _boundary_reachable(theta_p):
-        raise PreconditionError(f"no all-pass has phase {theta_p} at "
-                                f"boundary omega_p={omega_p}")
-    return 0.0
+    _require_reachable_phase(omega_p, theta_p)
+    return 0.0 if at_boundary(omega_p) else -rho_threshold(omega_p, theta_p)
 
 
 # -- supporting PCR bound checks ------------------------------------------
@@ -618,10 +613,10 @@ def minimum_phase_pcr_bound_check(f: RationalTF) -> bool:
     """
     _require_minimum_phase(f)
     norm, omega_p, _ = linf_norm(f)
-    rate = float(np.imag(_dlog(f, max(omega_p, 1e-12))))
+    rate = float(np.imag(_dlog(f, omega_p)))
     if not rate <= PCR_TOL:
         return False
-    if omega_p <= 1e-9 or omega_p >= math.pi - 1e-9:
+    if at_boundary(omega_p):
         return True
     theta = _unwrapped_phase(f, omega_p)
     if abs(theta) > math.pi + 1e-9:

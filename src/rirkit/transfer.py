@@ -33,6 +33,8 @@ __all__ = [
     "logderiv",
     "linf_norm",
     "classify",
+    "cancel_common_roots",
+    "at_boundary",
     "G1_BOUNDARY",
     "G2_INTERIOR",
     "G1_INTERIOR",
@@ -42,6 +44,7 @@ __all__ = [
 CANCEL_TOL = 1e-8
 CIRCLE_TOL = 1e-9
 UNIQUENESS_MARGIN = 1e-6
+BOUNDARY_BAND = 1e-12  # an omega this close to 0 or pi is a boundary frequency
 
 G1_BOUNDARY = "G1_boundary"
 G2_INTERIOR = "G2_interior"
@@ -53,20 +56,19 @@ GN_OTHER = "Gn_other"
 class RationalTF:
     """Proper real-rational transfer function num/den.
 
-    Common roots of num and den within the cancellation tolerance are
-    removed at construction; improper inputs are rejected.
+    num and den are kept as given, since a root they share in a product of
+    factors can be a closed-loop mode (a root of den - num); outside input
+    goes through ``cancel_common_roots``.  Improper inputs are rejected.
     """
 
     num: Polynomial
     den: Polynomial
 
-    def __init__(self, num, den, cancel_tol: float = CANCEL_TOL):
+    def __init__(self, num, den):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ValueError("denominator is identically zero")
-        if not num.is_zero and cancel_tol > 0.0:
-            num, den = _cancel_common_roots(num, den, cancel_tol)
         if not num.is_zero and num.degree > den.degree:
             raise ImproperTransferError(
                 f"improper: deg(num)={num.degree} > deg(den)={den.degree}")
@@ -88,12 +90,9 @@ class RationalTF:
         return self.num.is_zero or self.num.degree < self.den.degree
 
     def __mul__(self, other):
-        # each factor is already reduced; a root shared across factors is a
-        # closed-loop mode (a root of den - num), so it must not cancel
         if isinstance(other, RationalTF):
-            return RationalTF(self.num * other.num, self.den * other.den,
-                              cancel_tol=0.0)
-        return RationalTF(float(other) * self.num, self.den, cancel_tol=0.0)
+            return RationalTF(self.num * other.num, self.den * other.den)
+        return RationalTF(float(other) * self.num, self.den)
 
     __rmul__ = __mul__
 
@@ -137,29 +136,29 @@ class ClassTag:
     class_name: str
 
 
-def _cancel_common_roots(num: Polynomial, den: Polynomial, tol: float):
-    if num.degree == 0 or den.degree == 0:
-        return num, den
-    nroots = list(num.roots().flat)
-    droots = list(den.roots().flat)
-    cancelled = False
-    kept_d = []
-    for dr in droots:
-        hit = None
-        for i, nr in enumerate(nroots):
-            if abs(nr - dr) <= tol:
-                hit = i
-                break
-        if hit is not None:
-            nroots.pop(hit)
-            cancelled = True
+def cancel_common_roots(g: RationalTF) -> RationalTF:
+    """g without the roots its num and den share.
+
+    A pole r cancels against a zero within CANCEL_TOL (1 + |r|) of it.
+    When nothing cancels, g itself is returned, with its cached roots.
+    """
+    zeros, kept = list(g.zeros()), []
+    for r in g.poles():
+        hit = next((i for i, z in enumerate(zeros)
+                    if abs(z - r) <= CANCEL_TOL * (1.0 + abs(r))), None)
+        if hit is None:
+            kept.append(r)
         else:
-            kept_d.append(dr)
-    if not cancelled:
-        return num, den
-    lead_n = num.coeffs[0]
-    lead_d = den.coeffs[0]
-    return from_roots(nroots, lead_n), from_roots(kept_d, lead_d)
+            zeros.pop(hit)
+    if len(kept) == g.den.degree:
+        return g
+    return RationalTF(from_roots(zeros, g.num.coeffs[0]),
+                      from_roots(kept, g.den.coeffs[0]))
+
+
+def at_boundary(omega: float) -> bool:
+    """Whether omega lies within BOUNDARY_BAND of 0 or pi."""
+    return omega <= BOUNDARY_BAND or omega >= math.pi - BOUNDARY_BAND
 
 
 def evaluate(g: RationalTF, z):
@@ -417,7 +416,7 @@ def linf_norm(g: RationalTF) -> LinfResult:
 def classify(g: RationalTF) -> ClassTag:
     """Class membership among the single-peak unstable families.
 
-    A peak within 1e-8 of 0 or pi counts as a boundary peak.
+    A peak where ``at_boundary`` holds is a boundary peak.
     G1_boundary: one unstable pole, unique peak at 0 or pi.
     G2_interior: two unstable poles, unique interior peak.
     G1_interior: one unstable pole, unique interior peak.
@@ -428,14 +427,14 @@ def classify(g: RationalTF) -> ClassTag:
         raise NotInGClassError("not in G: no unstable pole")
     pip = pip_check(g)
     norm, omega_p, unique = linf_norm(g)
-    at_boundary = omega_p <= 1e-8 or omega_p >= np.pi - 1e-8
+    boundary = at_boundary(omega_p)
     if not pip or not unique:
         name = GN_OTHER
-    elif n == 1 and at_boundary:
+    elif n == 1 and boundary:
         name = G1_BOUNDARY
-    elif n == 2 and not at_boundary:
+    elif n == 2 and not boundary:
         name = G2_INTERIOR
-    elif n == 1 and not at_boundary:
+    elif n == 1 and not boundary:
         name = G1_INTERIOR
     else:
         name = GN_OTHER

@@ -15,6 +15,7 @@ from rirkit.polycore import from_roots
 from rirkit.rir import (
     AllPassSpec,
     _ap1_param,
+    _require_reachable_phase,
     _wrap_angles,
     allpass_phase_match,
     ap1_phase,
@@ -286,6 +287,7 @@ def reference_pcr_max_search(omega_p: float, theta_p: float,
         raise PreconditionError(f"max_order must be in 1..6, got {max_order}")
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
+    _require_reachable_phase(omega_p, theta_p)
     rng = np.random.default_rng(seed)
     t_goal = wrap_angle(theta_p)
     at_bnd = omega_p <= 1e-12 or omega_p >= math.pi - 1e-12

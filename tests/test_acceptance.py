@@ -200,7 +200,7 @@ def test_criterion_7_bound_suites():
         for ai in a:
             num = num * Polynomial([ai, 1.0])
             den = den * Polynomial([1.0, ai])
-        f = RationalTF(num, den, cancel_tol=0.0)
+        f = RationalTF(num, den)
         omega = float(rng.uniform(0.05, np.pi - 0.05))
         if allpass_pcr_bound_check(f, omega):
             allpass_bound_ok += 1

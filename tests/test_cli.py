@@ -8,13 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rirkit
 import rirkit.casestudies as casestudies
 from conftest import reference_fig1_rows
 from rirkit.casestudies import FHNModel, MaglevParams
-from rirkit.cli import _COMMAND_FLAGS, _PARAM_KEYS, build_parser, main
+from rirkit.cli import (
+    _COMMAND_FLAGS,
+    _PARAM_KEYS,
+    _load_tf,
+    build_parser,
+    main,
+)
 
 FHN_G_JSON = json.dumps({"num": [1.5679e-5, -2.5685e-5],
                          "den": [1.0, -2.000985, 1.000994]})
@@ -35,6 +42,27 @@ def test_analyze_printed_plant(capsys):
     assert report["schema"] == "rirkit/1"
     assert report["verdict"]["status"] == "exact_sufficient"
     assert abs(report["verdict"]["lower_bound"] - 0.2868) / 0.2868 < 0.05
+
+
+@pytest.mark.parametrize("command", ["analyze", "synth"])
+def test_non_minimal_input_reports_the_reduced_plant(capsys, command):
+    # the printed plant times (z - 0.3)/(z - 0.3): the common root cancels
+    # when the input is read, so the report is the printed plant's
+    g = json.loads(FHN_G_JSON)
+    extended = json.dumps({k: list(np.convolve(v, [1.0, -0.3]))
+                           for k, v in g.items()})
+    assert _load_tf(extended).den.degree == 2
+    reports = []
+    for spec in (FHN_G_JSON, extended):
+        code, out = run_cli(capsys, [command, "--input", spec])
+        assert code == 0
+        reports.append(json.loads(out)["verdict"])
+    want, got = reports
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-9), key
+        else:
+            assert got[key] == value, key
 
 
 def test_analyze_stable_plant_exit_3(capsys):

@@ -75,6 +75,20 @@ def test_roots_zero_polynomial_rejected():
         poly_roots(Polynomial([0.0, 0.0]))
 
 
+def test_roots_of_subnormal_coefficients():
+    # scaled to unit order before the Newton step, which overflowed on the
+    # subnormal p' values; the roots are those of the stored coefficients
+    # (rounded to subnormal precision), by mpmath.polyroots at 50 digits
+    p = from_roots([0.0, 0.75, -2.0], 2.2250738585e-313)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = poly_roots(p)
+    want = [-1.9999999999919257, 0.0, 0.7500000000030279]
+    assert sorted(r.real for r in rs.flat) == pytest.approx(want, abs=1e-15)
+    assert all(r.imag == 0.0 for r in rs.flat)
+    assert rs.residual <= 1e-322
+
+
 def test_roots_residual_bound():
     rng = np.random.default_rng(11)
     inputs = []

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rirkit.rir as rir
+import rirkit.transfer as transfer
 from conftest import reference_pcr_max_search, stabilizer_search
 from rirkit import cli
 from rirkit.errors import (
@@ -43,6 +44,7 @@ from rirkit.transfer import (
     G1_BOUNDARY,
     G1_INTERIOR,
     GN_OTHER,
+    LinfResult,
     RationalTF,
     _unwrapped_phase,
     classify,
@@ -181,6 +183,19 @@ def test_analyze_one_pole_interior_peak_strictly_greater():
     assert classify(g).class_name == G1_INTERIOR
     v = exact_rir_analyze(g)
     assert v.status == STRICTLY_GREATER
+
+
+@pytest.mark.parametrize("omega_p", [5e-9, np.pi - 5e-9])
+def test_peak_between_the_old_boundary_bands_is_interior(monkeypatch,
+                                                         omega_p):
+    # classify once treated omega_p within 1e-8 of 0 or pi as a boundary
+    # and _analyze only 0 and pi; linf_norm never reports a peak in between
+    # (its split points lie >= 1.49e-8 from either end), so it is stubbed
+    g = RationalTF([1.0], [1.0, -2.0])  # one unstable pole, pip holds
+    peak = LinfResult(abs(evaluate(g, np.exp(1j * omega_p))), omega_p, True)
+    monkeypatch.setattr(transfer, "linf_norm", lambda _: peak)
+    assert classify(g).class_name == G1_INTERIOR
+    assert exact_rir_analyze(g).status == STRICTLY_GREATER
 
 
 @pytest.mark.parametrize("g, n_unstable, status", [
@@ -455,12 +470,20 @@ def test_pcr_max_near_zero_interior_omega_is_not_an_internal_fault(
 
 
 @pytest.mark.parametrize("omega, theta", [
-    (1.0, -0.8), (1.2, 0.8), (np.pi / 2, -np.pi / 2), (np.pi, np.pi),
-    (1e-13, 0.3)])
+    (1.0, -0.8), (1.2, 0.8), (np.pi / 2, -np.pi / 2), (np.pi, np.pi)])
 def test_pcr_search_matches_reference_at_cli_defaults(omega, theta):
     for seed in range(4):
         assert repr(pcr_max_search(omega, theta, seed=seed)) == \
             repr(reference_pcr_max_search(omega, theta, seed=seed))
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-13, np.pi - 1e-13, np.pi])
+def test_pcr_search_rejects_unreachable_boundary_phase(omega):
+    # no all-pass has phase 0.3 at a boundary frequency, so the search
+    # raises what pcr_ceiling raises rather than return best = -inf
+    for search in (pcr_max_search, reference_pcr_max_search):
+        with pytest.raises(PreconditionError, match="no all-pass has phase"):
+            search(omega, 0.3, trials=10)
 
 
 def test_pcr_ceiling_shares_the_search_boundary_band():
@@ -530,7 +553,7 @@ def test_allpass_pcr_bound_random_third_order():
         for ai in a:
             num = num * Polynomial([ai, 1.0])
             den = den * Polynomial([1.0, ai])
-        f = RationalTF(num, den, cancel_tol=0.0)
+        f = RationalTF(num, den)
         omega = float(rng.uniform(0.1, np.pi - 0.1))
         assert allpass_pcr_bound_check(f, omega)
 

@@ -12,7 +12,6 @@ from rirkit import casestudies, nyquist, polycore, rir, transfer
 
 KEPT_DEFAULTS = {
     "polycore.from_roots(leading)",
-    "transfer.RationalTF.__init__(cancel_tol)",
     "nyquist.ContourSpec.__init__(epsilon)",
     "nyquist.crossing_counts(exclude_near_one)",
     "rir.AllPassSpec.__init__(scale)",
@@ -58,7 +57,7 @@ def _defaulted_parameters():
 
 
 def test_defaulted_parameters_are_the_kept_ones():
-    assert len(KEPT_DEFAULTS) == 20
+    assert len(KEPT_DEFAULTS) == 19
     assert _defaulted_parameters() == KEPT_DEFAULTS
 
 

@@ -28,6 +28,7 @@ from rirkit.transfer import (
     _dlog,
     _stationary_series,
     _unwrapped_phase,
+    cancel_common_roots,
     classify,
     evaluate,
     linf_norm,
@@ -47,6 +48,8 @@ def test_evaluate_simple_pole():
 
 def test_evaluate_cancels_common_factor():
     g = RationalTF([1.0, 1.0], [1.0, 1.0])
+    assert g.num.degree == 1 and g.den.degree == 1  # the constructor keeps it
+    g = cancel_common_roots(g)
     assert g.num.degree == 0 and g.den.degree == 0
     for z in (0.5 + 0j, 2.0 + 1j, -3.0 + 0j):
         assert abs(evaluate(g, z) - 1.0) < 1e-12
@@ -175,7 +178,7 @@ def test_linf_norm_flat_allpass_near_circle():
 def test_linf_norm_nearly_flat_is_not_flat(delta):
     # gain 1 - delta at omega = 0 rising to 1 + delta/3 at pi: far above
     # rounding, so the peak is at pi, not the flat report at 0
-    g = RationalTF([1.0, -0.5 * (1.0 + delta)], [1.0, -0.5], cancel_tol=0.0)
+    g = RationalTF([1.0, -0.5 * (1.0 + delta)], [1.0, -0.5])
     norm, omega_p, _ = linf_norm(g)
     assert omega_p == np.pi
     assert abs(norm - (1.0 + delta / 3.0)) <= 1e-14
@@ -405,10 +408,29 @@ def test_phase_rejects_circle_zero_only_inside_the_path():
         _unwrapped_phase(h, np.pi)
 
 
-def test_cancelling_constructor_keeps_the_factors(solved):
-    g = RationalTF(np.convolve([1.0, -0.5], [1.0, -0.3]),
-                   np.convolve([1.0, -0.5], [1.0, -1.6, -0.8]))
+def test_cancel_common_roots_keeps_the_factors(solved):
+    g = cancel_common_roots(RationalTF(
+        np.convolve([1.0, -0.5], [1.0, -0.3]),
+        np.convolve([1.0, -0.5], [1.0, -1.6, -0.8])))
     assert g.num.degree == 1 and g.den.degree == 2
     assert sorted(g.poles(), key=lambda z: z.real) == pytest.approx([-0.4, 2.0])
     assert g.zeros() == pytest.approx((0.3,))
     assert len(solved) == 2  # the given num and den, not the cancelled pair
+
+
+def test_cancel_common_roots_gap_is_relative_to_the_root():
+    # 5e-7 apart at 100 cancels (within 1e-8 (1 + 100)); 5e-8 apart at 0.1
+    # does not (beyond 1e-8 (1 + 0.1))
+    g = cancel_common_roots(RationalTF(
+        from_roots([100.0 + 5e-7, 0.1 + 5e-8, 0.5]),
+        from_roots([100.0, 0.1, 2.0, -0.3])))
+    assert g.num.degree == 2 and g.den.degree == 3
+    assert max(abs(p) for p in g.poles()) < 3.0
+    assert min(abs(z - 0.1) for z in g.zeros()) < 1e-7
+    assert min(abs(p - 0.1) for p in g.poles()) < 1e-12
+
+
+def test_cancel_common_roots_returns_g_when_nothing_cancels():
+    for g in (RationalTF([1.0, -0.3], [1.0, -2.5, 1.0]),
+              RationalTF([2.0], [1.0, -2.0]), RationalTF([0.0], [1.0, 0.5])):
+        assert cancel_common_roots(g) is g
