@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -500,7 +501,7 @@ def steps_order_{m}(xn, yn, steps, b, a, s, A, B, one_minus_a, a_minus_one,
     {b_names}, = b
     {a_names}, = a
     {s_unpack}
-    x, y = [xn], [yn]
+    x, y = array("d", [xn]), array("d", [yn])
     x_append, y_append = x.append, y.append
     for _ in range(steps):
         w = b0 * yn + {s0}
@@ -510,7 +511,7 @@ def steps_order_{m}(xn, yn, steps, b, a, s, A, B, one_minus_a, a_minus_one,
                   B * yn + d_gain * (xn + alpha))
         x_append(xn)
         y_append(yn)
-        if abs(xn) > 1e6:
+        if xn > 1e6 or xn < -1e6:
             break
     return x, y
 """
@@ -534,7 +535,7 @@ def _step_loop(m: int):
         s0=s[0],
         state_updates="\n".join(
             _STEP_TAP.format(i=i, j=i + 1, nxt=s[i + 1]) for i in range(m)))
-    namespace: dict = {}
+    namespace: dict = {"array": array}
     exec(compile(src, f"<fhn_simulate step loop, order {m}>", "exec"),
          namespace)
     return namespace[f"steps_order_{m}"]
@@ -550,7 +551,9 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     oscillation verdicts.  Divergence (|x| > 1e6) truncates the trajectory;
     a start beyond it, or not finite, is rejected.  The step loop works on
     Python floats; only loop-invariant values are hoisted, so every step
-    rounds exactly as the written expressions do.
+    rounds exactly as the written expressions do.  It appends the states to
+    two ``array("d")`` buffers, which the trajectory's arrays wrap as they
+    are.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -588,5 +591,5 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     x, y = _step_loop(len(a) - 1)(xn, yn, steps, b, a, state, A, B, 1.0 - A,
                                   A - 1.0, D * (1.0 - B), alpha, current)
     # the start passed the check above, so only a step can leave |x| <= 1e6
-    return Trajectory(x=np.array(x), y=np.array(y),
+    return Trajectory(x=np.frombuffer(x), y=np.frombuffer(y),
                       diverged=abs(x[-1]) > 1e6)

@@ -2,11 +2,14 @@
 
 Coefficients are stored in descending powers of z (leading first).  Roots
 are the eigenvalues of the balanced companion matrix, each polished by one
-Newton step on the polynomial's own coefficients.
+Newton step on the polynomial's own coefficients; a product of two
+polynomials takes its factors' roots where they are its own to rounding.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,16 +45,16 @@ class Polynomial:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        vals = arr.tolist()
+        if not all(map(math.isfinite, vals)):
             raise ValueError("coefficients must be finite")
-        scale = np.max(np.abs(arr))
+        scale = max(map(abs, vals))
         if scale == 0.0:
             object.__setattr__(self, "coeffs", (0.0,))
             object.__setattr__(self, "is_zero", True)
             return
-        nz = np.nonzero(np.abs(arr) > TRIM_TOL * scale)[0]
-        arr = arr[nz[0]:]
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in arr))
+        lead = next(k for k, c in enumerate(vals) if abs(c) > TRIM_TOL * scale)
+        object.__setattr__(self, "coeffs", tuple(vals[lead:]))
         object.__setattr__(self, "is_zero", False)
 
     @property
@@ -65,32 +68,48 @@ class Polynomial:
         return poly_derivative(self)
 
     def roots(self) -> "RootSet":
-        """Clustered roots, solved once per instance.
+        """Clustered roots, found once per instance.
 
+        A product made by ``*`` takes the union of its factors' roots when
+        each is a root of the product's own coefficients to within Horner's
+        rounding bound, and is solved like any other polynomial otherwise.
+        Until its roots are first read, a product keeps both factors (and
+        their cached roots) alive.  Reading them reads the factors' roots
+        first, solving any factor not yet solved, so in a chain
+        ``p * q * r`` it recurses one level per factor and caches the roots
+        of every intermediate product.
         The cache lives in the instance ``__dict__`` outside the dataclass
         fields, so equality, hashing and repr are unaffected; a ``RootSet``
         is immutable, so sharing it is safe.
         """
         if "_roots" not in self.__dict__:
-            self.__dict__["_roots"] = poly_roots(self)
+            factors = self.__dict__.pop("_factors", None)
+            rs = None
+            if factors is not None:
+                z = factors[0].roots().flat + factors[1].roots().flat
+                if len(z) == self.degree:
+                    rs = _root_set(self, z, self.coeffs)
+            self.__dict__["_roots"] = poly_roots(self) if rs is None else rs
         return self.__dict__["_roots"]
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial([0.0])
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial(np.asarray(self.coeffs) * float(other))
+            product = Polynomial(np.convolve(self.coeffs, other.coeffs))
+            product.__dict__["_factors"] = (self, other)
+            return product
+        k = float(other)
+        return Polynomial([c * k for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[n - len(self.coeffs):] = self.coeffs
-        b[n - len(other.coeffs):] = other.coeffs
-        return Polynomial(a + b)
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        a = (0.0,) * (n - len(a)) + a
+        b = (0.0,) * (n - len(b)) + b
+        return Polynomial([x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-1.0) * other
@@ -128,7 +147,7 @@ class RootSet:
 
 def poly_eval(p: Polynomial, z):
     """Horner evaluation; accepts scalars or arrays."""
-    if np.isscalar(z) or isinstance(z, complex):
+    if isinstance(z, complex) or np.isscalar(z):
         acc = 0.0 + 0.0j if isinstance(z, complex) else 0.0
         for c in p.coeffs:
             acc = acc * z + c
@@ -163,35 +182,35 @@ def from_roots(roots, leading: float = 1.0) -> Polynomial:
     p = Polynomial(leading * coeffs.real)
     if p.is_zero or p.degree != len(roots):
         return p
-    rs = _root_set(p, roots)
-    majorant = abs(leading) * np.poly(-np.abs(roots))
-    if all(abs(poly_eval(p, c)) <= _horner_bound(majorant, abs(c))
-           for c in rs.roots):
+    majorant = abs(leading) * np.atleast_1d(np.poly(-np.abs(roots)))
+    rs = _root_set(p, roots.tolist(), majorant)
+    if rs is not None:
         p.__dict__["_roots"] = rs
     return p
 
 
-def _horner_bound(coeffs, absz):
+def _horner_bound(coeffs, absz: float) -> float:
     """Rounding bound 4 n eps sum |a_k| |z|^k on a Horner value p(z)."""
-    n = max(len(coeffs) - 1, 1)
-    return 4.0 * n * np.finfo(float).eps * np.polyval(np.abs(coeffs), absz)
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * absz + abs(c)
+    return 4.0 * max(len(coeffs) - 1, 1) * sys.float_info.epsilon * acc
 
 
-def _cluster(roots: np.ndarray, tol: float):
-    order = np.lexsort((roots.imag, roots.real))
+def _cluster(roots: list[complex], tol: float):
+    """Cluster centres (running means) and counts of roots within tol of
+    each other, in ascending (real, imag) order."""
+    order = sorted(roots, key=lambda z: (z.real, z.imag))
     centers: list[complex] = []
     counts: list[int] = []
-    for idx in order:
-        z = roots[idx]
-        placed = False
+    for z in order:
         for k, c in enumerate(centers):
             if abs(z - c) <= tol:
                 centers[k] = (c * counts[k] + z) / (counts[k] + 1)
                 counts[k] += 1
-                placed = True
                 break
-        if not placed:
-            centers.append(complex(z))
+        else:
+            centers.append(z)
             counts.append(1)
     return centers, counts
 
@@ -199,9 +218,11 @@ def _cluster(roots: np.ndarray, tol: float):
 def poly_roots(p: Polynomial) -> RootSet:
     """All complex roots of p, clustered by multiplicity.
 
-    ``np.roots`` gives the eigenvalues of the balanced companion matrix,
-    backward stable up to coefficient scaling; one Newton step on p's own
-    coefficients brings them to Horner's rounding floor.  Both run on an
+    The roots are the eigenvalues of the balanced companion matrix that
+    ``np.roots`` builds (LAPACK, backward stable up to coefficient scaling),
+    a degree-1 root -c1/c0 directly and a trailing zero coefficient an exact
+    root at 0.  One Newton step on p's own coefficients, in Python complex
+    arithmetic, brings each to Horner's rounding floor.  Both run on an
     exact power-of-two rescaling, so subnormal p' cannot overflow the step.
     The step is skipped where p or p' is exactly zero (zero and exact
     multiple roots).
@@ -211,25 +232,49 @@ def poly_roots(p: Polynomial) -> RootSet:
         raise ValueError("undefined roots: zero polynomial")
     if p.degree == 0:
         return RootSet(roots=(), multiplicities=(), residual=0.0)
-    c = np.ldexp(p.coeffs, -np.frexp(max(map(abs, p.coeffs)))[1])
-    z = np.roots(c).astype(complex)
-    pv = np.polyval(c, z)
-    dv = np.polyval(np.polyder(c), z)
-    step = (pv != 0.0) & (dv != 0.0)
-    z[step] -= pv[step] / dv[step]
-    return _root_set(p, z)
+    shift = -math.frexp(max(map(abs, p.coeffs)))[1]
+    c = [math.ldexp(a, shift) for a in p.coeffs]
+    n = len(c)
+    while c[n - 1] == 0.0:
+        n -= 1
+    if n > 2:
+        companion = np.diag(np.ones(n - 2), -1)
+        companion[0, :] = -np.array(c[1:n]) / c[0]
+        z = np.linalg.eigvals(companion).tolist()
+    else:
+        z = [-c[1] / c[0]] if n == 2 else []
+    z += [0.0] * (len(c) - n)
+    dc = [a * (len(c) - 1 - k) for k, a in enumerate(c[:-1])]
+    polished = []
+    for r in z:
+        r = complex(r)
+        pv, dv = complex(c[0]), complex(dc[0])
+        for a in c[1:]:
+            pv = pv * r + a
+        for a in dc[1:]:
+            dv = dv * r + a
+        if pv != 0.0 and dv != 0.0:
+            r -= pv / dv
+        polished.append(r)
+    return _root_set(p, polished, None)
 
 
-def _root_set(p: Polynomial, z: np.ndarray) -> RootSet:
+def _root_set(p: Polynomial, z: list[complex], majorant):
     """Snap near-real roots to the axis and cluster approximate roots z of p.
 
-    ``np.roots`` returns LAPACK's exact conjugate pairs for real p, and the
-    Newton step in ``poly_roots`` keeps them exact, so only roots within
-    CONJ_PAIR_TOL (1 + |z|) of the real axis need symmetrizing.
+    Eigenvalues of a real matrix come in exact conjugate pairs (LAPACK's
+    real eigensolver), and the Newton step in ``poly_roots`` keeps them
+    exact, so only roots within CONJ_PAIR_TOL (1 + |z|) of the real axis
+    need symmetrizing.  Unless ``majorant`` is None, None comes back when a
+    cluster centre r has |p(r)| above ``_horner_bound(majorant, |r|)``.
     """
-    z = np.where(np.abs(z.imag) <= CONJ_PAIR_TOL * (1.0 + np.abs(z)),
-                 z.real, z)
+    z = [complex(r.real) if abs(r.imag) <= CONJ_PAIR_TOL * (1.0 + abs(r))
+         else r for r in z]
     centers, counts = _cluster(z, CLUSTER_TOL)
-    residual = max((abs(poly_eval(p, c)) for c in centers), default=0.0)
+    values = [abs(poly_eval(p, c)) for c in centers]
+    if majorant is not None and any(
+            v > _horner_bound(majorant, abs(c))
+            for v, c in zip(values, centers)):
+        return None
     return RootSet(roots=tuple(centers), multiplicities=tuple(counts),
-                   residual=float(residual))
+                   residual=float(max(values, default=0.0)))

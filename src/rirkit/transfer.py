@@ -328,8 +328,10 @@ def _partition(series):
     only splits an interval, so no real root near the axis is lost.
     """
     x = cheb.chebroots(series).real
-    pts = np.unique(np.concatenate(
+    pts = np.sort(np.concatenate(
         ([0.0, np.pi], np.arccos(x[(x > -1.0) & (x < 1.0)]))))
+    # np.unique would import numpy.ma on first use
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
     return pts, 0.5 * (pts[:-1] + pts[1:])
 
 

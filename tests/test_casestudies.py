@@ -425,7 +425,8 @@ def test_simulate_rejects_negative_steps():
 
 
 # x0 = 0 with y0 = 1e12 leaves the contracting region at the first step
-DIVERGING_INIT = (0.0, 1e12)
+DIVERGING_INIT = (0.0, 1e12)  # x leaves through -1e6 on the first step
+DIVERGING_ABOVE = (0.0, -1e12)  # and through +1e6 from this start
 FIRST_ORDER_DELTA = RationalTF([-0.04, -0.06], [1.0, 0.0])
 
 
@@ -474,6 +475,8 @@ def test_simulate_bit_identical_to_numpy_scalar_loop(fhn_chain):
         # divergence on the final step
         (None, 1, DIVERGING_INIT),
         (FIRST_ORDER_DELTA, 1, DIVERGING_INIT),
+        (None, 1000, DIVERGING_ABOVE),
+        (FIRST_ORDER_DELTA, 1000, DIVERGING_ABOVE),
     ]
     for poles in ([0.5, -0.3, 0.2 + 0.4j, 0.2 - 0.4j],
                   [0.9, -0.6, 0.1, 0.7j, -0.7j],
@@ -485,6 +488,14 @@ def test_simulate_bit_identical_to_numpy_scalar_loop(fhn_chain):
         got = fhn_simulate(model, delta, steps, init=init)
         want = reference_fhn_simulate(model, delta, steps, init=init)
         _assert_same_trajectory(got, want, (delta, steps, init))
+        for arr in (got.x, got.y):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert len(got.x) == len(got.y)
+        assert not np.shares_memory(got.x, got.y)
+        if init == DIVERGING_INIT:
+            assert got.diverged and got.x[-1] < -1e6
+        if init == DIVERGING_ABOVE:
+            assert got.diverged and got.x[-1] > 1e6
 
 
 _STABLE_POLE = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)

@@ -122,6 +122,18 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def test_analyze_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, ~15 ms of a fresh process
+    env = {**os.environ, "PYTHONPATH": str(Path(rirkit.__file__).parents[1])}
+    probe = ("import sys, rirkit.cli; "
+             "code = rirkit.cli.main(['analyze', '--input', sys.argv[1]]); "
+             "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, FHN_G_JSON], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_analyze_missing_input_file_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     code, out = run_cli(capsys, ["analyze", "--input", missing])

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rirkit.polycore as polycore
+from conftest import random_tf
 from rirkit.polycore import (
     Polynomial,
     RootSet,
@@ -309,3 +310,56 @@ def test_roots_agree_with_companion_eigenvalues(polar):
         assert np.min(np.abs(eig - r)) <= tol
         # the generating roots are an oracle free of any eigenvalue solver
         assert np.min(np.abs(np.asarray(roots) - r)) <= tol
+
+
+def _solved_draw(rng):
+    """A random_tf plant with its num and den solved, as an analysis leaves
+    them (random_tf's own roots are the generating ones)."""
+    n_stable, n_unstable = int(rng.integers(0, 4)), int(rng.integers(1, 3))
+    g = random_tf(rng, n_stable, n_unstable,
+                  int(rng.integers(0, n_stable + n_unstable + 1)))
+    num, den = Polynomial(g.num.coeffs), Polynomial(g.den.coeffs)
+    num.roots(), den.roots()
+    return num, den
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_product_roots_are_the_union_of_the_factors(seed):
+    rng = np.random.default_rng(seed)
+    (gn, gd), (fn, fd) = _solved_draw(rng), _solved_draw(rng)
+    eps = np.finfo(float).eps
+    for p, q in ((gd, fd), (gn, fn), (gn, fd)):
+        pq = p * q
+        union = polycore._root_set(pq, list(p.roots().flat + q.roots().flat),
+                                   pq.coeffs)
+        if union is None:
+            continue  # the union missed the bound: the fallback test's case
+        assert pq.roots() == union
+        rs = poly_roots(pq)
+        assert sorted(union.multiplicities) == sorted(rs.multiplicities)
+        dpq = pq.derivative()
+        for r, m in zip(union.roots, union.multiplicities):
+            # forward error is at most backward error over |p'(r)|, for
+            # the union's root and for the solved one alike
+            backward = (max(union.residual, rs.residual) + eps
+                        * float(np.polyval(np.abs(pq.coeffs), abs(r))))
+            tol = 1e3 * pq.degree * backward / abs(dpq(r))
+            assert min(abs(r - s) for s, k in zip(rs.roots, rs.multiplicities)
+                       if k == m) <= tol
+
+
+def test_product_whose_factor_roots_miss_the_bound_is_solved(solved):
+    # p(z) p(-z) is even: its odd coefficients cancel to rounding, so its
+    # own majorant sum |a_k| |r|^k is too small for p's and q's roots
+    rts = np.linspace(0.95, 0.99, 7)
+    p, q = Polynomial(np.poly(rts)), Polynomial(np.poly(-rts))
+    p.roots(), q.roots()
+    pq = p * q
+    assert pq.degree == 14
+    assert any(abs(pq(r)) > polycore._horner_bound(pq.coeffs, abs(r))
+               for r in p.roots().flat + q.roots().flat)
+    solved.clear()
+    rs = pq.roots()
+    assert solved == [pq]
+    assert rs == poly_roots(pq) and rs.total == 14

@@ -286,6 +286,21 @@ def test_analyze_and_synth_factor_the_plant_once(solved):
                     if p is g.num or p is g.den]) == after_analyze
 
 
+def test_synthesis_solves_only_the_closed_loop(solved):
+    # the loop L = g f takes its poles and zeros from g's cached roots and
+    # f's first-order (or constant) factors; only den(L) - num(L) is solved
+    for num, den in ((FHN_G.num.coeffs, FHN_G.den.coeffs),
+                     ([0.4, 0.1], np.convolve([1.0, -1.5], [1.0, 0.2]))):
+        g = RationalTF(num, den)
+        exact_rir_analyze(g)
+        solved.clear()
+        f = synth_marginal_perturbation(g)
+        char = g.den * f.den - g.num * f.num
+        assert char.degree == g.den.degree + f.den.degree
+        assert [p for p in solved if p.degree > 1] == [char]
+        assert sum(p.degree == 1 for p in solved) == 2 * f.den.degree
+
+
 def _count_classify(monkeypatch) -> list:
     calls = []
     real = rir.classify
