@@ -12,12 +12,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import DegenerateCrossingError, PreconditionError
 from .polycore import RootSet, _horner_bound, poly_eval
 from .transfer import (
     RationalTF,
+    _chebval,
     _dlog,
     _gain_rate,
     _log_slope,
@@ -93,15 +93,16 @@ def _sin_series(L: RationalTF, radius: float):
     n = max(len(L.num.coeffs), len(L.den.coeffs))
 
     def weighted(coeffs):
-        c = radius ** np.arange(len(coeffs)) * np.asarray(coeffs)[::-1]
-        return np.concatenate((c, np.zeros(n - len(c)))) / np.max(np.abs(c))
-
-    def u_series(a, b, sign):
-        r = np.correlate(a, b, "full")
-        return _u_to_t(r[n:] + sign * r[:n - 1][::-1])
+        c = radius ** np.arange(len(coeffs)) * np.array(coeffs[::-1])
+        out = np.zeros(n)
+        out[:len(c)] = c / max(map(abs, c.tolist()))
+        return out
 
     a, b = weighted(L.num.coeffs), weighted(L.den.coeffs)
-    return u_series(a, b, -1.0), u_series(np.abs(a), np.abs(b), 1.0)
+    r = np.correlate(a, b, "full")
+    ra = np.correlate(np.abs(a), np.abs(b), "full")
+    return (_u_to_t(r[n:] - r[:n - 1][::-1]),
+            _u_to_t(ra[n:] + ra[:n - 1][::-1]))
 
 
 def crossing_counts(L: RationalTF, spec: ContourSpec,
@@ -131,12 +132,13 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
             r_eval = 1.0 / (1.0 - epsilon)
 
     v = _trim_to_rounding(*_sin_series(L, r_eval))
-    if not v.size:  # L is real, hence constant, on the contour
+    if not v:  # L is real, hence constant, on the contour
         return CrossingReport(nu_plus=0, nu_minus=0, nu_o=0,
                               encirclements_cw=0)
     pts, mids = _partition(v)
-    # sign of Im L at the midpoints in (0, pi); odd in omega
-    im_sign = -np.sign(cheb.chebval(np.cos(mids), v))
+    # sign of Im L = -sin(omega) V / |den|^2 at the midpoints in (0, pi)
+    im_sign = [(y < 0.0) - (y > 0.0)
+               for y in (_chebval(x, v) for x in np.cos(mids).tolist())]
 
     def im_rate(w):
         z = r_eval * complex(np.exp(-1j * w))

@@ -7,12 +7,13 @@ unstable single-peak classes used by the instability-radius analysis.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import (
     ImproperTransferError,
@@ -20,7 +21,7 @@ from .errors import (
     PoleOnCircleError,
     ZeroOnCircleError,
 )
-from .polycore import Polynomial, from_roots, poly_eval
+from .polycore import Polynomial, _horner_bound, from_roots, poly_eval
 
 __all__ = [
     "RationalTF",
@@ -45,6 +46,7 @@ CANCEL_TOL = 1e-8
 CIRCLE_TOL = 1e-9
 UNIQUENESS_MARGIN = 1e-6
 BOUNDARY_BAND = 1e-12  # an omega this close to 0 or pi is a boundary frequency
+_SQRT_HALF = math.sqrt(0.5)
 
 G1_BOUNDARY = "G1_boundary"
 G2_INTERIOR = "G2_interior"
@@ -162,15 +164,20 @@ def at_boundary(omega: float) -> bool:
 
 
 def evaluate(g: RationalTF, z):
-    """num(z)/den(z); raises if z hits a pole."""
+    """num(z)/den(z).
+
+    Raises ``PoleOnCircleError`` where den(z) is zero to within Horner's
+    rounding bound, which scales with den's coefficients.
+    """
     dv = poly_eval(g.den, z)
     if np.isscalar(dv) or dv.ndim == 0:
-        if abs(dv) < 1e-300:
-            raise ZeroDivisionError(f"evaluation at a pole: z={z}")
+        if abs(dv) <= _horner_bound(g.den.coeffs, abs(z)):
+            raise PoleOnCircleError(f"evaluation at a pole: z={z}")
         return poly_eval(g.num, z) / dv
-    if np.any(np.abs(dv) < 1e-300):
-        bad = np.asarray(z)[np.abs(dv) < 1e-300]
-        raise ZeroDivisionError(f"evaluation at a pole: z={bad[0]}")
+    hit = np.abs(dv) <= _horner_bound(g.den.coeffs, np.abs(z))
+    if np.any(hit):
+        raise PoleOnCircleError(
+            f"evaluation at a pole: z={np.asarray(z)[hit][0]}")
     return poly_eval(g.num, z) / dv
 
 
@@ -235,8 +242,15 @@ def _log_curvature(g: RationalTF, z):
 
 def _dlog(g: RationalTF, omega):
     """d/domega log g(e^{j omega}) = A'(omega) + j theta'(omega), from the
-    cached factors as j z (sum 1/(z - z_i) - sum 1/(z - p_i))."""
-    z = np.exp(1j * np.asarray(omega, dtype=float))
+    cached factors as j z (sum 1/(z - z_i) - sum 1/(z - p_i)).
+
+    At one frequency (a Python or numpy float) z comes from ``cmath.exp``, so
+    the sum runs in Python complex arithmetic and returns a complex.
+    """
+    if isinstance(omega, (int, float)):
+        z = cmath.exp(1j * omega)
+    else:
+        z = np.exp(1j * np.asarray(omega, dtype=float))
     return 1j * z * _log_slope(g, z)
 
 
@@ -254,17 +268,23 @@ def _unwrapped_phase(g: RationalTF, omega: float) -> float:
         raise ZeroOnCircleError("phase undefined: g is identically zero")
     zeros, poles = g.zeros(), g.poles()
     if any(abs(abs(r) - 1.0) < CIRCLE_TOL
-           and abs(np.angle(r)) <= abs(omega) + CIRCLE_TOL for r in zeros):
+           and abs(cmath.phase(r)) <= abs(omega) + CIRCLE_TOL for r in zeros):
         raise ZeroOnCircleError(f"zero on the unit circle within [0, {omega}]")
-    r = np.array(zeros + poles, dtype=complex)
-    inside = np.abs(r) <= 1.0
-    u = r.copy()
-    u[~inside] = 1.0 / u[~inside]
-    terms = (np.angle(1.0 - u * np.exp(np.where(inside, -1j, 1j) * omega))
-             - np.angle(1.0 - u) + inside * omega)
-    terms[len(zeros):] *= -1.0
-    flips = (g.num.coeffs[0] * g.den.coeffs[0] < 0.0) + np.sum(r.real > 1.0)
-    return math.pi * (flips % 2) + float(np.sum(terms))
+    back = cmath.exp(-1j * omega)  # e^{-j omega}
+    flips = (g.num.coeffs[0] < 0.0) != (g.den.coeffs[0] < 0.0)
+    total = 0.0
+    for sign, roots in ((1.0, zeros), (-1.0, poles)):
+        for r in roots:
+            flips += r.real > 1.0
+            if abs(r) <= 1.0:
+                term = (cmath.phase(1.0 - r * back) - cmath.phase(1.0 - r)
+                        + omega)
+            else:
+                u = 1.0 / r
+                term = (cmath.phase(1.0 - u * back.conjugate())
+                        - cmath.phase(1.0 - u))
+            total += sign * term
+    return math.pi * (flips % 2) + total
 
 
 def logderiv(g: RationalTF, omega: float) -> DerivativeSample:
@@ -273,26 +293,29 @@ def logderiv(g: RationalTF, omega: float) -> DerivativeSample:
     The phase and both rates come in closed form from the cached poles and
     zeros; the phase is continuous from omega = 0.
     """
-    phase = _unwrapped_phase(g, float(omega))  # rejects a zero at omega
-    value = evaluate(g, complex(np.exp(1j * omega)))
-    q = complex(_dlog(g, omega))
+    omega = float(omega)
+    phase = _unwrapped_phase(g, omega)  # rejects a zero at omega
+    value = evaluate(g, cmath.exp(1j * omega))
+    q = _dlog(g, omega)
     return DerivativeSample(
-        omega=float(omega),
+        omega=omega,
         value=value,
         gain_log=float(np.log(abs(value))),
         phase=phase,
-        gain_rate=float(q.real),
-        phase_rate=float(q.imag),
+        gain_rate=q.real,
+        phase_rate=q.imag,
     )
 
 
 def _u_to_t(c):
-    """sum c_n U_n in T: U_n = 2 (T_n + T_{n-2} + ...), less T_0 for even n."""
-    t = np.array(c, dtype=float)
+    """sum c_n U_n in T, as a list: U_n = 2 (T_n + T_{n-2} + ...), less T_0
+    for even n."""
+    t = c.tolist()
     for j in range(len(t) - 3, -1, -1):
         t[j] += t[j + 2]
-    t *= 2.0
-    t[:1] *= 0.5
+    t = [2.0 * x for x in t]
+    if t:
+        t[0] *= 0.5
     return t
 
 
@@ -302,37 +325,72 @@ def _stationary_series(g: RationalTF):
     The autocorrelations p, q of the coefficients, scaled to unit max, are P
     and Q as Laurent series over the lags k, so sin(omega) S = P Q_omega -
     Q P_omega = 2 sum_{m>=1} c_m sin(m omega), c = (k p) * q - p * (k q)."""
-    a, b = (np.asarray(c) / np.max(np.abs(c))
-            for c in (g.num.coeffs, g.den.coeffs))
+    num, den = g.num.coeffs, g.den.coeffs
+    a = np.array(num) / max(map(abs, num))
+    b = np.array(den) / max(map(abs, den))
+    aa, ba = np.abs(a), np.abs(b)
     ka, kb = np.arange(1 - len(a), len(a)), np.arange(1 - len(b), len(b))
-    p, q, pa, qa = (np.correlate(x, x, "full")
-                    for x in (a, b, np.abs(a), np.abs(b)))
+    p, q = np.correlate(a, a, "full"), np.correlate(b, b, "full")
+    pa, qa = np.correlate(aa, aa, "full"), np.correlate(ba, ba, "full")
     c = np.convolve(ka * p, q) - np.convolve(p, kb * q)
     ca = np.convolve(np.abs(ka) * pa, qa) + np.convolve(pa, np.abs(kb) * qa)
-    return tuple(_u_to_t(2.0 * x[len(x) // 2 + 1:]) for x in (c, ca))
+    m = len(c) // 2 + 1
+    return _u_to_t(2.0 * c[m:]), _u_to_t(2.0 * ca[m:])
 
 
-def _trim_to_rounding(c, majorant):
+def _trim_to_rounding(c, majorant) -> list:
     """Drop trailing coefficients within the rounding bound of their
     majorant (the same series on absolute values, of equal length)."""
-    n = len(c)
-    keep = np.nonzero(np.abs(c) > 8.0 * n * np.finfo(float).eps * majorant)[0]
-    return c[:keep[-1] + 1] if keep.size else c[:0]
+    tol = 8.0 * len(c) * sys.float_info.epsilon
+    k = len(c)
+    while k and not abs(c[k - 1]) > tol * majorant[k - 1]:
+        k -= 1
+    return list(c[:k])
 
 
-def _partition(series):
-    """0, pi and arccos of the real part of every root of ``series`` in
-    (-1, 1), ascending, with the midpoints between neighbours.
+def _partition(c):
+    """0, pi and arccos of the real part of every root in (-1, 1) of the
+    Chebyshev series c, ascending, with the midpoints between neighbours,
+    as lists.
 
+    The roots are the eigenvalues of the rotated scaled colleague matrix,
+    built entry for entry as numpy's ``chebroots`` builds it
+    (``chebcompanion(c)[::-1, ::-1]``), so they are chebroots' roots; c's
+    last coefficient must be nonzero, as ``_trim_to_rounding`` leaves it.
     A root's real part is kept whatever its imaginary part: an extra point
     only splits an interval, so no real root near the axis is lost.
     """
-    x = cheb.chebroots(series).real
-    pts = np.sort(np.concatenate(
-        ([0.0, np.pi], np.arccos(x[(x > -1.0) & (x < 1.0)]))))
-    # np.unique would import numpy.ma on first use
-    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
-    return pts, 0.5 * (pts[:-1] + pts[1:])
+    n = len(c) - 1
+    if n > 1:
+        m = np.zeros((n, n))
+        flat = m.reshape(-1)
+        off = [0.5] * (n - 2) + [_SQRT_HALF]
+        flat[1::n + 1] = off  # super- and subdiagonal
+        flat[n::n + 1] = off
+        # chebcompanion's last column, c_k / c_n scaled, reversed
+        m[:, 0] -= ([a / c[-1] * 0.5 for a in c[-2:0:-1]]
+                    + [c[0] / c[-1] * (1.0 / _SQRT_HALF) * 0.5])
+        x = np.linalg.eigvals(m).real.tolist()
+    else:
+        x = [-c[0] / c[1]] if n else []
+    inner = np.arccos([v for v in x if -1.0 < v < 1.0]).tolist()
+    pts = [0.0]
+    for w in sorted(inner + [math.pi]):
+        if w != pts[-1]:
+            pts.append(w)
+    return pts, [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+
+
+def _chebval(x: float, c: list) -> float:
+    """sum c_k T_k(x) by Clenshaw's recurrence, in ``chebval``'s order of
+    operations (so with its rounding)."""
+    if len(c) < 3:
+        return c[0] + (c[1] if len(c) == 2 else 0.0) * x
+    x2 = 2.0 * x
+    c0, c1 = c[-2], c[-1]
+    for a in c[-3::-1]:
+        c0, c1 = a - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _newton_root(f, neg: float, pos: float, x: float) -> float:
@@ -367,7 +425,7 @@ def _newton_root(f, neg: float, pos: float, x: float) -> float:
 
 def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
     """A'(omega) and A''(omega) from the cached factors."""
-    z = complex(np.exp(1j * omega))
+    z = cmath.exp(1j * omega)
     u = _log_slope(g, z)
     return (float((1j * z * u).real),
             float((-z * (u + z * _log_curvature(g, z))).real))
@@ -389,12 +447,12 @@ def linf_norm(g: RationalTF) -> LinfResult:
     if g.num.is_zero:
         return LinfResult(0.0, 0.0, False)
     s = _trim_to_rounding(*_stationary_series(g))
-    if not s.size:
+    if not s:
         # all-pass or constant: no stationary point beyond rounding
         return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)
 
     pts, mids = _partition(s)
-    rate = np.real(_dlog(g, mids))
+    rate = [_dlog(g, w).real for w in mids]
     peaks = [_newton_root(lambda w: _gain_rate(g, w), neg=mids[i],
                           pos=mids[i - 1], x=pts[i])
              for i in range(1, len(pts) - 1)

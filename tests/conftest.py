@@ -185,6 +185,48 @@ def reference_stationary_series(g: RationalTF):
     return tuple(np.pad(x, (0, n - len(x))) for x in (s, majorant))
 
 
+def random_series(rng, n: int):
+    """n seeded coefficients whose magnitudes spread over e^-5 to e^5."""
+    return (rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n))).tolist()
+
+
+def reference_partition(series):
+    """Oracle for ``transfer._partition``: the split points and midpoints
+    from ``chebroots``, as the analysis computed them before it built the
+    colleague matrix itself."""
+    x = cheb.chebroots(series).real
+    pts = np.sort(np.concatenate(
+        ([0.0, np.pi], np.arccos(x[(x > -1.0) & (x < 1.0)]))))
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    return pts, 0.5 * (pts[:-1] + pts[1:])
+
+
+def reference_u_to_t(c):
+    """Oracle for ``transfer._u_to_t``: the in-place loop on an array."""
+    t = np.array(c, dtype=float)
+    for j in range(len(t) - 3, -1, -1):
+        t[j] += t[j + 2]
+    t *= 2.0
+    t[:1] *= 0.5
+    return t
+
+
+def reference_unwrapped_phase(g: RationalTF, omega: float) -> float:
+    """Oracle for ``transfer._unwrapped_phase``: the same closed form over
+    the cached factors in numpy complex arrays, as it was computed before
+    it moved to Python complex arithmetic."""
+    zeros, poles = g.zeros(), g.poles()
+    r = np.array(zeros + poles, dtype=complex)
+    inside = np.abs(r) <= 1.0
+    u = r.copy()
+    u[~inside] = 1.0 / u[~inside]
+    terms = (np.angle(1.0 - u * np.exp(np.where(inside, -1j, 1j) * omega))
+             - np.angle(1.0 - u) + inside * omega)
+    terms[len(zeros):] *= -1.0
+    flips = (g.num.coeffs[0] * g.den.coeffs[0] < 0.0) + np.sum(r.real > 1.0)
+    return math.pi * (flips % 2) + float(np.sum(terms))
+
+
 def reference_fig1_rows(model: FHNModel) -> list[tuple[float, float]]:
     """The Fig. 1 sweep as fhn_search_eo computed it inline before it
     became fhn_inv_norm_sweep: e from -0.25 by repeated += 0.005."""

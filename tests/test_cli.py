@@ -122,16 +122,38 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-def test_analyze_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma on first use, ~15 ms of a fresh process
+def _analyze_loads(module: str) -> str:
+    """Exit code of ``analyze`` on the printed plant in a fresh process, and
+    whether it left ``module`` in ``sys.modules``."""
     env = {**os.environ, "PYTHONPATH": str(Path(rirkit.__file__).parents[1])}
     probe = ("import sys, rirkit.cli; "
              "code = rirkit.cli.main(['analyze', '--input', sys.argv[1]]); "
-             "print(code, 'numpy.ma' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe, FHN_G_JSON], env=env,
-                         check=True, capture_output=True, text=True,
+             "print(code, sys.argv[2] in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, FHN_G_JSON, module],
+                         env=env, check=True, capture_output=True, text=True,
                          timeout=60).stdout
-    assert out.splitlines()[-1] == "0 False"
+    return out.splitlines()[-1]
+
+
+def test_analyze_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, ~15 ms of a fresh process
+    assert _analyze_loads("numpy.ma") == "0 False"
+
+
+def test_analyze_does_not_import_numpy_polynomial():
+    # the peak search builds its colleague matrix and Clenshaw sums itself
+    assert _analyze_loads("numpy.polynomial") == "0 False"
+
+
+@pytest.mark.parametrize("scale", [1e-301, 1e300])
+def test_analyze_common_scale_gets_the_unscaled_verdict(capsys, scale):
+    # 1/(z - 2) with num and den scaled alike; |den| at 1e-301 is no pole
+    plant = json.dumps({"num": [scale], "den": [scale, -2.0 * scale]})
+    code, out = run_cli(capsys, ["analyze", "--input", plant])
+    assert code == 0
+    v = json.loads(out)["verdict"]
+    assert (v["class"], v["status"], v["lower_bound"]) == (
+        "G1_boundary", "exact_sufficient", 1.0)
 
 
 def test_analyze_missing_input_file_exit_2(tmp_path, capsys):

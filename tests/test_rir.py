@@ -162,6 +162,26 @@ def test_analyze_gain_scaling(s):
         assert abs(v.lower_bound * s / ref.lower_bound - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("s", [1e-301, 1e300])
+def test_analyze_common_scale_of_num_and_den(s):
+    # s num / (s den) is the same plant: the pole guard of evaluate and the
+    # sign of the leading ratio in the phase must not read the scale
+    g = RationalTF([s], [s, -2.0 * s])
+    v = exact_rir_analyze(g)
+    assert (v.class_tag.class_name, v.status) == (G1_BOUNDARY, EXACT_SUFFICIENT)
+    assert v.lower_bound == 1.0
+    for num, den in ((FHN_G.num.coeffs, FHN_G.den.coeffs),
+                     ([-c for c in FHN_G.num.coeffs], FHN_G.den.coeffs)):
+        ref = exact_rir_analyze(RationalTF(num, den))
+        g = RationalTF([s * c for c in num], [s * c for c in den])
+        v = exact_rir_analyze(g)
+        assert v.status == ref.status
+        assert v.class_tag.class_name == ref.class_tag.class_name
+        # the printed plant's poles near 1 solve to ~1e-11 either way
+        assert abs(v.theta_p - ref.theta_p) <= 1e-9
+        assert abs(v.lower_bound / ref.lower_bound - 1.0) <= 1e-9
+
+
 def test_analyze_maglev_not_exact():
     from rirkit.casestudies import MaglevParams, maglev_zoh
     g = maglev_zoh(MaglevParams(k=1, p=1, tau=0.1, T=0.01))

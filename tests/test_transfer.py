@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy.polynomial import chebyshev as cheb
+
 from conftest import (
     dense_peak,
     dense_phase,
+    random_series,
     random_tf,
+    reference_partition,
     reference_stationary_series,
+    reference_u_to_t,
+    reference_unwrapped_phase,
 )
 import rirkit.transfer as transfer
 from rirkit.errors import (
@@ -25,8 +31,12 @@ from rirkit.transfer import (
     G2_INTERIOR,
     GN_OTHER,
     RationalTF,
+    _chebval,
     _dlog,
+    _partition,
     _stationary_series,
+    _trim_to_rounding,
+    _u_to_t,
     _unwrapped_phase,
     cancel_common_roots,
     classify,
@@ -65,8 +75,10 @@ def test_evaluate_printed_plant_at_one():
 
 def test_evaluate_at_pole_raises():
     g = RationalTF([1.0], [1.0, -2.0])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(PoleOnCircleError):
         evaluate(g, 2.0 + 0j)
+    with pytest.raises(PoleOnCircleError):
+        evaluate(g, np.array([0.5, 2.0 + 0j]))
 
 
 def test_improper_rejected():
@@ -294,6 +306,83 @@ def test_analysis_needs_no_chebyshev_series_algebra(monkeypatch, fhn_chain):
         synth_marginal_perturbation(g)
 
 
+def test_partition_is_chebroots_bit_for_bit():
+    # the colleague matrix built in place gives chebroots' roots exactly,
+    # numpy's 1- and 2-term cases included
+    rng = np.random.default_rng(20)
+    for n in range(1, 31):
+        for _ in range(40):
+            c = random_series(rng, n)
+            pts, mids = _partition(c)
+            want_pts, want_mids = reference_partition(c)
+            assert np.array_equal(pts, want_pts)
+            assert np.array_equal(mids, want_mids)
+
+
+def test_clenshaw_is_chebval_bit_for_bit():
+    rng = np.random.default_rng(21)
+    x = np.cos(rng.uniform(0.0, np.pi, 16))
+    for n in (1, 2, 3, 5, 12, 30):
+        for _ in range(20):
+            c = random_series(rng, n)
+            got = [_chebval(v, c) for v in x.tolist()]
+            assert np.array_equal(got, cheb.chebval(x, c))
+
+
+def test_u_to_t_is_the_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for n in range(0, 31):
+        c = np.array(random_series(rng, n))
+        assert np.array_equal(_u_to_t(c), reference_u_to_t(c))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=-4.0, max_value=4.0))
+@settings(max_examples=60, deadline=None)
+def test_phase_in_scalar_arithmetic_matches_numpy_formula(seed, omega):
+    rng = np.random.default_rng(seed)
+    n_stable, n_unstable = int(rng.integers(0, 5)), int(rng.integers(0, 3))
+    g = random_tf(rng, n_stable=n_stable, n_unstable=n_unstable,
+                  n_zeros=int(rng.integers(0, n_stable + n_unstable + 1)))
+    assert abs(_unwrapped_phase(g, omega)
+               - reference_unwrapped_phase(g, omega)) <= 1e-12
+
+
+def test_peak_search_solves_each_series_once(monkeypatch):
+    # one eigensolve per series of three or more terms, roots cached first
+    import rirkit.nyquist as nyquist
+
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    def solves(series):
+        return [(len(series) - 1,) * 2] if len(series) >= 3 else []
+
+    rng = np.random.default_rng(23)
+    plants = [FHN_G] + [random_tf(rng, n_stable=3, n_unstable=2, n_zeros=2)
+                        for _ in range(5)]
+    sizes = []
+    for g in plants:
+        g.poles(), g.zeros()
+        s = _trim_to_rounding(*_stationary_series(g))
+        v = _trim_to_rounding(*nyquist._sin_series(g, 1.0))
+        sizes.append((len(s), len(v)))
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        calls.clear()
+        linf_norm(g)
+        assert calls == solves(s)
+        calls.clear()
+        nyquist.crossing_counts(g, nyquist.ContourSpec())
+        assert calls == solves(v)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    # the printed plant's V has two terms; the random plants need both solves
+    assert sizes[0][1] == 2 and min(min(z) for z in sizes[1:]) >= 3
+
+
 def test_peaks_and_crossings_evaluate_few_points(monkeypatch, fhn_chain):
     # roots, not grids: no polynomial evaluation inside linf_norm or
     # crossing_counts sees more than a handful of points
@@ -391,6 +480,16 @@ def test_closed_form_phase_matches_dense_unwrap(seed, omega):
     g = random_tf(rng, n_stable=n_stable, n_unstable=n_unstable,
                   n_zeros=int(rng.integers(0, n_stable + n_unstable + 1)))
     assert abs(_unwrapped_phase(g, omega) - dense_phase(g, omega)) < 1e-9
+
+
+def test_single_frequency_results_are_python_floats():
+    from rirkit.rir import exact_rir_analyze
+
+    v = exact_rir_analyze(FHN_G)
+    w = v.class_tag.peak_omega
+    for x in (v.theta_p, v.theta_rate, v.lower_bound,
+              logderiv(FHN_G, w).phase, _unwrapped_phase(FHN_G, w)):
+        assert type(x) is float
 
 
 def test_phase_rejects_circle_zero_only_inside_the_path():

@@ -11,14 +11,17 @@ running this on both and comparing the output.
 
 ``--against FILE`` compares this checkout's records with FILE, an earlier
 run's output, and prints one JSON line per section and field: how many
-records differ, how many of those differ in structure (text, flags or the
-count of numbers, not only in digits), how many change ``status``,
-``class``, ``n_unstable``, ``pip`` or ``peak_unique``, and, per numeric
-field, the largest relative and absolute difference.  A numeric field is
-named by the nearest ``name=`` or ``"name":`` before the number in the
-record's text (``verdict.lower_bound``), or by the record field alone
-(``poles``); complex numbers compare as one value.  One last line per
-section gives both hashes.
+records differ once numpy scalar wrappers are stripped from both texts
+(``np.float64(x)`` reads as ``x`` and ``np.True_`` as ``True``; the
+printed records and hashes keep them), how many of those differ in
+structure (text, flags or the count of numbers, not only in digits), how
+many change ``status``, ``class``, ``n_unstable``, ``pip`` or
+``peak_unique``, and, per numeric field, the largest relative and absolute
+difference.  A numeric field is named by the nearest ``name=`` or
+``"name":`` before the number in the record's text
+(``verdict.lower_bound``), or by the record field alone (``poles``);
+complex numbers compare as one value.  One last line per section gives
+both hashes.
 
 Sections:
 
@@ -149,8 +152,15 @@ def _numbers(text: str):
     return found, NUMBER.sub("#", text)
 
 
+# the repr of a numpy scalar: np.float64(x), np.int64(n), np.True_, ...
+NUMPY_SCALAR = re.compile(
+    r"np\.(?:float|int|uint|complex)\d+\(([^()]*)\)|np\.(True|False)_")
+
+
 def _text(value) -> str:
-    return value if isinstance(value, str) else json.dumps(value)
+    """The field as text, with numpy scalar wrappers stripped."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    return NUMPY_SCALAR.sub(lambda m: m.group(1) or m.group(2), text)
 
 
 def _decisions(text: str) -> dict:
