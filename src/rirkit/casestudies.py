@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, SynthesisVerificationError
-from .polycore import Polynomial, _horner_bound, from_roots
+from .polycore import Polynomial, _horner_bound, _quadratic_roots, from_roots
 from .rir import (
     EXACT_SUFFICIENT,
     exact_rir_analyze,
@@ -37,8 +37,6 @@ __all__ = [
     "maglev_zoh",
     "maglev_partial_fraction",
     "highpass",
-    "highpass_gain_rate",
-    "highpass_phase_rate",
     "maglev_upper_bound",
     "fhn_fixed_point",
     "fhn_linearize",
@@ -202,23 +200,6 @@ def highpass(a: float, b: float) -> RationalTF:
     return f
 
 
-def _hp_denominator(a: float, b: float, omega):
-    return (3.0 * a**2 * b**2 + a**2 + b**2 + 3.0
-            + 4.0 * (1.0 - a**2 * b**2) * np.cos(omega)
-            + (1.0 - a**2 - b**2 + a**2 * b**2) * np.cos(2.0 * omega))
-
-
-def highpass_gain_rate(a: float, b: float, omega):
-    """Closed-form log-gain rate of the high-pass compensator."""
-    return 2.0 * (b**2 - a**2) * np.sin(omega) / _hp_denominator(a, b, omega)
-
-
-def highpass_phase_rate(a: float, b: float, omega):
-    """Closed-form phase change rate of the high-pass compensator."""
-    return (2.0 * (b - a) * ((1.0 - a * b) + (1.0 + a * b) * np.cos(omega))
-            / _hp_denominator(a, b, omega))
-
-
 def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
     """Reciprocal-radius bound ratio from high-pass compensation.
 
@@ -245,9 +226,9 @@ def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
         - P**2)
     if abar <= 0.0:
         raise SynthesisVerificationError(f"abar = {abar} not positive")
-    # the closed-form rate expressions cancel at a^2 b^2 scale for the
-    # large compensator parameters this bound produces, so the check
-    # evaluates the compensator rates from its transfer function
+    # the compensator's closed-form rates in cos omega cancel at a^2 b^2
+    # scale for the large parameters this bound produces, so the check
+    # evaluates its rates from its transfer function
     a = abar * (1.0 - 1e-6)
     fh = highpass(a, a + P)
     # A' of g fh is Re(j z (g'/g + fh'/fh)); j z is formed once for both
@@ -287,10 +268,10 @@ def _fhn_x_update(model: FHNModel, x: float, y_eff: float) -> float:
 def fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
     """Fixed point of the map with DC perturbation gain e.
 
-    Solves the scalar equation in xbar (ybar is eliminated) by Newton
-    iteration from several starts; with multiple solutions the branch
-    continuous with the unperturbed fixed point is selected.  The map's
-    residual there must not exceed 1e-12.
+    Newton iteration on the cubic phi(xbar) = 0 (ybar is eliminated) from
+    the first of several starts that converges, then from the real roots of
+    phi deflated by that root; the branch continuous with the unperturbed
+    fixed point is selected.  The map's residual there must not exceed 1e-12.
     """
     A, D, alpha, current = model.A, model.D, model.alpha, model.current
     gain = (1.0 + e) * D
@@ -298,33 +279,30 @@ def fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
     def phi(x):
         return x - x**3 / 3.0 - gain * (x + alpha) + current
 
-    def dphi(x):
-        return 1.0 - x**2 - gain
-
-    roots: list[float] = []
-    for x0 in (-2.0, -1.0, 0.0, 1.0):
-        x = x0
-        ok = False
+    def newton(x):
         for _ in range(200):
-            d = dphi(x)
+            d = 1.0 - x**2 - gain  # phi'(x)
             if abs(d) < 1e-14:
-                break
+                return None
             step = phi(x) / d
             x -= step
             if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                ok = True
-                break
-        if ok and abs(phi(x)) < 1e-10 and all(abs(x - r) > 1e-8 for r in roots):
-            roots.append(x)
-    if not roots:
+                return x if abs(phi(x)) < 1e-10 else None
+        return None
+
+    r = next((x for x in map(newton, (-2.0, -1.0, 0.0, 1.0)) if x is not None),
+             None)
+    if r is None:
         raise PreconditionError(f"no fixed point found for e={e}")
-    if e == 0.0:
-        xbar = min(roots, key=lambda r: abs(r + 1.0))
-    elif len(roots) == 1:
-        xbar = roots[0]
-    else:
-        ref = fhn_fixed_point(model, 0.0).xbar
-        xbar = min(roots, key=lambda r: abs(r - ref))
+    roots = [r]
+    # phi / (x - r) = -x^2/3 - (r/3) x + 1 - gain - r^2/3
+    for z in _quadratic_roots(-1.0 / 3.0, -r / 3.0, 1.0 - gain - r * r / 3.0):
+        x = newton(z) if isinstance(z, float) else None
+        if x is not None and all(abs(x - q) > 1e-8 for q in roots):
+            roots.append(x)
+    ref = (-1.0 if e == 0.0 or len(roots) == 1
+           else fhn_fixed_point(model, 0.0).xbar)
+    xbar = min(roots, key=lambda r: abs(r - ref))
     ybar = D * (xbar + alpha)
     resid = abs(_fhn_x_update(model, xbar, (1.0 + e) * ybar) - xbar)
     if resid > 1e-12:

@@ -8,13 +8,14 @@ certify them, and a diagnostic warning is attached where the two disagree.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCrossingError, PreconditionError
-from .polycore import RootSet, _horner_bound, poly_eval
+from .polycore import Polynomial, RootSet, _horner_bound, poly_eval
 from .transfer import (
     RationalTF,
     _chebval,
@@ -155,12 +156,15 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
             found.append((w, up, 2))
     w = np.array([f[0] for f in found])
     z = r_eval * np.exp(-1j * w)
-    dv = poly_eval(L.den, z)
-    vals = poly_eval(L.num, z) / dv
+    # num and den on one exact power-of-two scale: den(z) may be subnormal
+    shift = -math.frexp(max(map(abs, L.num.coeffs + L.den.coeffs)))[1]
+    num, den = ([math.ldexp(c, shift) for c in p.coeffs]
+                for p in (L.num, L.den))
+    dv = poly_eval(Polynomial(den), z)
+    vals = poly_eval(Polynomial(num), z) / dv
     # Horner's rounding bound on each quotient
-    rounding = (_horner_bound(L.num.coeffs, r_eval)
-                + np.abs(vals) * _horner_bound(L.den.coeffs, r_eval)
-                ) / np.abs(dv)
+    rounding = (_horner_bound(num, r_eval)
+                + np.abs(vals) * _horner_bound(den, r_eval)) / np.abs(dv)
 
     nu_plus = nu_minus = 0
     for (phi, up, count), val, tol in zip(found, vals, rounding):

@@ -1,9 +1,9 @@
 """Real-coefficient polynomial arithmetic and complex root finding.
 
 Coefficients are stored in descending powers of z (leading first).  Roots
-are the eigenvalues of the balanced companion matrix, each polished by one
-Newton step on the polynomial's own coefficients; a product of two
-polynomials takes its factors' roots where they are its own to rounding.
+come in closed form to degree 2 and as companion-matrix eigenvalues past it,
+each polished by one Newton step on the polynomial's own coefficients; a
+product takes its factors' roots where they are its own to rounding.
 """
 
 from __future__ import annotations
@@ -215,16 +215,29 @@ def _cluster(roots: list[complex], tol: float):
     return centers, counts
 
 
+def _quadratic_roots(a: float, b: float, c: float):
+    """Both roots of a x^2 + b x + c, a nonzero, free of cancellation: the
+    floats q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2 (q = 0 only
+    at the double root 0), or for a negative discriminant an exact
+    conjugate pair of complex numbers (Higham 2002, section 1.8)."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        re, im = -b / (2.0 * a), math.sqrt(-disc) / abs(2.0 * a)
+        return complex(re, im), complex(re, -im)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (q / a, c / q) if q != 0.0 else (0.0, 0.0)
+
+
 def poly_roots(p: Polynomial) -> RootSet:
     """All complex roots of p, clustered by multiplicity.
 
-    The roots are the eigenvalues of the balanced companion matrix that
-    ``np.roots`` builds (LAPACK, backward stable up to coefficient scaling),
-    a degree-1 root -c1/c0 directly and a trailing zero coefficient an exact
-    root at 0.  One Newton step on p's own coefficients, in Python complex
-    arithmetic, brings each to Horner's rounding floor.  Both run on an
-    exact power-of-two rescaling, so subnormal p' cannot overflow the step.
-    The step is skipped where p or p' is exactly zero (zero and exact
+    Past degree 2 the roots are the eigenvalues of the balanced companion
+    matrix that ``np.roots`` builds (LAPACK, backward stable up to scaling);
+    degree 1 is -c1/c0, degree 2 ``_quadratic_roots``, and a trailing zero
+    coefficient an exact root at 0.  One Newton step on p's own coefficients,
+    in Python complex arithmetic, brings each to Horner's rounding floor.  Both
+    run on an exact power-of-two rescaling, so subnormal p' cannot overflow the
+    step.  The step is skipped where p or p' is exactly zero (zero and exact
     multiple roots).
     Raises ValueError for the zero polynomial (roots undefined).
     """
@@ -237,10 +250,12 @@ def poly_roots(p: Polynomial) -> RootSet:
     n = len(c)
     while c[n - 1] == 0.0:
         n -= 1
-    if n > 2:
+    if n > 3:
         companion = np.diag(np.ones(n - 2), -1)
         companion[0, :] = -np.array(c[1:n]) / c[0]
         z = np.linalg.eigvals(companion).tolist()
+    elif n == 3:
+        z = list(_quadratic_roots(*c[:3]))
     else:
         z = [-c[1] / c[0]] if n == 2 else []
     z += [0.0] * (len(c) - n)
@@ -262,11 +277,11 @@ def poly_roots(p: Polynomial) -> RootSet:
 def _root_set(p: Polynomial, z: list[complex], majorant):
     """Snap near-real roots to the axis and cluster approximate roots z of p.
 
-    Eigenvalues of a real matrix come in exact conjugate pairs (LAPACK's
-    real eigensolver), and the Newton step in ``poly_roots`` keeps them
-    exact, so only roots within CONJ_PAIR_TOL (1 + |z|) of the real axis
-    need symmetrizing.  Unless ``majorant`` is None, None comes back when a
-    cluster centre r has |p(r)| above ``_horner_bound(majorant, |r|)``.
+    Complex roots come in exact conjugate pairs from LAPACK's real eigensolver
+    and ``_quadratic_roots``, and the Newton step in ``poly_roots`` keeps them
+    exact, so only roots within CONJ_PAIR_TOL (1 + |z|) of the real axis need
+    symmetrizing.  Unless ``majorant`` is None, None comes back when a cluster
+    centre r has |p(r)| above ``_horner_bound(majorant, |r|)``.
     """
     z = [complex(r.real) if abs(r.imag) <= CONJ_PAIR_TOL * (1.0 + abs(r))
          else r for r in z]

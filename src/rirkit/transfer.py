@@ -21,7 +21,8 @@ from .errors import (
     PoleOnCircleError,
     ZeroOnCircleError,
 )
-from .polycore import Polynomial, _horner_bound, from_roots, poly_eval
+from .polycore import (Polynomial, _horner_bound, _quadratic_roots,
+                       from_roots, poly_eval)
 
 __all__ = [
     "RationalTF",
@@ -353,15 +354,17 @@ def _partition(c):
     Chebyshev series c, ascending, with the midpoints between neighbours,
     as lists.
 
-    The roots are the eigenvalues of the rotated scaled colleague matrix,
-    built entry for entry as numpy's ``chebroots`` builds it
-    (``chebcompanion(c)[::-1, ::-1]``), so they are chebroots' roots; c's
-    last coefficient must be nonzero, as ``_trim_to_rounding`` leaves it.
+    Past three terms the roots are the eigenvalues of the rotated scaled
+    colleague matrix, built as numpy's ``chebroots`` builds it, so they are
+    its roots; three terms c0 + c1 x + c2 T2 are 2 c2 x^2 + c1 x + c0 - c2,
+    solved by ``_quadratic_roots``.  c's last coefficient must be nonzero.
     A root's real part is kept whatever its imaginary part: an extra point
     only splits an interval, so no real root near the axis is lost.
     """
     n = len(c) - 1
-    if n > 1:
+    if n == 2:
+        x = [r.real for r in _quadratic_roots(2.0 * c[2], c[1], c[0] - c[2])]
+    elif n > 2:
         m = np.zeros((n, n))
         flat = m.reshape(-1)
         off = [0.5] * (n - 2) + [_SQRT_HALF]

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from rirkit.casestudies import FHNModel, Trajectory, fhn_fixed_point
+from rirkit.casestudies import (
+    FHNModel,
+    FixedPoint,
+    Trajectory,
+    _fhn_x_update,
+    fhn_fixed_point,
+)
 from rirkit.errors import PreconditionError
 from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import from_roots
@@ -142,6 +148,33 @@ def mp_gain(g: RationalTF, omega: float) -> float:
         return float(abs(num / den))
 
 
+def mp_quadratic_roots(a: float, b: float, c: float) -> list:
+    """Both roots of a z^2 + b z + c by ``mpmath.polyroots`` at 50 digits.
+
+    polyroots stops on an absolute step, so the larger root is moved to
+    unit size first: z = s w with s the power of two of max(|b/a|,
+    sqrt|c/a|), which is within a factor 4 of it.  That root is resolved to
+    50 digits, and Vieta's c/(a r) gives the other.
+    """
+    import mpmath
+
+    def exponent(v):
+        return math.frexp(v)[1]
+
+    with mpmath.workdps(50):
+        if c == 0.0:
+            return [mpmath.mpf(0), -mpmath.mpf(b) / a]
+        k = (exponent(c) - exponent(a)) // 2
+        if b != 0.0:
+            k = max(k, exponent(b) - exponent(a))
+        s = mpmath.ldexp(1, k)
+        a, b, c = (mpmath.mpf(v) for v in (a, b, c))
+        w = mpmath.polyroots([a * s * s, b * s, c], maxsteps=200,
+                             extraprec=100)
+        big = s * max(w, key=abs)
+        return [big, c / (a * big)]
+
+
 def dense_phase(g: RationalTF, omega: float, n: int = 20001) -> float:
     """Dense-sampling oracle for the continuous phase along [0, omega].
 
@@ -240,6 +273,49 @@ def reference_fig1_rows(model: FHNModel) -> list[tuple[float, float]]:
                      float(1.0 / linf_norm(fhn_linearize(model, e)).norm)))
         e += 0.005
     return rows
+
+
+def reference_fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
+    """Oracle for ``fhn_fixed_point``: a full Newton run from each of four
+    starts, as the fixed point was found before it deflated the cubic."""
+    A, D, alpha, current = model.A, model.D, model.alpha, model.current
+    gain = (1.0 + e) * D
+
+    def phi(x):
+        return x - x**3 / 3.0 - gain * (x + alpha) + current
+
+    def dphi(x):
+        return 1.0 - x**2 - gain
+
+    roots: list[float] = []
+    for x0 in (-2.0, -1.0, 0.0, 1.0):
+        x = x0
+        ok = False
+        for _ in range(200):
+            d = dphi(x)
+            if abs(d) < 1e-14:
+                break
+            step = phi(x) / d
+            x -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(x)):
+                ok = True
+                break
+        if ok and abs(phi(x)) < 1e-10 and all(abs(x - r) > 1e-8 for r in roots):
+            roots.append(x)
+    if not roots:
+        raise PreconditionError(f"no fixed point found for e={e}")
+    if e == 0.0:
+        xbar = min(roots, key=lambda r: abs(r + 1.0))
+    elif len(roots) == 1:
+        xbar = roots[0]
+    else:
+        ref = reference_fhn_fixed_point(model, 0.0).xbar
+        xbar = min(roots, key=lambda r: abs(r - ref))
+    ybar = D * (xbar + alpha)
+    resid = abs(_fhn_x_update(model, xbar, (1.0 + e) * ybar) - xbar)
+    if resid > 1e-12:
+        raise PreconditionError(f"fixed-point residual {resid} too large")
+    return FixedPoint(xbar=xbar, ybar=ybar, e=e, residual=resid)
 
 
 def _reference_df2t_steady_state(bcoef, acoef, u: float, w: float):

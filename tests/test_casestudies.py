@@ -7,7 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import mp_gain, reference_fhn_simulate, reference_fig1_rows
+from conftest import (
+    mp_gain,
+    reference_fhn_fixed_point,
+    reference_fhn_simulate,
+    reference_fig1_rows,
+)
 import rirkit.casestudies as casestudies
 from rirkit.casestudies import (
     FHNModel,
@@ -19,8 +24,6 @@ from rirkit.casestudies import (
     fhn_simulate,
     h_shaper,
     highpass,
-    highpass_gain_rate,
-    highpass_phase_rate,
     maglev_partial_fraction,
     maglev_upper_bound,
     maglev_zoh,
@@ -146,6 +149,23 @@ def test_highpass_unity_dc_and_stability():
     assert abs(evaluate(f, 1.0 + 0.0j) - 1.0) < 1e-15
 
 
+def _hp_denominator(a, b, omega):
+    return (3.0 * a**2 * b**2 + a**2 + b**2 + 3.0
+            + 4.0 * (1.0 - a**2 * b**2) * np.cos(omega)
+            + (1.0 - a**2 - b**2 + a**2 * b**2) * np.cos(2.0 * omega))
+
+
+def highpass_gain_rate(a, b, omega):
+    """Closed-form log-gain rate of ``highpass(a, b)``, the _dlog oracle."""
+    return 2.0 * (b**2 - a**2) * np.sin(omega) / _hp_denominator(a, b, omega)
+
+
+def highpass_phase_rate(a, b, omega):
+    """Closed-form phase rate of ``highpass(a, b)``, the _dlog oracle."""
+    return (2.0 * (b - a) * ((1.0 - a * b) + (1.0 + a * b) * np.cos(omega))
+            / _hp_denominator(a, b, omega))
+
+
 def test_highpass_phase_rate_at_zero():
     # substituting omega = 0 into the closed forms gives (b - a)/2
     for a, b in ((0.1, 0.2), (0.5, 1.7), (2.0, 3.5)):
@@ -260,6 +280,37 @@ def test_fixed_point_at_printed_eo():
     fp = fhn_fixed_point(FHNModel(), -0.1192)
     assert abs(fp.xbar - (-0.9389)) < 5e-4
     assert abs(fp.ybar - (-0.2986)) < 5e-4
+
+
+def test_fixed_point_is_the_four_start_search_bit_for_bit():
+    # one Newton run and a deflated quadratic give the first start's root
+    model = FHNModel()
+    for e in np.linspace(-0.5, 0.5, 401).tolist() + [0.0, -0.1194482421875]:
+        assert fhn_fixed_point(model, e) == reference_fhn_fixed_point(model, e)
+
+
+def test_fixed_point_takes_the_same_branch_among_three():
+    # beta = 2 puts three fixed points on e in [-0.5, ~0.43]: the deflated
+    # quadratic must find the branch the four starts found
+    model = FHNModel(beta=2.0)
+    three = 0
+    for e in np.linspace(-0.5, 0.5, 401).tolist():
+        gain = (1.0 + e) * model.D
+        three += abs(model.current - gain * model.alpha) < (
+            2.0 / 3.0 * (1.0 - gain) ** 1.5 if gain < 1.0 else 0.0)
+        got = fhn_fixed_point(model, e).xbar
+        assert abs(got - reference_fhn_fixed_point(model, e).xbar) <= 1e-14
+    assert three > 100
+
+
+def test_fhn_search_needs_no_eigensolve(monkeypatch):
+    # g_e is degree 2 and its stationary series three terms: every root of
+    # the search comes in closed form
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    assert casestudies.fhn_search_eo(FHNModel()).e_o == -0.1194482421875
 
 
 def test_fixed_point_consistency():

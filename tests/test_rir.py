@@ -182,6 +182,31 @@ def test_analyze_common_scale_of_num_and_den(s):
         assert abs(v.lower_bound / ref.lower_bound - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("s", [1e-301, 1e300])
+def test_synthesis_common_scale_of_num_and_den(s):
+    # den(L) near z = 1 is subnormal at 1e-301: the crossing quotient runs
+    # on one power-of-two scale of num and den, so it neither overflows nor
+    # loses the certificate, and f is the unscaled plant's
+    from rirkit.nyquist import marginal_verdict
+
+    def synth(g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = synth_marginal_perturbation(g)
+            omega_p = exact_rir_analyze(g).class_tag.peak_omega
+            return f, marginal_verdict(g * f, omega_p)
+
+    ref_f, ref_v = synth(FHN_G)
+    f, v = synth(RationalTF([s * c for c in FHN_G.num.coeffs],
+                            [s * c for c in FHN_G.den.coeffs]))
+    assert v.nu_o0 == ref_v.nu_o0 and v.single_mode
+    for got, want in ((f.num.coeffs, ref_f.num.coeffs),
+                      (f.den.coeffs, ref_f.den.coeffs)):
+        assert len(got) == len(want)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9 * max(
+            map(abs, want))
+
+
 def test_analyze_maglev_not_exact():
     from rirkit.casestudies import MaglevParams, maglev_zoh
     g = maglev_zoh(MaglevParams(k=1, p=1, tau=0.1, T=0.01))

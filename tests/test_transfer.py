@@ -308,15 +308,43 @@ def test_analysis_needs_no_chebyshev_series_algebra(monkeypatch, fhn_chain):
 
 def test_partition_is_chebroots_bit_for_bit():
     # the colleague matrix built in place gives chebroots' roots exactly,
-    # numpy's 1- and 2-term cases included
+    # numpy's 1- and 2-term cases included; 3 terms are solved in closed
+    # form (the next test), drawn here all the same so that every other
+    # length sees the same series
     rng = np.random.default_rng(20)
     for n in range(1, 31):
         for _ in range(40):
             c = random_series(rng, n)
+            if n == 3:
+                continue
             pts, mids = _partition(c)
             want_pts, want_mids = reference_partition(c)
             assert np.array_equal(pts, want_pts)
             assert np.array_equal(mids, want_mids)
+
+
+def test_partition_of_three_terms_is_chebroots_to_rounding():
+    # c0 + c1 x + c2 T2 is a quadratic in x, solved in closed form: each
+    # point is chebroots' to the roots' forward error bound, 4 n times the
+    # backward error over |V'(r)|, carried through arccos (the largest
+    # error seen is 0.68 of the bound without the 4 n)
+    rng = np.random.default_rng(24)
+    eps = np.finfo(float).eps
+    for _ in range(1200):
+        c = random_series(rng, 3)
+        pts, mids = _partition(c)
+        want_pts, _ = reference_partition(c)
+        assert len(pts) == len(want_pts)
+        assert pts[0] == 0.0 and pts[-1] == np.pi
+        assert mids == [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+        roots = cheb.chebroots(c)
+        for got, want in zip(pts[1:-1], want_pts[1:-1]):
+            x = np.cos(want)
+            r = roots[np.argmin(np.abs(roots.real - x))]
+            backward = eps * (abs(c[0]) + abs(c[1]) * abs(r)
+                              + abs(c[2]) * (2.0 * abs(r) ** 2 + 1.0))
+            tol = 4 * 2 * backward / abs(c[1] + 4.0 * c[2] * r)
+            assert abs(got - want) <= tol / np.sqrt(1.0 - x * x) + 4 * eps
 
 
 def test_clenshaw_is_chebval_bit_for_bit():
@@ -349,7 +377,8 @@ def test_phase_in_scalar_arithmetic_matches_numpy_formula(seed, omega):
 
 
 def test_peak_search_solves_each_series_once(monkeypatch):
-    # one eigensolve per series of three or more terms, roots cached first
+    # one eigensolve per series of four or more terms, roots cached first;
+    # shorter series are solved in closed form
     import rirkit.nyquist as nyquist
 
     calls = []
@@ -360,7 +389,7 @@ def test_peak_search_solves_each_series_once(monkeypatch):
         return eigvals(a)
 
     def solves(series):
-        return [(len(series) - 1,) * 2] if len(series) >= 3 else []
+        return [(len(series) - 1,) * 2] if len(series) >= 4 else []
 
     rng = np.random.default_rng(23)
     plants = [FHN_G] + [random_tf(rng, n_stable=3, n_unstable=2, n_zeros=2)
@@ -379,8 +408,9 @@ def test_peak_search_solves_each_series_once(monkeypatch):
         nyquist.crossing_counts(g, nyquist.ContourSpec())
         assert calls == solves(v)
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    # the printed plant's V has two terms; the random plants need both solves
-    assert sizes[0][1] == 2 and min(min(z) for z in sizes[1:]) >= 3
+    # the printed plant's S has three terms and its V two, so it needs no
+    # eigensolve; the random plants need both solves
+    assert sizes[0] == (3, 2) and min(min(z) for z in sizes[1:]) >= 4
 
 
 def test_peaks_and_crossings_evaluate_few_points(monkeypatch, fhn_chain):

@@ -1,0 +1,107 @@
+"""Interleaved parent/change pairs of the benchmark.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload paper \
+        --pairs 10 --seconds 30 --seed 60
+
+PARENT and CHANGE are two checkouts of the repository.  Pair i runs
+``bench/run.py --trace 0`` of each checkout (so each on its own ``src/``,
+in a new process) on seed SEED + i, the parent first in even pairs and the
+change first in odd ones, so that a drift in machine speed falls on both
+sides alike.  With several workloads, each pair runs them in turn.
+
+Prints one JSON line per workload and end-to-end metric: the parent and
+change medians, the change in percent, the parent's interquartile range
+over its median, how many pairs the change won (by the metric's ``better``
+direction in CHANGE's ``BENCHMARK.json``), and each pair's two values in
+seed order.  A last line per workload gives both sides' failed and
+attempted op counts.  Progress goes to stderr.  Nothing under ``bench/`` is
+imported or written by this script.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_bench(checkout: Path, workload: str, seed: int,
+              seconds: float) -> dict:
+    """The last stdout line of one ``bench/run.py`` run, parsed."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {checkout}:\n"
+                         f"{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summarize(workload: str, runs: list, better: dict) -> list[dict]:
+    """One record per metric from the (parent, change) result pairs."""
+    lines = []
+    for name in runs[0][0]["metrics"]:
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in runs]
+        parent = [p for p, _ in pairs]
+        change = [c for _, c in pairs]
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                     if len(parent) > 1 else (parent[0],) * 3)
+        lower = better.get(name, "lower") == "lower"
+        lines.append({
+            "workload": workload,
+            "metric": name,
+            "unit": runs[0][0]["metrics"][name]["unit"],
+            "parent_median": p_med,
+            "change_median": c_med,
+            "delta_pct": 100.0 * (c_med / p_med - 1.0),
+            "parent_iqr_over_median": (q3 - q1) / p_med,
+            "pairs_won": sum((c < p) if lower else (c > p) for p, c in pairs),
+            "pairs": [list(pc) for pc in pairs],
+        })
+    lines.append({
+        "workload": workload,
+        "failed": [sum(r["failed"] for r, _ in runs),
+                   sum(r["failed"] for _, r in runs)],
+        "attempted": [sum(r["attempted"] for r, _ in runs),
+                      sum(r["attempted"] for _, r in runs)],
+    })
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs = {w: [] for w in args.workload}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        for w in args.workload:
+            sides = {}
+            order = ("parent", "change")[::1 if i % 2 == 0 else -1]
+            for side in order:
+                sides[side] = run_bench(getattr(args, side), w, seed,
+                                        args.seconds)
+                print(f"pair {i} seed {seed} {w} {side}: "
+                      + json.dumps({k: round(v["value"], 6) for k, v in
+                                    sides[side]["metrics"].items()}),
+                      file=sys.stderr, flush=True)
+            runs[w].append((sides["parent"], sides["change"]))
+    for w in args.workload:
+        for line in summarize(w, runs[w], better):
+            print(json.dumps(line))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
