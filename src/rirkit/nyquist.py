@@ -22,9 +22,7 @@ from .transfer import (
     _dlog,
     _gain_rate,
     _log_slope,
-    _newton_root,
-    _partition,
-    _trim_to_rounding,
+    _sign_changes,
     _u_to_t,
     at_boundary,
     evaluate,
@@ -132,28 +130,22 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
             epsilon = epsilon + 1e-6 if epsilon + 1e-6 < 1.0 else epsilon / 2.0
             r_eval = 1.0 / (1.0 - epsilon)
 
-    v = _trim_to_rounding(*_sin_series(L, r_eval))
-    if not v:  # L is real, hence constant, on the contour
-        return CrossingReport(nu_plus=0, nu_minus=0, nu_o=0,
-                              encirclements_cw=0)
-    pts, mids = _partition(v)
-    # sign of Im L = -sin(omega) V / |den|^2 at the midpoints in (0, pi)
-    im_sign = [(y < 0.0) - (y > 0.0)
-               for y in (_chebval(x, v) for x in np.cos(mids).tolist())]
-
     def im_rate(w):
         z = r_eval * complex(np.exp(-1j * w))
         lv = evaluate(L, z)
         return lv.imag, float((-1j * z * lv * _log_slope(L, z)).imag)
 
+    # Im L = -sin(omega) V / |den|^2 has the sign of -V in (0, pi)
+    found = _sign_changes(*_sin_series(L, r_eval),
+                          lambda w, v: -_chebval(math.cos(w), v), im_rate,
+                          rising=True)
+    if found is None:  # L is real, hence constant, on the contour
+        return CrossingReport(nu_plus=0, nu_minus=0, nu_o=0,
+                              encirclements_cw=0)
+    changes, first, last = found
     # (omega, direction, multiplicity)
-    found = [(0.0, im_sign[0] > 0.0, 1), (np.pi, im_sign[-1] < 0.0, 1)]
-    for i in range(1, len(pts) - 1):
-        if im_sign[i - 1] * im_sign[i] < 0.0:
-            up = im_sign[i - 1] < 0.0
-            lo, hi = (mids[i - 1], mids[i]) if up else (mids[i], mids[i - 1])
-            w = _newton_root(im_rate, neg=lo, pos=hi, x=pts[i])
-            found.append((w, up, 2))
+    found = ([(0.0, first > 0.0, 1), (np.pi, last < 0.0, 1)]
+             + [(w, up, 2) for w, up in changes])
     w = np.array([f[0] for f in found])
     z = r_eval * np.exp(-1j * w)
     # num and den on one exact power-of-two scale: den(z) may be subnormal

@@ -20,7 +20,6 @@ __all__ = [
     "RootSet",
     "poly_eval",
     "poly_roots",
-    "poly_derivative",
     "from_roots",
 ]
 
@@ -63,9 +62,6 @@ class Polynomial:
 
     def __call__(self, z):
         return poly_eval(self, z)
-
-    def derivative(self) -> "Polynomial":
-        return poly_derivative(self)
 
     def roots(self) -> "RootSet":
         """Clustered roots, found once per instance.
@@ -157,14 +153,6 @@ def poly_eval(p: Polynomial, z):
     for c in p.coeffs:
         acc = acc * z + c
     return acc
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    """Formal derivative; a constant maps to the zero polynomial."""
-    if p.degree == 0:
-        return Polynomial([0.0])
-    n = p.degree
-    return Polynomial([c * (n - k) for k, c in enumerate(p.coeffs[:-1])])
 
 
 def from_roots(roots, leading: float = 1.0) -> Polynomial:

@@ -426,6 +426,28 @@ def _newton_root(f, neg: float, pos: float, x: float) -> float:
     return x
 
 
+def _sign_changes(series, majorant, sign, f, rising: bool):
+    """Sign changes of ``sign(w, c)``, read at the midpoints between the
+    split points of ``_partition(c)``, c the series trimmed to rounding;
+    None if that is empty.  Each strict falling change, and each rising one
+    if ``rising``, is refined by ``_newton_root`` on f, which has sign's
+    sign.  Returns the (omega, up) pairs, ascending, and sign at the first
+    and last midpoints, which decide omega = 0 and pi.
+    """
+    c = _trim_to_rounding(series, majorant)
+    if not c:
+        return None
+    pts, mids = _partition(c)
+    s = [sign(w, c) for w in mids]
+    changes = []
+    for i in range(1, len(pts) - 1):
+        up = s[i - 1] < 0.0 < s[i]
+        if (up and rising) or s[i - 1] > 0.0 > s[i]:
+            neg, pos = (mids[i - 1], mids[i]) if up else (mids[i], mids[i - 1])
+            changes.append((_newton_root(f, neg, pos, pts[i]), up))
+    return changes, s[0], s[-1]
+
+
 def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
     """A'(omega) and A''(omega) from the cached factors."""
     z = cmath.exp(1j * omega)
@@ -449,20 +471,17 @@ def linf_norm(g: RationalTF) -> LinfResult:
     g.assert_rl_inf()
     if g.num.is_zero:
         return LinfResult(0.0, 0.0, False)
-    s = _trim_to_rounding(*_stationary_series(g))
-    if not s:
+    found = _sign_changes(*_stationary_series(g),
+                          lambda w, _: _dlog(g, w).real,
+                          lambda w: _gain_rate(g, w), rising=False)
+    if found is None:
         # all-pass or constant: no stationary point beyond rounding
         return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)
-
-    pts, mids = _partition(s)
-    rate = [_dlog(g, w).real for w in mids]
-    peaks = [_newton_root(lambda w: _gain_rate(g, w), neg=mids[i],
-                          pos=mids[i - 1], x=pts[i])
-             for i in range(1, len(pts) - 1)
-             if rate[i - 1] >= 0.0 >= rate[i]]
-    if rate[0] <= 0.0:
+    changes, first, last = found
+    peaks = [w for w, _ in changes]
+    if first <= 0.0:
         peaks.append(0.0)
-    if rate[-1] >= 0.0:
+    if last >= 0.0:
         peaks.append(np.pi)
     # merge near-coincident candidates
     refined = sorted(((w, abs(evaluate(g, np.exp(1j * w)))) for w in peaks),

@@ -93,6 +93,21 @@ def test_unstable_pole_count():
     assert unstable_pole_count(FHN_G) == 2
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="polycore clusters roots within an absolute "
+                          "CLUSTER_TOL, so the pair merges into one double "
+                          "root inside the circle")
+def test_close_pair_across_the_circle_keeps_its_unstable_pole():
+    # the stored coefficients' 50-digit roots are 1 + 3.03e-8 and
+    # 1 - 4.03e-8: one pole outside the circle, neither within CIRCLE_TOL
+    g = RationalTF([1.0], np.poly([1 - 4e-8, 1 + 3e-8]))
+    try:
+        n = unstable_pole_count(g)
+    except PoleOnCircleError:
+        return
+    assert n == 1
+
+
 def test_pole_on_circle_rejected():
     g = RationalTF([1.0], [1.0, -1.0])
     with pytest.raises(PoleOnCircleError):
@@ -287,6 +302,31 @@ def test_linf_norm_allpass_products_are_flat(seed):
     norm, omega_p, unique = linf_norm(RationalTF(num, den))
     assert not unique and omega_p == 0.0
     assert abs(norm - gain) <= 1e-9 * gain
+
+
+def test_linf_norm_subnormal_allpass_section_is_flat():
+    # one section's pole is the smallest normal double: the gain varies by
+    # ~1e-308 relative, far below any peak worth a unique frequency
+    t = 2.2250738585072014e-308
+    num = Polynomial([-0.5, 1.0]) * Polynomial([-t, 1.0])
+    den = Polynomial([1.0, -0.5]) * Polynomial([1.0, -t])
+    assert linf_norm(RationalTF(num, den)) == (1.0, 0.0, False)
+
+
+@pytest.mark.xfail(strict=True, raises=PoleOnCircleError,
+                   reason="den(1) is 3.9e-15 to 50 digits, below Horner's "
+                          "bound 5.7e-14, so the flat branch's evaluation "
+                          "at z = 1 reads as a pole")
+def test_linf_norm_allpass_product_near_plus_one_is_flat():
+    # four sections with poles 1.5e-4 to 6.7e-4 inside the circle; num is
+    # den reversed, so the stored coefficients are all-pass to 50 digits
+    num, den = Polynomial([1.0]), Polynomial([1.0])
+    for a in (0.9998455632676505, 0.9997810536097078, 0.9998086228495189,
+              0.9993324412756811):
+        num, den = num * Polynomial([-a, 1.0]), den * Polynomial([1.0, -a])
+    norm, omega_p, unique = linf_norm(RationalTF(num, den))
+    assert not unique and omega_p == 0.0
+    assert abs(norm - 1.0) <= 1e-9
 
 
 def test_analysis_needs_no_chebyshev_series_algebra(monkeypatch, fhn_chain):
