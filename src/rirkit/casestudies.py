@@ -25,7 +25,8 @@ from .rir import (
     exact_rir_analyze,
     synth_marginal_perturbation,
 )
-from .transfer import RationalTF, _dlog, _log_slope, evaluate, linf_norm
+from .transfer import (RationalTF, _dlog, _gain_rate, _sign_changes,
+                       _stationary_series, evaluate, linf_norm)
 
 __all__ = [
     "MaglevParams",
@@ -207,8 +208,8 @@ def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
     abar is the largest compensator parameter keeping the compensated gain
     non-increasing, via the closed form in the beta coefficients.  The
     returned ratio 1 + P_eps/abar bounds rho_*(g_d) / (p^2/k) from above.
-    Validated at a = abar (1 - 1e-6): compensated A' at most 1e-9 on the
-    validation grid, compensated phase rate at omega = 0 positive.  Returns
+    Validated at a = abar (1 - 1e-6): compensated A' at most 1e-9 at each
+    maximum, compensated phase rate at omega = 0 positive.  Returns
     g_d = maglev_zoh(params) and that compensator highpass(a, a + P_eps).
     """
     if eps <= 0.0:
@@ -226,35 +227,25 @@ def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
         - P**2)
     if abar <= 0.0:
         raise SynthesisVerificationError(f"abar = {abar} not positive")
-    # the compensator's closed-form rates in cos omega cancel at a^2 b^2
-    # scale for the large parameters this bound produces, so the check
-    # evaluates its rates from its transfer function
     a = abar * (1.0 - 1e-6)
     fh = highpass(a, a + P)
-    # A' of g fh is Re(j z (g'/g + fh'/fh)); j z is formed once for both
-    # factors, in the order _dlog forms it
-    z = np.exp(1j * np.linspace(1e-9, np.pi, _validation_grid(g) + 1))
-    jz = 1j * z
-    gain_rate = (np.real(jz * _log_slope(g, z))
-                 + np.real(jz * _log_slope(fh, z)))
-    if float(np.max(gain_rate)) > 1e-9:
-        raise SynthesisVerificationError(
-            f"compensated gain rate positive: max A' = {np.max(gain_rate)}")
+    L = g * fh
+    changes, first, _ = _sign_changes(*_stationary_series(L),
+                                      lambda w, _: _dlog(L, w).real,
+                                      lambda w: _gain_rate(L, w), rising=True)
+    edges = [(0.0, first > 0.0)] + changes + [(math.pi, False)]
+    for (lo, up), (hi, _) in zip(edges, edges[1:]):
+        while up and hi - lo > 1e-9 * hi:  # A' > 0: bisect A'' to its zero
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _gain_rate(L, mid)[1] > 0.0 else (lo, mid)
+        if up and (rate := _gain_rate(L, lo)[0]) > 1e-9:
+            raise SynthesisVerificationError(
+                f"compensated gain rate positive: max A' = {rate}")
     if theta0 + float(np.imag(_dlog(fh, 0.0))) <= 0.0:
         raise SynthesisVerificationError(
             "compensated phase rate at 0 not positive")
     return MaglevBound(P_eps=float(P), abar=float(abar),
                        ratio=float(1.0 + P / abar), g_d=g, compensator=fh)
-
-
-def _validation_grid(g: RationalTF) -> int:
-    """4096 points, densified up to 2^20 as poles or zeros near the circle."""
-    dists = [abs(abs(p) - 1.0) for p in g.poles() + g.zeros()]
-    dmin = min((d for d in dists if d > 0.0), default=1.0)
-    if dmin >= 1e-2:
-        return 4096
-    n = 16.0 * np.pi / dmin
-    return int(min(max(2 ** 14, 2 ** math.ceil(math.log2(n))), 2 ** 20))
 
 
 # -- FitzHugh-Nagumo -------------------------------------------------------

@@ -241,17 +241,10 @@ def _log_curvature(g: RationalTF, z):
             - sum(1.0 / (z - r) ** 2 for r in g.zeros()))
 
 
-def _dlog(g: RationalTF, omega):
+def _dlog(g: RationalTF, omega: float) -> complex:
     """d/domega log g(e^{j omega}) = A'(omega) + j theta'(omega), from the
-    cached factors as j z (sum 1/(z - z_i) - sum 1/(z - p_i)).
-
-    At one frequency (a Python or numpy float) z comes from ``cmath.exp``, so
-    the sum runs in Python complex arithmetic and returns a complex.
-    """
-    if isinstance(omega, (int, float)):
-        z = cmath.exp(1j * omega)
-    else:
-        z = np.exp(1j * np.asarray(omega, dtype=float))
+    cached factors as j z (sum 1/(z - z_i) - sum 1/(z - p_i))."""
+    z = cmath.exp(1j * omega)
     return 1j * z * _log_slope(g, z)
 
 
@@ -431,14 +424,30 @@ def _sign_changes(series, majorant, sign, f, rising: bool):
     split points of ``_partition(c)``, c the series trimmed to rounding;
     None if that is empty.  Each strict falling change, and each rising one
     if ``rising``, is refined by ``_newton_root`` on f, which has sign's
-    sign.  Returns the (omega, up) pairs, ascending, and sign at the first
-    and last midpoints, which decide omega = 0 and pi.
+    sign.  Returns the (omega, up) pairs, ascending, and the signs next to
+    omega = 0 and pi.  f vanishes there, so where c is within rounding of
+    zero at x = cos omega = +-1 the sign next to that end is f's slope
+    BOUNDARY_BAND inside it (negated at pi), sought by halving toward it.
     """
     c = _trim_to_rounding(series, majorant)
     if not c:
         return None
     pts, mids = _partition(c)
     s = [sign(w, c) for w in mids]
+    bound = 8.0 * len(series) * sys.float_info.epsilon * sum(majorant)
+    even, odd = sum(c[::2]), sum(c[1::2])  # c(x) = even + x odd at x = +-1
+    for k, end, x in ((0, 0.0, 1.0), (-1, math.pi, -1.0)):
+        if abs(even + x * odd) > bound:
+            continue
+        d = x * f(end + x * BOUNDARY_BAND)[1]  # off a zero of g on the end
+        w = mids[k]
+        while d * s[k] < 0.0 and abs(w - end) > BOUNDARY_BAND:
+            inner, w = w, 0.5 * (w + end)
+            if f(w)[0] * d > 0.0:  # w is a midpoint, inner a split point
+                if k == 0:
+                    pts, mids, s = [0.0, inner] + pts[1:], [w] + mids, [d] + s
+                else:
+                    pts, mids, s = pts[:-1] + [inner, end], mids + [w], s + [d]
     changes = []
     for i in range(1, len(pts) - 1):
         up = s[i - 1] < 0.0 < s[i]

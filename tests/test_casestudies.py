@@ -140,7 +140,8 @@ def test_maglev_dlog_matches_partial_fractions(T):
     z = np.exp(1j * w)
     want = 1j * z * ((2.0 * b2 * z + b1) / ((b2 * z + b1) * z + b0)
                      - (1.0 / (z - ep) + 1.0 / (z - em) + 1.0 / (z - et)))
-    q = _dlog(maglev_zoh(params), w)
+    g = maglev_zoh(params)
+    q = np.array([_dlog(g, x) for x in w.tolist()])
     assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -182,7 +183,7 @@ def test_highpass_rate_formulas_match_logderiv():
         b = a + float(rng.uniform(0.05, 2.0))
         f = highpass(a, b)
         w = rng.uniform(1e-3, np.pi - 1e-3, 100)
-        q = _dlog(f, w)
+        q = np.array([_dlog(f, x) for x in w.tolist()])
         assert np.max(np.abs(np.real(q) - highpass_gain_rate(a, b, w))) < 1e-9
         assert np.max(np.abs(np.imag(q) - highpass_phase_rate(a, b, w))) < 1e-9
 
@@ -237,10 +238,12 @@ def test_maglev_small_tau_limit():
     assert abs(got - limit) / abs(limit) < 1e-3
 
 
-@pytest.mark.parametrize("scale, max_rate", [(3.0, 2.96), (1.5, 1.14)])
+@pytest.mark.parametrize("scale, max_rate", [(3.0, 3.4348), (1.5, 1.1462)])
 def test_maglev_bound_validation_rejects_oversized_compensator(
         monkeypatch, scale, max_rate):
-    # the check sees a = scale * abar, past the largest admissible a
+    # the check sees a = scale * abar, past the largest admissible a; max_rate
+    # is the 50-digit A' of the stored coefficients (mpmath polyval with
+    # derivative=True, step 1e-6), peaking near omega = 1.40e-4 and 1.78e-4
     real = casestudies.highpass
     monkeypatch.setattr(casestudies, "highpass",
                         lambda a, b: real(scale * a, scale * a + (b - a)))
@@ -251,20 +254,34 @@ def test_maglev_bound_validation_rejects_oversized_compensator(
     assert abs(got - max_rate) < 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="linf_norm misses a peak near omega = 0 "
-                   "where S is below its own rounding floor")
-@pytest.mark.parametrize("scale", [3.0, 1.5])
-def test_linf_norm_finds_near_dc_peak_of_oversized_compensation(scale):
+def _oversized_compensation(scale):
     params = MaglevParams()
     g = maglev_zoh(params)
     bound = maglev_upper_bound(params, 0.01)
     a = scale * bound.abar
     fh = highpass(a, a + bound.P_eps)
-    L = RationalTF(g.num * fh.num, g.den * fh.den)
+    return RationalTF(g.num * fh.num, g.den * fh.den)
+
+
+@pytest.mark.parametrize("scale", [3.0, 1.5])
+def test_linf_norm_finds_near_dc_peak_of_oversized_compensation(scale):
+    L = _oversized_compensation(scale)
     # the 50-digit gain of the stored coefficients peaks inside (0, 2e-3)
     peak = max(mp_gain(L, w) for w in np.linspace(0.0, 2e-3, 201))
     assert peak > 1.0002
     assert linf_norm(L).norm >= (1.0 - 1e-9) * peak
+
+
+def test_linf_norm_finds_near_pi_peak_of_mirrored_compensation():
+    # z -> -z moves the 3 abar loop's near-DC peak next to pi: the 50-digit
+    # gain peaks at 1.0006534 near pi - 3.0e-4, where S is below its own
+    # rounding floor as it is next to 0 (the norm itself is Horner's value)
+    L = _oversized_compensation(3.0)
+    mirror = [[c * (-1) ** k for k, c in enumerate(p.coeffs)]
+              for p in (L.num, L.den)]
+    norm, omega_p, unique = linf_norm(RationalTF(*mirror))
+    assert math.pi - 1e-3 < omega_p < math.pi
+    assert norm > 1.0005 and unique
 
 
 # -- FitzHugh-Nagumo ---------------------------------------------------------

@@ -313,6 +313,26 @@ def test_linf_norm_subnormal_allpass_section_is_flat():
     assert linf_norm(RationalTF(num, den)) == (1.0, 0.0, False)
 
 
+@pytest.mark.parametrize("num, want", [
+    ([1.0, -2.0, 1.0], (0.9789645348753324, 1.367939810696402, True)),
+    ([1.0, 2.0, 1.0], (19.99999999999997, 0.0, True)),
+])
+def test_double_zero_at_an_end_keeps_its_peak_and_crossings(num, want):
+    # (z -+ 1)^2 puts S, and V at eps = 0, within rounding of zero at
+    # x = +-1, but the rates built on the log-derivative are undefined on
+    # that zero and A' does not vanish next to it: the end's midpoint sign
+    # must stand, with the parent's peak and no crossing
+    import rirkit.nyquist as nyquist
+
+    g = RationalTF(num, np.poly([1.5, 0.5, 0.2]))
+    norm, omega_p, unique = linf_norm(g)
+    assert abs(norm - want[0]) <= 1e-12 * want[0]
+    assert abs(omega_p - want[1]) <= 1e-9 and unique == want[2]
+    for eps in (0.0, 0.1):
+        report = nyquist.crossing_counts(g, nyquist.ContourSpec(epsilon=eps))
+        assert report.nu_plus == report.nu_minus == 0
+
+
 @pytest.mark.xfail(strict=True, raises=PoleOnCircleError,
                    reason="den(1) is 3.9e-15 to 50 digits, below Horner's "
                           "bound 5.7e-14, so the flat branch's evaluation "
@@ -524,7 +544,7 @@ def test_allpass_zero_gain_rate_everywhere():
         a = float(rng.uniform(-0.95, 0.95))
         f = RationalTF([a, 1.0], [1.0, a])
         w = rng.uniform(0.01, np.pi - 0.01, 50)
-        q = _dlog(f, w)
+        q = np.array([_dlog(f, x) for x in w.tolist()])
         vals = np.abs(evaluate(f, np.exp(1j * w)))
         assert np.max(np.abs(np.log(vals))) < 1e-9
         assert np.max(np.abs(np.real(q))) < 1e-9

@@ -14,8 +14,10 @@ change medians, the change in percent, the parent's interquartile range
 over its median, how many pairs the change won (by the metric's ``better``
 direction in CHANGE's ``BENCHMARK.json``), and each pair's two values in
 seed order.  A last line per workload gives both sides' failed and
-attempted op counts.  Progress goes to stderr.  Nothing under ``bench/`` is
-imported or written by this script.
+attempted op counts and their first failures (from each run's ``record``
+line: unit, op and why).  Progress goes to stderr, with each failure as it
+is seen.  Exits 1 when the change fails more ops than the parent on any
+workload.  Nothing under ``bench/`` is imported or written by this script.
 """
 
 import argparse
@@ -26,16 +28,23 @@ import sys
 from pathlib import Path
 
 
+FIRST_FAILURES = 5  # failures kept per side and workload
+
+
 def run_bench(checkout: Path, workload: str, seed: int,
               seconds: float) -> dict:
-    """The last stdout line of one ``bench/run.py`` run, parsed."""
+    """The last stdout line of one ``bench/run.py`` run, parsed, with the
+    failures of the ``record`` line before it under ``failures``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed in {checkout}:\n"
                          f"{out.stderr}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    *_, record, result = out.stdout.strip().splitlines()
+    result = json.loads(result)
+    result["failures"] = json.loads(record)["record"]["failures"]
+    return result
 
 
 def summarize(workload: str, runs: list, better: dict) -> list[dict]:
@@ -61,12 +70,13 @@ def summarize(workload: str, runs: list, better: dict) -> list[dict]:
             "pairs_won": sum((c < p) if lower else (c > p) for p, c in pairs),
             "pairs": [list(pc) for pc in pairs],
         })
+    sides = list(zip(*runs))  # (parent runs, change runs)
     lines.append({
         "workload": workload,
-        "failed": [sum(r["failed"] for r, _ in runs),
-                   sum(r["failed"] for _, r in runs)],
-        "attempted": [sum(r["attempted"] for r, _ in runs),
-                      sum(r["attempted"] for _, r in runs)],
+        "failed": [sum(r["failed"] for r in side) for side in sides],
+        "attempted": [sum(r["attempted"] for r in side) for side in sides],
+        "first_failures": [[f for r in side for f in r["failures"]]
+                           [:FIRST_FAILURES] for side in sides],
     })
     return lines
 
@@ -96,11 +106,22 @@ def main(argv=None) -> int:
                       + json.dumps({k: round(v["value"], 6) for k, v in
                                     sides[side]["metrics"].items()}),
                       file=sys.stderr, flush=True)
+                for f in sides[side]["failures"][:FIRST_FAILURES]:
+                    print(f"  {side} failed: {json.dumps(f)}",
+                          file=sys.stderr, flush=True)
             runs[w].append((sides["parent"], sides["change"]))
+    worse = []
     for w in args.workload:
-        for line in summarize(w, runs[w], better):
+        lines = summarize(w, runs[w], better)
+        for line in lines:
             print(json.dumps(line))
-    return 0
+        parent_failed, change_failed = lines[-1]["failed"]
+        if change_failed > parent_failed:
+            worse.append(f"{w}: {change_failed} failed ops against the "
+                         f"parent's {parent_failed}")
+    for why in worse:
+        print(f"change fails more ops on {why}", file=sys.stderr)
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
