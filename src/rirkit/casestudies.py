@@ -25,8 +25,8 @@ from .rir import (
     exact_rir_analyze,
     synth_marginal_perturbation,
 )
-from .transfer import (RationalTF, _dlog, _gain_rate, _sign_changes,
-                       _stationary_series, evaluate, linf_norm)
+from .transfer import (RationalTF, _dlog, _gain_rate, _gain_turns, evaluate,
+                       linf_norm)
 
 __all__ = [
     "MaglevParams",
@@ -230,11 +230,8 @@ def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
     a = abar * (1.0 - 1e-6)
     fh = highpass(a, a + P)
     L = g * fh
-    changes, first, _ = _sign_changes(*_stationary_series(L),
-                                      lambda w, _: _dlog(L, w).real,
-                                      lambda w: _gain_rate(L, w), rising=True)
-    edges = [(0.0, first > 0.0)] + changes + [(math.pi, False)]
-    for (lo, up), (hi, _) in zip(edges, edges[1:]):
+    turns = _gain_turns(L, rising=True)
+    for (lo, up), (hi, _) in zip(turns, turns[1:]):
         while up and hi - lo > 1e-9 * hi:  # A' > 0: bisect A'' to its zero
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if _gain_rate(L, mid)[1] > 0.0 else (lo, mid)

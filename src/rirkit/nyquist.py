@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCrossingError, PreconditionError
-from .polycore import Polynomial, RootSet, _horner_bound, poly_eval
+from .polycore import RootSet, _horner_bound, poly_eval
 from .transfer import (
     RationalTF,
-    _chebval,
+    _axis_turns,
     _dlog,
     _gain_rate,
-    _log_slope,
-    _sign_changes,
-    _u_to_t,
     at_boundary,
     evaluate,
 )
@@ -80,30 +77,6 @@ class StabilityVerdict:
     condition_iib: bool
 
 
-def _sin_series(L: RationalTF, radius: float):
-    """V with Im[num(z) conj den(z)] = -sin(omega) V(cos omega) at
-    z = radius e^{-j omega}, as a Chebyshev series, together with the same
-    series on absolute values (its rounding majorant).
-
-    With a_i, b_i the radius-weighted ascending coefficients (each scaled to
-    unit max), V = sum_l c_l U_{l-1} with the cross-correlation difference
-    c_l = sum_k a_{k+l} b_k - a_k b_{k+l}.
-    """
-    n = max(len(L.num.coeffs), len(L.den.coeffs))
-
-    def weighted(coeffs):
-        c = radius ** np.arange(len(coeffs)) * np.array(coeffs[::-1])
-        out = np.zeros(n)
-        out[:len(c)] = c / max(map(abs, c.tolist()))
-        return out
-
-    a, b = weighted(L.num.coeffs), weighted(L.den.coeffs)
-    r = np.correlate(a, b, "full")
-    ra = np.correlate(np.abs(a), np.abs(b), "full")
-    return (_u_to_t(r[n:] - r[:n - 1][::-1]),
-            _u_to_t(ra[n:] + ra[:n - 1][::-1]))
-
-
 def crossing_counts(L: RationalTF, spec: ContourSpec,
                     exclude_near_one: float = 0.0) -> CrossingReport:
     """Transverse crossings of the real ray (1, inf) by L(z^{-1}).
@@ -114,7 +87,8 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
     omega = 0 and pi and at +-arccos of the roots of V where V changes sign;
     each of the latter is refined by Newton steps on Im L.  L has real
     coefficients, so L at -omega is the conjugate of L at omega: each
-    interior crossing is evaluated once, at omega, and counted twice.
+    interior crossing is evaluated once, at omega, and counted twice; the
+    value is ``evaluate``'s, the function the Newton steps refined.
     Crossings whose value lies within ``exclude_near_one`` of 1+j0 are
     skipped (used when a marginal loop touches the critical point); without
     that window, a crossing at 1+j0 to rounding raises
@@ -130,43 +104,26 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
             epsilon = epsilon + 1e-6 if epsilon + 1e-6 < 1.0 else epsilon / 2.0
             r_eval = 1.0 / (1.0 - epsilon)
 
-    def im_rate(w):
-        z = r_eval * complex(np.exp(-1j * w))
-        lv = evaluate(L, z)
-        return lv.imag, float((-1j * z * lv * _log_slope(L, z)).imag)
-
-    # Im L = -sin(omega) V / |den|^2 has the sign of -V in (0, pi)
-    found = _sign_changes(*_sin_series(L, r_eval),
-                          lambda w, v: -_chebval(math.cos(w), v), im_rate,
-                          rising=True)
-    if found is None:  # L is real, hence constant, on the contour
+    turns = _axis_turns(L, r_eval)
+    if turns is None:  # L is real, hence constant, on the contour
         return CrossingReport(nu_plus=0, nu_minus=0, nu_o=0,
                               encirclements_cw=0)
-    changes, first, last = found
-    # (omega, direction, multiplicity)
-    found = ([(0.0, first > 0.0, 1), (np.pi, last < 0.0, 1)]
-             + [(w, up, 2) for w, up in changes])
-    w = np.array([f[0] for f in found])
-    z = r_eval * np.exp(-1j * w)
-    # num and den on one exact power-of-two scale: den(z) may be subnormal
-    shift = -math.frexp(max(map(abs, L.num.coeffs + L.den.coeffs)))[1]
-    num, den = ([math.ldexp(c, shift) for c in p.coeffs]
-                for p in (L.num, L.den))
-    dv = poly_eval(Polynomial(den), z)
-    vals = poly_eval(Polynomial(num), z) / dv
-    # Horner's rounding bound on each quotient
-    rounding = (_horner_bound(num, r_eval)
-                + np.abs(vals) * _horner_bound(den, r_eval)) / np.abs(dv)
-
+    bound_num = _horner_bound(L.num.coeffs, r_eval)
+    bound_den = _horner_bound(L.den.coeffs, r_eval)
     nu_plus = nu_minus = 0
-    for (phi, up, count), val, tol in zip(found, vals, rounding):
+    for phi, up in turns:
+        z = r_eval * complex(np.exp(-1j * phi))
+        val = evaluate(L, z)
         near = abs(val - 1.0)
         if exclude_near_one > 0.0 and near <= exclude_near_one:
             continue
-        if exclude_near_one == 0.0 and near <= tol:
+        # Horner's rounding bound on the quotient num(z) / den(z)
+        if exclude_near_one == 0.0 and near <= (
+                (bound_num + abs(val) * bound_den) / abs(poly_eval(L.den, z))):
             raise DegenerateCrossingError(
                 f"L crosses the real axis at 1+j0 to rounding (omega={phi})")
         if val.real > 1.0:
+            count = 1 if phi in (0.0, math.pi) else 2
             if up:
                 nu_plus += count
             else:

@@ -420,14 +420,17 @@ def _newton_root(f, neg: float, pos: float, x: float) -> float:
 
 
 def _sign_changes(series, majorant, sign, f, rising: bool):
-    """Sign changes of ``sign(w, c)``, read at the midpoints between the
-    split points of ``_partition(c)``, c the series trimmed to rounding;
-    None if that is empty.  Each strict falling change, and each rising one
-    if ``rising``, is refined by ``_newton_root`` on f, which has sign's
-    sign.  Returns the (omega, up) pairs, ascending, and the signs next to
-    omega = 0 and pi.  f vanishes there, so where c is within rounding of
-    zero at x = cos omega = +-1 the sign next to that end is f's slope
-    BOUNDARY_BAND inside it (negated at pi), sought by halving toward it.
+    """Turns of f over [0, pi]: the sign changes of ``sign(w, c)``, read at
+    the midpoints between the split points of ``_partition(c)``, c the
+    series trimmed to rounding; None if that is empty.  Each strict falling
+    change, and each rising one if ``rising``, is refined by ``_newton_root``
+    on f, which has sign's sign.  f vanishes at omega = 0 and pi, so where c
+    is within rounding of zero at x = cos omega = +-1 the sign next to that
+    end is f's slope BOUNDARY_BAND inside it (negated at pi), sought by
+    halving toward it.  Returns the (omega, up) turns end to end: (0.0, the
+    sign next to 0 is positive), the refined changes ascending, and (pi, the
+    sign next to pi is negative); f is odd about both ends, so ``up`` is f
+    rising through zero at each turn.
     """
     c = _trim_to_rounding(series, majorant)
     if not c:
@@ -448,13 +451,13 @@ def _sign_changes(series, majorant, sign, f, rising: bool):
                     pts, mids, s = [0.0, inner] + pts[1:], [w] + mids, [d] + s
                 else:
                     pts, mids, s = pts[:-1] + [inner, end], mids + [w], s + [d]
-    changes = []
+    turns = [(0.0, s[0] > 0.0)]
     for i in range(1, len(pts) - 1):
         up = s[i - 1] < 0.0 < s[i]
         if (up and rising) or s[i - 1] > 0.0 > s[i]:
             neg, pos = (mids[i - 1], mids[i]) if up else (mids[i], mids[i - 1])
-            changes.append((_newton_root(f, neg, pos, pts[i]), up))
-    return changes, s[0], s[-1]
+            turns.append((_newton_root(f, neg, pos, pts[i]), up))
+    return turns + [(math.pi, s[-1] < 0.0)]
 
 
 def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
@@ -465,33 +468,75 @@ def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
             float((-z * (u + z * _log_curvature(g, z))).real))
 
 
+def _gain_turns(g: RationalTF, rising: bool):
+    """``_sign_changes`` of the log-gain rate A': S splits [0, pi], A' from
+    the cached factors gives the signs, Newton steps run on (A', A'').  A
+    falling turn is a local maximum of the gain, a rising one a minimum."""
+    return _sign_changes(*_stationary_series(g),
+                         lambda w, _: _dlog(g, w).real,
+                         lambda w: _gain_rate(g, w), rising)
+
+
+def _sin_series(L: RationalTF, radius: float):
+    """V with Im[num(z) conj den(z)] = -sin(omega) V(cos omega) at
+    z = radius e^{-j omega}, as a Chebyshev series, together with the same
+    series on absolute values (its rounding majorant).
+
+    With a_i, b_i the radius-weighted ascending coefficients (each scaled to
+    unit max), V = sum_l c_l U_{l-1} with the cross-correlation difference
+    c_l = sum_k a_{k+l} b_k - a_k b_{k+l}.
+    """
+    n = max(len(L.num.coeffs), len(L.den.coeffs))
+
+    def weighted(coeffs):
+        c = radius ** np.arange(len(coeffs)) * np.array(coeffs[::-1])
+        out = np.zeros(n)
+        out[:len(c)] = c / max(map(abs, c.tolist()))
+        return out
+
+    a, b = weighted(L.num.coeffs), weighted(L.den.coeffs)
+    r = np.correlate(a, b, "full")
+    ra = np.correlate(np.abs(a), np.abs(b), "full")
+    return (_u_to_t(r[n:] - r[:n - 1][::-1]),
+            _u_to_t(ra[n:] + ra[:n - 1][::-1]))
+
+
+def _axis_turns(L: RationalTF, radius: float):
+    """``_sign_changes`` of Im L(z) at z = radius e^{-j omega}: the turns are
+    where L meets the real axis.  In (0, pi) Im L = -sin(omega) V / |den|^2
+    has the sign of -V, read by Clenshaw's recurrence; Newton steps run on
+    Im L and its rate, from ``evaluate`` and the cached factors."""
+
+    def im_rate(w):
+        z = radius * complex(np.exp(-1j * w))
+        lv = evaluate(L, z)
+        return lv.imag, float((-1j * z * lv * _log_slope(L, z)).imag)
+
+    return _sign_changes(*_sin_series(L, radius),
+                         lambda w, v: -_chebval(math.cos(w), v), im_rate,
+                         rising=True)
+
+
 def linf_norm(g: RationalTF) -> LinfResult:
     """Peak gain over [0, pi] with refined peak frequency.
 
     With P = |num|^2 and Q = |den|^2 as Chebyshev series in x = cos omega,
     the interior stationary points of the gain are the roots in (-1, 1) of
     S = P'Q - PQ' (two convolutions of coefficient autocorrelations).  Those,
-    0 and pi split [0, pi]; each split point whose neighbouring midpoints
-    show A' falling through zero brackets a maximum, refined by Newton steps
-    on A'.  ``unique`` is False when a second local maximum comes within
+    0 and pi split [0, pi]; each split point, the ends included, where A'
+    falls through zero is a maximum, refined by Newton steps on A' inside
+    (0, pi).  ``unique`` is False when a second local maximum comes within
     UNIQUENESS_MARGIN (relative) of the peak.  A response whose S vanishes
     to rounding (all-pass or constant) is reported at omega 0, not unique.
     """
     g.assert_rl_inf()
     if g.num.is_zero:
         return LinfResult(0.0, 0.0, False)
-    found = _sign_changes(*_stationary_series(g),
-                          lambda w, _: _dlog(g, w).real,
-                          lambda w: _gain_rate(g, w), rising=False)
-    if found is None:
+    turns = _gain_turns(g, rising=False)
+    if turns is None:
         # all-pass or constant: no stationary point beyond rounding
         return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)
-    changes, first, last = found
-    peaks = [w for w, _ in changes]
-    if first <= 0.0:
-        peaks.append(0.0)
-    if last >= 0.0:
-        peaks.append(np.pi)
+    peaks = [w for w, up in turns if not up]
     # merge near-coincident candidates
     refined = sorted(((w, abs(evaluate(g, np.exp(1j * w)))) for w in peaks),
                      key=lambda t: -t[1])

@@ -458,7 +458,7 @@ def test_peak_search_solves_each_series_once(monkeypatch):
     for g in plants:
         g.poles(), g.zeros()
         s = _trim_to_rounding(*_stationary_series(g))
-        v = _trim_to_rounding(*nyquist._sin_series(g, 1.0))
+        v = _trim_to_rounding(*transfer._sin_series(g, 1.0))
         sizes.append((len(s), len(v)))
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         calls.clear()
