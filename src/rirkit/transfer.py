@@ -165,11 +165,14 @@ def at_boundary(omega: float) -> bool:
 
 
 def evaluate(g: RationalTF, z):
-    """num(z)/den(z).
+    """num(z)/den(z), in Python scalar arithmetic for a scalar z: a numpy
+    scalar quotient overflows where den(z) is subnormal.
 
     Raises ``PoleOnCircleError`` where den(z) is zero to within Horner's
     rounding bound, which scales with den's coefficients.
     """
+    if isinstance(z, np.generic):
+        z = z.item()
     dv = poly_eval(g.den, z)
     if np.isscalar(dv) or dv.ndim == 0:
         if abs(dv) <= _horner_bound(g.den.coeffs, abs(z)):
@@ -538,7 +541,7 @@ def linf_norm(g: RationalTF) -> LinfResult:
         return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)
     peaks = [w for w, up in turns if not up]
     # merge near-coincident candidates
-    refined = sorted(((w, abs(evaluate(g, np.exp(1j * w)))) for w in peaks),
+    refined = sorted(((w, abs(evaluate(g, cmath.exp(1j * w)))) for w in peaks),
                      key=lambda t: -t[1])
     merged: list[tuple[float, float]] = []
     for wp, gv in refined:

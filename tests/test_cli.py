@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,23 @@ def test_analyze_common_scale_gets_the_unscaled_verdict(capsys, scale):
     v = json.loads(out)["verdict"]
     assert (v["class"], v["status"], v["lower_bound"]) == (
         "G1_boundary", "exact_sufficient", 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-303, 1e-306, 1e-308])
+def test_subnormal_scale_of_the_printed_plant_gets_its_verdict(capsys, scale):
+    # num and den scaled alike leave den(z) subnormal near the peak, where a
+    # numpy complex scalar quotient overflows to an infinite peak gain
+    g = json.loads(FHN_G_JSON)
+    plant = json.dumps({k: [scale * c for c in v] for k, v in g.items()})
+    for command in ("analyze", "synth"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want, got = (run_cli(capsys, [command, "--input", spec])
+                         for spec in (FHN_G_JSON, plant))
+        assert want[0] == got[0] == 0
+        want, got = (json.loads(out)["verdict"] for _, out in (want, got))
+        assert got["status"] == want["status"] == "exact_sufficient"
+        assert got["peak_gain"] == pytest.approx(want["peak_gain"], rel=1e-9)
 
 
 def test_analyze_missing_input_file_exit_2(tmp_path, capsys):
