@@ -215,7 +215,8 @@ def exact_rir_analyze(g: RationalTF) -> RIRVerdict:
     the sin-ratio threshold.  One-pole interior-peak plants (and odd-n
     interior-peak plants generally) have a strictly larger radius than the
     reciprocal peak gain; everything else is inconclusive.  A zero plant,
-    or one whose reciprocal peak gain overflows, is rejected as invalid.
+    or one whose peak gain or its reciprocal overflows, is rejected as
+    invalid.
 
     The verdict is computed once per instance.  Like the roots, it is cached
     in the instance ``__dict__`` outside the dataclass fields, so equality,
@@ -229,10 +230,10 @@ def exact_rir_analyze(g: RationalTF) -> RIRVerdict:
 
 def _analyze(g: RationalTF) -> RIRVerdict:
     tag = classify(g)
-    if tag.peak_gain == 0.0 or not math.isfinite(1.0 / tag.peak_gain):
-        raise ValueError(
-            f"peak gain {tag.peak_gain} has no finite reciprocal radius")
-    lower = 1.0 / tag.peak_gain
+    lower = 1.0 / tag.peak_gain if tag.peak_gain != 0.0 else math.inf
+    if not 0.0 < lower < math.inf:
+        raise ValueError(f"peak gain {tag.peak_gain} has no finite, nonzero "
+                         f"reciprocal radius")
     omega_p = tag.peak_omega
     theta_p = _unwrapped_phase(g, omega_p)
     theta_rate = float(np.imag(_dlog(g, omega_p)))

@@ -114,6 +114,21 @@ def test_analyze_zero_or_underflowing_gain_exit_2(capsys, num):
     assert err["type"] == "ValueError" and "peak gain" in err["message"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["analyze", "synth"])
+def test_overflowing_peak_gain_exit_2(capsys, command):
+    # |1e308 / (z - 1.5)| peaks at 2e308 = inf at z = 1: its reciprocal 0 is
+    # no radius, and inf is no JSON number
+    code, out = run_cli(capsys, [command, "--input",
+                                 '{"num": [1e308], "den": [1, -1.5]}'])
+    assert code == 2
+    err = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert err["type"] == "ValueError" and "peak gain" in err["message"]
+
+
 def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(rirkit.__file__).parents[1])}
     probe = ("import sys, rirkit.cli; print(sorted("
