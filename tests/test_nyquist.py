@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -270,3 +271,32 @@ def test_printed_perturbation_marginalizes_printed_plant():
     assert abs(boundary[0] - np.conj(boundary[1])) < 1e-6
     assert all(abs(r) < 1.0 for r in roots
                if abs(abs(r) - 1.0) > 1e-3)
+
+
+def _crossing_outcome(L, epsilon):
+    """The crossing counts of L on one contour, or the error's type name."""
+    try:
+        return crossing_counts(L, ContourSpec(epsilon=epsilon))
+    except DegenerateCrossingError as exc:
+        return type(exc).__name__
+
+
+def test_crossing_counts_ignore_an_exact_power_of_two_scale():
+    # num and den scaled alike by 2^k are the same loop, and a power of two
+    # scales exactly: at k = -1000 den(z) is subnormal near the printed
+    # loop's crossing at 1+j0, at k = 1000 the coefficients near overflow
+    printed = RationalTF([1.5679e-5, -2.5685e-5], [1.0, -2.000985, 1.000994])
+    rng = np.random.default_rng(29)
+    loops = [printed * synth_marginal_perturbation(printed)]
+    for _ in range(60):
+        n_stable, n_unstable = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        loops.append(random_tf(rng, n_stable=n_stable, n_unstable=n_unstable,
+                               n_zeros=int(rng.integers(0, n_stable + 1))))
+    for L in loops:
+        for epsilon in (0.0, 0.01):
+            want = _crossing_outcome(L, epsilon)
+            for k in (-1000, -800, -400, 400, 800, 1000):
+                s = math.ldexp(1.0, k)
+                scaled = RationalTF([s * c for c in L.num.coeffs],
+                                    [s * c for c in L.den.coeffs])
+                assert _crossing_outcome(scaled, epsilon) == want, (L, k)

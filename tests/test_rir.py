@@ -185,8 +185,8 @@ def test_analyze_common_scale_of_num_and_den(s):
 @pytest.mark.parametrize("s", [1e-301, 1e300])
 def test_synthesis_common_scale_of_num_and_den(s):
     # den(L) near z = 1 is subnormal at 1e-301: the crossing quotient runs
-    # on one power-of-two scale of num and den, so it neither overflows nor
-    # loses the certificate, and f is the unscaled plant's
+    # in Python complex arithmetic, so it neither overflows nor loses the
+    # certificate, and f is the unscaled plant's
     from rirkit.nyquist import marginal_verdict
 
     def synth(g):

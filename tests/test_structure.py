@@ -8,14 +8,31 @@ refines; every reference in the package to those three steps sits inside
 it, so a second copy of the loop cannot grow back unnoticed.  Nor can a
 sampled frequency grid: ``linspace`` is left only to the ``analyze --out``
 response table and ``maglev_zoh``'s eight-point cross-check off the circle.
+
+Two questions call the loop, each through one helper in ``transfer``: where
+the gain turns (``_gain_turns``) and where L meets the real axis
+(``_axis_turns``).  The series they build, Clenshaw's sum and the factors'
+log slope stay in ``transfer``, and the kernel hands back whole answers,
+the ends included, so no caller rebuilds the 0 and pi candidates.
 """
 
 import ast
+import math
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rirkit.transfer as transfer
+from conftest import random_tf
+from rirkit.casestudies import MaglevParams, highpass, maglev_upper_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rirkit"
 STEPS = ("_partition", "_trim_to_rounding", "_newton_root")
 KERNEL = "transfer._sign_changes"
+HELPERS = ("transfer._axis_turns", "transfer._gain_turns")
+TRANSFER_ONLY = ("_stationary_series", "_sin_series", "_chebval", "_u_to_t",
+                 "_log_slope")
 GRIDS = ("cli.cmd_analyze", "casestudies.maglev_zoh")
 
 
@@ -59,3 +76,50 @@ def test_linspace_only_in_the_csv_table_and_the_zoh_cross_check():
     refs = [r for p in sorted(SRC.glob("*.py"))
             for r in _references(p, ("linspace",))]
     assert sorted(where for where, _ in refs) == sorted(GRIDS)
+
+
+def _all_references(names) -> list[tuple[str, str]]:
+    return [r for p in sorted(SRC.glob("*.py")) for r in _references(p, names)]
+
+
+def test_the_kernel_is_called_only_by_the_two_turn_helpers():
+    refs = _all_references(("_sign_changes",))
+    assert sorted(where for where, _ in refs) == sorted(HELPERS)
+
+
+def test_series_and_factor_slopes_stay_in_transfer():
+    refs = _all_references(TRANSFER_ONLY)
+    outside = [r for r in refs if r[0].split(".")[0] != "transfer"]
+    assert not outside, outside
+    assert {name for _, name in refs} == set(TRANSFER_ONLY)
+
+
+def test_power_of_two_rescale_only_in_poly_roots():
+    refs = _all_references(("frexp", "ldexp"))
+    assert {where for where, _ in refs} == {"polycore.poly_roots"}
+    assert {name for _, name in refs} == {"frexp", "ldexp"}
+
+
+def _shape_cases():
+    printed = transfer.RationalTF([1.5679e-5, -2.5685e-5], [1.0, -2.000985, 1.000994])
+    g = maglev_upper_bound(MaglevParams(), 0.01).g_d
+    rng = np.random.default_rng(31)
+    return ([printed, g * highpass(0.5, 8.0)]
+            + [random_tf(rng, n_stable=3, n_unstable=2, n_zeros=2)
+               for _ in range(8)])
+
+
+@pytest.mark.parametrize("question", ["peaks", "gain", "axis", "contour"])
+def test_kernel_turns_run_end_to_end(question):
+    for g in _shape_cases():
+        turns = {"peaks": lambda: transfer._gain_turns(g, rising=False),
+                 "gain": lambda: transfer._gain_turns(g, rising=True),
+                 "axis": lambda: transfer._axis_turns(g, 1.0),
+                 "contour": lambda: transfer._axis_turns(g, 1.0 / 0.99),
+                 }[question]()
+        assert (turns[0][0], turns[-1][0]) == (0.0, math.pi)
+        omegas = [w for w, _ in turns]
+        assert all(a < b for a, b in zip(omegas, omegas[1:]))
+        assert all(isinstance(up, bool) for _, up in turns)
+        if question == "peaks":
+            assert not any(up for _, up in turns[1:-1])
