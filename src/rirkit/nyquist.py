@@ -108,8 +108,8 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
     if turns is None:  # L is real, hence constant, on the contour
         return CrossingReport(nu_plus=0, nu_minus=0, nu_o=0,
                               encirclements_cw=0)
-    bound_num = _horner_bound(L.num.coeffs, r_eval)
-    bound_den = _horner_bound(L.den.coeffs, r_eval)
+    # Horner's rounding bounds on num and den on the contour
+    bound = [_horner_bound(p.coeffs, r_eval) for p in (L.num, L.den)]
     nu_plus = nu_minus = 0
     for phi, up in turns:
         z = r_eval * complex(np.exp(-1j * phi))
@@ -117,9 +117,8 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
         near = abs(val - 1.0)
         if exclude_near_one > 0.0 and near <= exclude_near_one:
             continue
-        # Horner's rounding bound on the quotient num(z) / den(z)
-        if exclude_near_one == 0.0 and near <= (
-                (bound_num + abs(val) * bound_den) / abs(poly_eval(L.den, z))):
+        tol = (bound[0] + abs(val) * bound[1]) / abs(poly_eval(L.den, z))
+        if exclude_near_one == 0.0 and near <= tol:
             raise DegenerateCrossingError(
                 f"L crosses the real axis at 1+j0 to rounding (omega={phi})")
         if val.real > 1.0:

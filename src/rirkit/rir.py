@@ -215,8 +215,7 @@ def exact_rir_analyze(g: RationalTF) -> RIRVerdict:
     the sin-ratio threshold.  One-pole interior-peak plants (and odd-n
     interior-peak plants generally) have a strictly larger radius than the
     reciprocal peak gain; everything else is inconclusive.  A zero plant,
-    or one whose peak gain or its reciprocal overflows, is rejected as
-    invalid.
+    or one whose peak gain or its reciprocal overflows, is rejected.
 
     The verdict is computed once per instance.  Like the roots, it is cached
     in the instance ``__dict__`` outside the dataclass fields, so equality,
@@ -232,8 +231,8 @@ def _analyze(g: RationalTF) -> RIRVerdict:
     tag = classify(g)
     lower = 1.0 / tag.peak_gain if tag.peak_gain != 0.0 else math.inf
     if not 0.0 < lower < math.inf:
-        raise ValueError(f"peak gain {tag.peak_gain} has no finite, nonzero "
-                         f"reciprocal radius")
+        raise ValueError(
+            f"peak gain {tag.peak_gain} has no finite, nonzero reciprocal")
     omega_p = tag.peak_omega
     theta_p = _unwrapped_phase(g, omega_p)
     theta_rate = float(np.imag(_dlog(g, omega_p)))

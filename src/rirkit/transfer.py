@@ -472,9 +472,8 @@ def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
 
 
 def _gain_turns(g: RationalTF, rising: bool):
-    """``_sign_changes`` of the log-gain rate A': S splits [0, pi], A' from
-    the cached factors gives the signs, Newton steps run on (A', A'').  A
-    falling turn is a local maximum of the gain, a rising one a minimum."""
+    """``_sign_changes`` of the log-gain rate A' between S's roots, A' and A''
+    from the cached factors: a falling turn is a gain maximum."""
     return _sign_changes(*_stationary_series(g),
                          lambda w, _: _dlog(g, w).real,
                          lambda w: _gain_rate(g, w), rising)
@@ -505,10 +504,9 @@ def _sin_series(L: RationalTF, radius: float):
 
 
 def _axis_turns(L: RationalTF, radius: float):
-    """``_sign_changes`` of Im L(z) at z = radius e^{-j omega}: the turns are
-    where L meets the real axis.  In (0, pi) Im L = -sin(omega) V / |den|^2
-    has the sign of -V, read by Clenshaw's recurrence; Newton steps run on
-    Im L and its rate, from ``evaluate`` and the cached factors."""
+    """``_sign_changes`` of Im L at z = radius e^{-j omega}, where L meets
+    the real axis: -V's sign by Clenshaw's recurrence between V's roots, and
+    Newton steps on Im L from ``evaluate`` and the cached factors."""
 
     def im_rate(w):
         z = radius * complex(np.exp(-1j * w))
