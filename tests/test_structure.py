@@ -101,7 +101,8 @@ def test_power_of_two_rescale_only_in_poly_roots():
 
 
 def _shape_cases():
-    printed = transfer.RationalTF([1.5679e-5, -2.5685e-5], [1.0, -2.000985, 1.000994])
+    printed = transfer.RationalTF([1.5679e-5, -2.5685e-5],
+                                  [1.0, -2.000985, 1.000994])
     g = maglev_upper_bound(MaglevParams(), 0.01).g_d
     rng = np.random.default_rng(31)
     return ([printed, g * highpass(0.5, 8.0)]
@@ -109,17 +110,16 @@ def _shape_cases():
                for _ in range(8)])
 
 
-@pytest.mark.parametrize("question", ["peaks", "gain", "axis", "contour"])
-def test_kernel_turns_run_end_to_end(question):
+@pytest.mark.parametrize("helper, arg", [("_gain_turns", False),
+                                         ("_gain_turns", True),
+                                         ("_axis_turns", 1.0),
+                                         ("_axis_turns", 1.0 / 0.99)])
+def test_kernel_turns_run_end_to_end(helper, arg):
     for g in _shape_cases():
-        turns = {"peaks": lambda: transfer._gain_turns(g, rising=False),
-                 "gain": lambda: transfer._gain_turns(g, rising=True),
-                 "axis": lambda: transfer._axis_turns(g, 1.0),
-                 "contour": lambda: transfer._axis_turns(g, 1.0 / 0.99),
-                 }[question]()
+        turns = getattr(transfer, helper)(g, arg)
         assert (turns[0][0], turns[-1][0]) == (0.0, math.pi)
         omegas = [w for w, _ in turns]
         assert all(a < b for a, b in zip(omegas, omegas[1:]))
         assert all(isinstance(up, bool) for _, up in turns)
-        if question == "peaks":
+        if arg is False:  # a peak search refines falling changes only
             assert not any(up for _, up in turns[1:-1])

@@ -103,7 +103,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        # pairs[order][side]: order 0 loads the parent first, order 1 the change
+        # pairs[order][side]: order 0 loads the parent first, 1 the change
         pairs = [{}, {}]
         for order, sides in enumerate((SIDES, SIDES[::-1])):
             for side in sides:
@@ -116,11 +116,12 @@ def main(argv=None) -> int:
             for order, pair in enumerate(pairs):
                 for side, pkg in pair.items():
                     gs = build(pkg, plants)
-                    for name, fn in passes(pkg).items():  # warm-up
+                    for fn in passes(pkg).values():  # warm-up
                         timed(fn, gs, pkg.errors.RirkitError)
                     inputs[family, order, side] = gs
 
-        times = {(f, p, s): [] for f in FAMILIES for p in PASSES for s in SIDES}
+        times = {(f, p, s): []
+                 for f in FAMILIES for p in PASSES for s in SIDES}
         for rep in range(args.reps):
             order = rep % 2
             sides = SIDES if order == 0 else SIDES[::-1]
