@@ -8,6 +8,7 @@ certify them, and a diagnostic warning is attached where the two disagree.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -92,7 +93,8 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
     Crossings whose value lies within ``exclude_near_one`` of 1+j0 are
     skipped (used when a marginal loop touches the critical point); without
     that window, a crossing at 1+j0 to rounding raises
-    ``DegenerateCrossingError``.
+    ``DegenerateCrossingError``.  Raises ValueError where L is not finite
+    at one of those points (its value overflowed).
     """
     epsilon = spec.epsilon
     r_eval = 1.0 / (1.0 - epsilon)
@@ -114,6 +116,9 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
     for phi, up in turns:
         z = r_eval * complex(np.exp(-1j * phi))
         val = evaluate(L, z)
+        if not cmath.isfinite(val):
+            raise ValueError(
+                f"L = {val} at omega={phi} on the contour is not finite")
         near = abs(val - 1.0)
         if exclude_near_one > 0.0 and near <= exclude_near_one:
             continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -117,24 +116,20 @@ class RootSet:
 
     ``roots[i]`` carries multiplicity ``multiplicities[i]``; the counts sum
     to the polynomial degree.  ``residual`` is max |p(root)| over the
-    cluster representatives.
+    cluster representatives.  ``flat``, the roots repeated according to
+    multiplicity, is built at construction into the instance ``__dict__``,
+    outside the dataclass fields, so ``==``, ``hash`` and ``repr`` ignore it.
     """
 
     roots: tuple[complex, ...]
     multiplicities: tuple[int, ...]
     residual: float
 
-    @cached_property
-    def flat(self) -> tuple[complex, ...]:
-        """Roots repeated according to multiplicity, built on first use.
-
-        The tuple is cached in the instance ``__dict__``, outside the
-        dataclass fields, so ``==``, ``hash`` and ``repr`` ignore it.
-        """
+    def __post_init__(self):
         out: list[complex] = []
         for r, m in zip(self.roots, self.multiplicities):
-            out.extend([r] * m)
-        return tuple(out)
+            out += [r] * m
+        self.__dict__["flat"] = tuple(out)
 
     @property
     def total(self) -> int:

@@ -316,6 +316,14 @@ def _u_to_t(c):
     return t
 
 
+def _convolve(u, v):
+    """np.convolve(u, v) less its argument checks, bit for bit: np.correlate
+    of the longer factor, u on a tie, with the other reversed."""
+    if len(v) > len(u):
+        u, v = v, u
+    return np.correlate(u, v[::-1], "full")
+
+
 def _stationary_series(g: RationalTF):
     """S = P'Q - PQ' in x = cos omega, with P = |num|^2 and Q = |den|^2, as a
     Chebyshev series, and the same series on absolute values (its majorant).
@@ -329,8 +337,8 @@ def _stationary_series(g: RationalTF):
     ka, kb = np.arange(1 - len(a), len(a)), np.arange(1 - len(b), len(b))
     p, q = np.correlate(a, a, "full"), np.correlate(b, b, "full")
     pa, qa = np.correlate(aa, aa, "full"), np.correlate(ba, ba, "full")
-    c = np.convolve(ka * p, q) - np.convolve(p, kb * q)
-    ca = np.convolve(np.abs(ka) * pa, qa) + np.convolve(pa, np.abs(kb) * qa)
+    c = _convolve(ka * p, q) - _convolve(p, kb * q)
+    ca = _convolve(np.abs(ka) * pa, qa) + _convolve(pa, np.abs(kb) * qa)
     m = len(c) // 2 + 1
     return _u_to_t(2.0 * c[m:]), _u_to_t(2.0 * ca[m:])
 

@@ -275,6 +275,22 @@ def reference_fig1_rows(model: FHNModel) -> list[tuple[float, float]]:
     return rows
 
 
+def reference_bisection(h, a: float, b: float, h_a: float) -> float:
+    """fhn_search_eo's bisection before it searched the bisection's grid:
+    halve [a, b], whose ends h puts in different sign classes (h < 0 or
+    not), to a width of 1e-5, and return the last interval's midpoint."""
+    for _ in range(200):
+        if abs(b - a) <= 1e-5:
+            break
+        m = 0.5 * (a + b)
+        h_m = h(m)
+        if (h_a < 0.0) == (h_m < 0.0):
+            a, h_a = m, h_m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def reference_fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
     """Oracle for ``fhn_fixed_point``: a full Newton run from each of four
     starts, as the fixed point was found before it deflated the cubic."""

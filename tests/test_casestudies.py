@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import (
     mp_gain,
+    reference_bisection,
     reference_fhn_fixed_point,
     reference_fhn_simulate,
     reference_fig1_rows,
@@ -28,7 +29,11 @@ from rirkit.casestudies import (
     maglev_upper_bound,
     maglev_zoh,
 )
-from rirkit.errors import PreconditionError, SynthesisVerificationError
+from rirkit.errors import (
+    PreconditionError,
+    RirkitError,
+    SynthesisVerificationError,
+)
 from rirkit.nyquist import closed_loop_poles
 from rirkit.polycore import from_roots
 from rirkit.rir import EXACT_SUFFICIENT, NOT_EXACT, exact_rir_analyze
@@ -328,6 +333,118 @@ def test_fhn_search_needs_no_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
     assert casestudies.fhn_search_eo(FHNModel()).e_o == -0.1194482421875
+
+
+def test_fhn_search_makes_13_peak_gain_evaluations(monkeypatch):
+    # 3 for the march's direction, 6 march steps and 4 in the cell search,
+    # where bisection took 11
+    calls = []
+    real = casestudies.linf_norm
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(casestudies, "linf_norm", counting)
+    assert casestudies.fhn_search_eo(FHNModel()).e_o == -0.1194482421875
+    assert len(calls) == 13
+
+
+def test_fhn_search_finds_the_bisection_eo_on_seeded_models(monkeypatch):
+    rng = np.random.default_rng(7)
+    cells = []
+    real = casestudies._bisection_cell
+
+    def recording(h, a, b, h_a, h_b):
+        e_o = real(h, a, b, h_a, h_b)
+        cells.append((e_o, reference_bisection(h, a, b, h_a)))
+        return e_o
+
+    monkeypatch.setattr(casestudies, "_bisection_cell", recording)
+    for _ in range(25):
+        model = FHNModel(c=rng.uniform(0.6, 1.5), alpha=rng.uniform(0.5, 0.9),
+                         beta=rng.uniform(0.6, 1.0),
+                         tau=rng.uniform(0.005, 0.02),
+                         d=rng.uniform(5.0, 15.0),
+                         current=rng.uniform(0.2, 0.6))
+        try:  # no bracket, or a verdict other than exact_sufficient at e_o
+            casestudies.fhn_search_eo(model)
+        except RirkitError:
+            pass
+    assert len(cells) == 20
+    assert all(got == want for got, want in cells)
+
+
+CELLS = 2048  # the bisection of a march bracket to width 1e-5
+
+
+def _march_bracket(k, direction):
+    # the bracket of the march's step k + 1, as fhn_search_eo computes it
+    return direction * 0.02 * k, direction * 0.02 * (k + 1)
+
+
+def _node_index(e, a, b):
+    # the grid is uniform to rounding, far below a cell
+    return round((e - a) / (b - a) * CELLS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 24), direction=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2**32 - 1), dense=st.booleans(),
+       flips=st.lists(st.integers(1, CELLS), max_size=40))
+@example(k=5, direction=-1.0, seed=0, dense=False, flips=[1991])
+def test_bisection_cell_ends_on_a_sign_change(k, direction, seed, dense,
+                                              flips):
+    # any sign pattern on the nodes, with any magnitudes and zeros in the
+    # non-negative class: one cell whose ends differ in class, in at most
+    # log2(2048) + 1 = 12 evaluations, and bisection's where the class
+    # changes once
+    rng = np.random.default_rng(seed)
+    if dense:
+        neg = rng.random(CELLS + 1) < rng.random()
+    else:
+        neg = np.cumsum(np.bincount(flips, minlength=CELLS + 1)) % 2 == 1
+    neg[-1] = not neg[0]
+    mag = rng.lognormal(0.0, 3.0, CELLS + 1)
+    mag[~neg & (rng.random(CELLS + 1) < 0.05)] = 0.0
+    values = np.where(neg, -mag, mag).tolist()
+    a, b = _march_bracket(k, direction)
+    probed = []
+
+    def h(e):
+        probed.append(_node_index(e, a, b))
+        return values[probed[-1]]
+
+    e_o = casestudies._bisection_cell(h, a, b, values[0], values[-1])
+    assert len(probed) <= 12
+    i = int((e_o - a) / (b - a) * CELLS)  # the cell's first node
+    assert neg[i] != neg[i + 1]
+    assert {i, i + 1} <= set(probed) | {0, CELLS}
+    if np.count_nonzero(neg[1:] != neg[:-1]) == 1:
+        assert e_o == reference_bisection(h, a, b, values[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 24), direction=st.sampled_from([-1.0, 1.0]),
+       t=st.floats(0.0, 1.0), slope=st.floats(1e-3, 1e3),
+       cubic=st.floats(0.0, 1e6), sign=st.sampled_from([-1.0, 1.0]))
+def test_bisection_cell_of_a_smooth_monotone_h_is_bisections(
+        k, direction, t, slope, cubic, sign):
+    a, b = _march_bracket(k, direction)
+    root = a + t * (b - a)
+    calls = []
+
+    def h(e):
+        calls.append(e)
+        u = e - root
+        return sign * (slope * u + cubic * u ** 3)
+
+    h_a, h_b = h(a), h(b)
+    assume((h_a < 0.0) != (h_b < 0.0))
+    calls.clear()
+    e_o = casestudies._bisection_cell(h, a, b, h_a, h_b)
+    assert len(calls) <= 12
+    assert e_o == reference_bisection(h, a, b, h_a)
 
 
 def test_fixed_point_consistency():

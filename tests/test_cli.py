@@ -315,6 +315,22 @@ def test_nyquist_counts_and_dump(tmp_path, capsys):
     assert report_file == rep
 
 
+@pytest.mark.parametrize("eps", ["0.01", "0"])
+def test_nyquist_overflowing_loop_exit_2(capsys, eps):
+    # 1e308 / (z - 1.5) overflows at omega = 0: an infinite value is no
+    # crossing at 1+j0 to rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, [
+            "nyquist", "--input", '{"num": [1e308], "den": [1, -1.5]}',
+            "--eps", eps])
+    assert code == 2
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert set(report) == {"error", "schema"}
+    assert report["error"]["type"] == "ValueError"
+    assert "not finite" in report["error"]["message"]
+
+
 def test_pcr_max_report(capsys):
     code, out = run_cli(capsys, [
         "pcr-max", "--param", "omega_p=1.0471975511965976",

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 import rirkit.nyquist as nyquist
 from conftest import brute_force_crossings, random_tf
-from rirkit.errors import DegenerateCrossingError, PreconditionError
+from rirkit.errors import (
+    DegenerateCrossingError,
+    PreconditionError,
+    RirkitError,
+)
 from rirkit.nyquist import (
     ContourSpec,
     closed_loop_poles,
@@ -86,6 +90,20 @@ def test_closed_loop_pole_shift():
     rs = closed_loop_poles(RationalTF([0.5], [1.0, -2.0]))
     assert len(rs.flat) == 1
     assert abs(rs.flat[0] - 2.5) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Polynomial trims den - num's leading 1, below "
+                          "TRIM_TOL = 1e-12 of the constant term 1e12 + 1.5, "
+                          "so the closed-loop pole is lost")
+def test_closed_loop_pole_of_a_high_gain_loop_is_kept():
+    # 1e12/(z - 1.5) closes at 1.5 + 1e12: that root, or a typed error
+    try:
+        roots = closed_loop_poles(RationalTF([1e12], [1.0, -1.5])).flat
+    except RirkitError:
+        return
+    assert len(roots) == 1
+    assert abs(roots[0] - (1.5 + 1e12)) <= 1e-9 * (1.5 + 1e12)
 
 
 def test_closed_loop_small_gain_stays_inside():

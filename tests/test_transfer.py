@@ -32,6 +32,7 @@ from rirkit.transfer import (
     GN_OTHER,
     RationalTF,
     _chebval,
+    _convolve,
     _dlog,
     _partition,
     _stationary_series,
@@ -258,6 +259,15 @@ def test_linf_norm_matches_dense_peak(seed, log_gap):
                    for p in (g.num, g.den))
     assert abs(norm / dense_peak(g) - 1.0) <= 1e-9 + rounding
     assert abs(evaluate(g, z)) == norm
+
+
+def test_convolve_is_numpys_bit_for_bit():
+    # equal lengths included, where the factors' order changes the sums
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        u, v = (rng.standard_normal(int(rng.integers(1, 26)))
+                * 10.0 ** rng.uniform(-5.0, 5.0) for _ in range(2))
+        assert _convolve(u, v).tobytes() == np.convolve(u, v).tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

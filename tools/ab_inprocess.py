@@ -19,6 +19,11 @@ before any timing.  Three passes over each family are timed:
   same (root-cached) polynomials, then ``synth_marginal_perturbation`` when
   the verdict is ``exact_sufficient``, as the plant workloads do.
 
+Two FHN families get one pass, ``fhn_search_eo`` of each model, which
+``fhn-find`` runs: ``fhn-default`` is the default ``FHNModel`` and
+``fhn-seeded`` 25 models drawn from ``default_rng(7)`` as the search's
+tests draw them.
+
 A typed rirkit error counts as the call's outcome.  The copy loaded second
 pays a few microseconds a call, so the copies are loaded twice, in both
 orders: even reps run the pair loaded parent first, parent first, and odd
@@ -37,6 +42,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # importing bench/ must leave no cache there
 sys.path.insert(0, str(ROOT / "bench"))
@@ -44,15 +51,18 @@ sys.path.insert(0, str(ROOT / "bench"))
 from plants import plant_family  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
-FAMILIES = ("plants-small", "plants-large")
-PASSES = ("linf_norm", "crossing_counts", "analyze+synth")
+PASSES = {"plants-small": ("linf_norm", "crossing_counts", "analyze+synth"),
+          "plants-large": ("linf_norm", "crossing_counts", "analyze+synth"),
+          "fhn-default": ("fhn_search_eo",),
+          "fhn-seeded": ("fhn_search_eo",)}
+FAMILIES = tuple(PASSES)
 SIDES = ("parent", "change")
 
 
 def load(checkout: Path, name: str, tmp: Path):
     """The checkout's ``rirkit`` imported as package ``name``."""
     shutil.copytree(checkout / "src" / "rirkit", tmp / name)
-    for module in ("transfer", "nyquist", "rir", "errors"):
+    for module in ("transfer", "nyquist", "rir", "casestudies", "errors"):
         importlib.import_module(f"{name}.{module}")
     return sys.modules[name]
 
@@ -67,8 +77,20 @@ def build(pkg, plants: list[dict]) -> list:
     return out
 
 
+def fhn_models(pkg, family: str) -> list:
+    """The family's FHN models, as ``pkg``'s."""
+    if family == "fhn-default":
+        return [pkg.casestudies.FHNModel()]
+    rng = np.random.default_rng(7)
+    return [pkg.casestudies.FHNModel(
+        c=rng.uniform(0.6, 1.5), alpha=rng.uniform(0.5, 0.9),
+        beta=rng.uniform(0.6, 1.0), tau=rng.uniform(0.005, 0.02),
+        d=rng.uniform(5.0, 15.0), current=rng.uniform(0.2, 0.6))
+        for _ in range(25)]
+
+
 def passes(pkg) -> dict:
-    """Pass name -> function of one plant, for ``pkg``."""
+    """Pass name -> function of one plant or model, for ``pkg``."""
     nyquist, rir, transfer = pkg.nyquist, pkg.rir, pkg.transfer
     spec = nyquist.ContourSpec(epsilon=0.0)
 
@@ -79,7 +101,8 @@ def passes(pkg) -> dict:
 
     return {"linf_norm": transfer.linf_norm,
             "crossing_counts": lambda g: nyquist.crossing_counts(g, spec),
-            "analyze+synth": analyze_synth}
+            "analyze+synth": analyze_synth,
+            "fhn_search_eo": pkg.casestudies.fhn_search_eo}
 
 
 def timed(fn, plants: list, error) -> float:
@@ -111,22 +134,23 @@ def main(argv=None) -> int:
                                           f"ab_{side}_{order}", Path(tmp))
         inputs = {}
         for family in FAMILIES:
-            plants = plant_family(0, args.count,
-                                  WORKLOADS[family]["degrees"])
+            plants = (None if family.startswith("fhn") else plant_family(
+                0, args.count, WORKLOADS[family]["degrees"]))
             for order, pair in enumerate(pairs):
                 for side, pkg in pair.items():
-                    gs = build(pkg, plants)
-                    for fn in passes(pkg).values():  # warm-up
-                        timed(fn, gs, pkg.errors.RirkitError)
-                    inputs[family, order, side] = gs
+                    xs = (fhn_models(pkg, family) if plants is None
+                          else build(pkg, plants))
+                    for name in PASSES[family]:  # warm-up
+                        timed(passes(pkg)[name], xs, pkg.errors.RirkitError)
+                    inputs[family, order, side] = xs
 
         times = {(f, p, s): []
-                 for f in FAMILIES for p in PASSES for s in SIDES}
+                 for f in FAMILIES for p in PASSES[f] for s in SIDES}
         for rep in range(args.reps):
             order = rep % 2
             sides = SIDES if order == 0 else SIDES[::-1]
             for family in FAMILIES:
-                for name in PASSES:
+                for name in PASSES[family]:
                     for side in sides:
                         pkg = pairs[order][side]
                         times[family, name, side].append(timed(
@@ -137,7 +161,7 @@ def main(argv=None) -> int:
     print(f"{'family':<14}{'pass':<17}{'parent ms':>10}{'change ms':>10}"
           f"{'parent IQR':>12}{'change':>9}")
     for family in FAMILIES:
-        for name in PASSES:
+        for name in PASSES[family]:
             parent = times[family, name, "parent"]
             change = times[family, name, "change"]
             p_med, c_med = statistics.median(parent), statistics.median(change)
