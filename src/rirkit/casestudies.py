@@ -350,6 +350,8 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
     exact-RIR condition at the cell's midpoint.  For the default model that
     is 13 peak-gain evaluations: 3 for the direction, 6 in the march and 4
     in the cell search, where bisection takes 11.
+    Raises PreconditionError where no bracket is found or where g at e_o
+    is not ``exact_sufficient``: the paper's chain does not apply there.
     """
     def h(e):
         return abs(e) - _inv_norm(model, e)
@@ -372,7 +374,7 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
     g_eo = fhn_linearize(model, e_o)
     verdict = exact_rir_analyze(g_eo)
     if verdict.status != EXACT_SUFFICIENT:
-        raise SynthesisVerificationError(
+        raise PreconditionError(
             f"sufficient exact-RIR condition fails at e_o={e_o}: "
             f"{verdict.status}")
     return EoSearchResult(e_o=e_o, g_eo=g_eo,

@@ -22,7 +22,6 @@ __all__ = [
     "from_roots",
 ]
 
-TRIM_TOL = 1e-12
 CLUSTER_TOL = 1e-7
 CONJ_PAIR_TOL = 1e-9
 
@@ -31,9 +30,10 @@ CONJ_PAIR_TOL = 1e-9
 class Polynomial:
     """Real polynomial in descending powers of z.
 
-    Leading coefficients within TRIM_TOL of the largest (relative) are
-    trimmed at construction.  The zero polynomial is degree 0 with a single
-    zero coefficient and ``is_zero`` set.
+    Leading zeros are dropped at construction, and only exact zeros: the
+    degree is the number of coefficients after the first nonzero one,
+    however small it is against the rest.  The zero polynomial is degree 0
+    with a single zero coefficient and ``is_zero`` set.
     """
 
     coeffs: tuple[float, ...]
@@ -46,12 +46,11 @@ class Polynomial:
         vals = arr.tolist()
         if not all(map(math.isfinite, vals)):
             raise ValueError("coefficients must be finite")
-        scale = max(map(abs, vals))
-        if scale == 0.0:
+        lead = next((k for k, c in enumerate(vals) if c != 0.0), None)
+        if lead is None:
             object.__setattr__(self, "coeffs", (0.0,))
             object.__setattr__(self, "is_zero", True)
             return
-        lead = next(k for k, c in enumerate(vals) if abs(c) > TRIM_TOL * scale)
         object.__setattr__(self, "coeffs", tuple(vals[lead:]))
         object.__setattr__(self, "is_zero", False)
 
@@ -153,9 +152,9 @@ def poly_eval(p: Polynomial, z):
 def from_roots(roots, leading: float = 1.0) -> Polynomial:
     """Expand leading * prod (z - r_i), symmetrizing to real coefficients.
 
-    The roots are cached for ``roots()`` unless trimming changes the degree
-    or the expansion misses one by more than the rounding bound on
-    prod (z + |r_i|), as roots that are not conjugate-closed do.
+    The roots are cached for ``roots()`` unless the expansion misses one by
+    more than the rounding bound on prod (z + |r_i|), as roots that are not
+    conjugate-closed do.
     """
     roots = np.asarray(roots, dtype=complex).reshape(-1)
     coeffs = np.array([1.0 + 0.0j])
@@ -163,7 +162,7 @@ def from_roots(roots, leading: float = 1.0) -> Polynomial:
         coeffs = np.convolve(coeffs, [1.0, -r])
     # conjugate-paired inputs give real coefficients up to rounding
     p = Polynomial(leading * coeffs.real)
-    if p.is_zero or p.degree != len(roots):
+    if p.is_zero:
         return p
     majorant = abs(leading) * np.atleast_1d(np.poly(-np.abs(roots)))
     rs = _root_set(p, roots.tolist(), majorant)
@@ -222,7 +221,11 @@ def poly_roots(p: Polynomial) -> RootSet:
     run on an exact power-of-two rescaling, so subnormal p' cannot overflow the
     step.  The step is skipped where p or p' is exactly zero (zero and exact
     multiple roots).
-    Raises ValueError for the zero polynomial (roots undefined).
+    Raises ValueError for the zero polynomial (roots undefined) and where
+    doubles cannot hold the answer: where the coefficients spread beyond
+    ~2**1074, so that the rescaling underflows the leading one to 0, where
+    past degree 2 a companion entry c_k/c_0 overflows, and where a polished
+    root's modulus is not finite.
     """
     if p.is_zero:
         raise ValueError("undefined roots: zero polynomial")
@@ -230,12 +233,19 @@ def poly_roots(p: Polynomial) -> RootSet:
         return RootSet(roots=(), multiplicities=(), residual=0.0)
     shift = -math.frexp(max(map(abs, p.coeffs)))[1]
     c = [math.ldexp(a, shift) for a in p.coeffs]
+    if c[0] == 0.0:
+        raise ValueError("coefficients spread beyond the double range: the "
+                         "leading one underflows at the largest's scale")
     n = len(c)
     while c[n - 1] == 0.0:
         n -= 1
     if n > 3:
+        row = [-a / c[0] for a in c[1:n]]
+        if not all(map(math.isfinite, row)):
+            raise ValueError("coefficients spread beyond the double range: "
+                             "a companion entry c_k/c_0 overflows")
         companion = np.diag(np.ones(n - 2), -1)
-        companion[0, :] = -np.array(c[1:n]) / c[0]
+        companion[0, :] = row
         z = np.linalg.eigvals(companion).tolist()
     elif n == 3:
         z = list(_quadratic_roots(*c[:3]))
@@ -253,6 +263,8 @@ def poly_roots(p: Polynomial) -> RootSet:
             dv = dv * r + a
         if pv != 0.0 and dv != 0.0:
             r -= pv / dv
+        if not math.isfinite(math.hypot(r.real, r.imag)):
+            raise ValueError(f"a root lies beyond the double range: {r}")
         polished.append(r)
     return _root_set(p, polished, None)
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import itertools
 import json
 import os
@@ -331,6 +332,47 @@ def test_nyquist_overflowing_loop_exit_2(capsys, eps):
     assert "not finite" in report["error"]["message"]
 
 
+def test_nyquist_high_gain_loop_keeps_its_closed_loop_pole(capsys):
+    # den - num of 1e12/(z - 1.5) is z - (1.5 + 1e12): a leading 1 far
+    # below the constant term is still the leading coefficient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, [
+            "nyquist", "--input", '{"num": [1e12], "den": [1, -1.5]}'])
+    assert code == 0
+    assert json.loads(out)["closed_loop_pole_moduli"] == [1000000000001.5]
+
+
+@pytest.mark.parametrize("spec, error", [
+    # the leading 1e-300 underflows at the scale of 1e300
+    ('{"num": [1], "den": [1e-300, 1e300, 1]}', "ValueError"),
+    # the leading 1e-13 keeps num at degree 2, above den's 1
+    ('{"num": [1e-13, 1, 2], "den": [1, 0.5]}', "ImproperTransferError"),
+], ids=["spread-den", "tiny-leading-num"])
+def test_analyze_untrimmed_input_exits_2(capsys, spec, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, ["analyze", "--input", spec])
+    assert code == 2
+    report = json.loads(out)  # one JSON object
+    assert set(report) == {"error", "schema"}
+    assert report["error"]["type"] == error
+
+
+def test_fhn_find_outside_the_premise_exits_3(capsys):
+    # the 7th draw of the seeded fhn_search_eo sweep: g at e_o is
+    # inconclusive, so the paper's chain does not apply to the model
+    params = {"c": 0.932582679541986, "alpha": 0.5014936968208303,
+              "beta": 0.9320190919206982, "tau": 0.007316916215921598,
+              "d": 7.6759930456378545, "current": 0.5521328615923314}
+    code, out = run_cli(capsys, ["fhn-find"] + [
+        arg for k, v in params.items() for arg in ("--param", f"{k}={v!r}")])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "PreconditionError"
+    assert "e_o=0.1146533203125: inconclusive" in err["message"]
+
+
 def test_pcr_max_report(capsys):
     code, out = run_cli(capsys, [
         "pcr-max", "--param", "omega_p=1.0471975511965976",
@@ -599,6 +641,33 @@ def test_readme_tables_are_the_flags_and_param_keys():
     assert _readme_table("| subcommand | flags |") == _COMMAND_FLAGS
     assert _readme_table("| subcommand | `--param` keys |") == {
         name: tuple(keys) for name, keys in _PARAM_KEYS.items()}
+
+
+def test_readme_numerical_notes_are_the_module_constants():
+    # every *_TOL, *_MARGIN, *_BAND and *_WINDOW constant of these modules,
+    # named in README's "Numerical notes" with its value, and no other
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    notes = itertools.takewhile(lambda line: not line.startswith("## "),
+                                lines[lines.index("## Numerical notes") + 1:])
+    bullets, module = {}, None
+    for line in notes:
+        start = re.match(r"  - `(\w+)`:", line)
+        if start:
+            module = start.group(1)
+            bullets[module] = ""
+        elif not line.startswith("    "):
+            module = None
+        if module is not None:
+            bullets[module] += " " + line.strip()
+    documented = {
+        module: {name: float(value) for name, value in
+                 re.findall(r"`([A-Z_]+)` \(([-+.\de]+)", text)}
+        for module, text in bullets.items()}
+    assert documented == {
+        name: {k: v for k, v in vars(importlib.import_module(
+                   f"rirkit.{name}")).items()
+               if re.fullmatch(r"[A-Z_]+_(TOL|MARGIN|BAND|WINDOW)", k)}
+        for name in ("polycore", "transfer", "nyquist", "rir")}
 
 
 def _bench_paper_argvs() -> list[list[str]]:

@@ -92,10 +92,6 @@ def test_closed_loop_pole_shift():
     assert abs(rs.flat[0] - 2.5) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="Polynomial trims den - num's leading 1, below "
-                          "TRIM_TOL = 1e-12 of the constant term 1e12 + 1.5, "
-                          "so the closed-loop pole is lost")
 def test_closed_loop_pole_of_a_high_gain_loop_is_kept():
     # 1e12/(z - 1.5) closes at 1.5 + 1e12: that root, or a typed error
     try:
@@ -104,6 +100,14 @@ def test_closed_loop_pole_of_a_high_gain_loop_is_kept():
         return
     assert len(roots) == 1
     assert abs(roots[0] - (1.5 + 1e12)) <= 1e-9 * (1.5 + 1e12)
+
+
+def test_extended_nyquist_high_gain_loop_is_unstable_without_warning():
+    # the closed-loop pole 1.5 + 1e12 is kept, so the roots and the contour
+    # count agree that it lies outside the disk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extended_nyquist_check(RationalTF([1e12], [1.0, -1.5])) is False
 
 
 def test_closed_loop_small_gain_stays_inside():

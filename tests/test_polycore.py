@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 from collections import Counter
 from unittest import mock
@@ -74,6 +76,21 @@ def test_roots_degree8_from_monomials():
 def test_roots_zero_polynomial_rejected():
     with pytest.raises(ValueError, match="undefined roots"):
         poly_roots(Polynomial([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("coeffs, match", [
+    # 1e-320 vanishes at the scale of 1e300
+    ([1e-320, 1e300, 1.0], "leading one underflows"),
+    # c_2/c_0 = 1e310 at unit scale, though the roots ~1e155j are doubles
+    ([1e-310, 0.0, 1.0, 1.0], "companion entry"),
+    # the root -1e310
+    ([1e-300, 1e10], "root lies beyond"),
+], ids=["spread", "companion", "root"])
+def test_roots_doubles_cannot_hold_raise(coeffs, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            poly_roots(Polynomial(coeffs))
 
 
 def test_roots_of_subnormal_coefficients():
@@ -198,7 +215,7 @@ def test_conjugate_closure_with_near_double_pairs(pairs, reals):
             roots += [w, np.conj(w)]
     assume(len(roots) <= 24)
     p = Polynomial(np.poly(roots).real)
-    assume(p.degree == len(roots))
+    assert p.degree == len(roots)
     _assert_conjugate_closed(p)
 
 
@@ -210,8 +227,7 @@ def test_eval_linear_in_leading_term(tail, re, im):
     # Horner consistency: p(z) = lead * z^n + rest(z)
     coeffs = [1.0] + tail
     p = Polynomial(coeffs)
-    if p.degree != len(tail):
-        return  # leading trim collapsed the degree
+    assert p.degree == len(tail)
     z = complex(re, im)
     rest = Polynomial(tail) if tail else Polynomial([0.0])
     assert abs(p(z) - (z ** len(tail) + poly_eval(rest, z))) < 1e-9
@@ -389,20 +405,47 @@ def test_quadratic_roots_match_mpmath(coeffs):
     _assert_forward_error(coeffs, roots, mp_quadratic_roots(*coeffs))
 
 
-_SPREAD = st.builds(lambda s, m, k: s * m * 10.0 ** k, _SIGN,
-                    st.floats(min_value=1.0, max_value=10.0),
-                    st.integers(min_value=-300, max_value=300))
+def _spread(max_exponent):
+    """sign * U(1, 10) * 10**k, k an integer from -300 to max_exponent."""
+    return st.builds(lambda s, m, k: s * m * 10.0 ** k, _SIGN,
+                     st.floats(min_value=1.0, max_value=10.0),
+                     st.integers(min_value=-300, max_value=max_exponent))
+
+
+_SPREAD = _spread(300)
 
 
 @given(st.tuples(_SPREAD, _SPREAD, _SPREAD))
 @settings(max_examples=80, deadline=None)
 def test_degree_two_roots_of_spread_coefficients_match_mpmath(coeffs):
     # poly_roots scales by a power of two before the closed form, so no
-    # coefficient spread over- or underflows the discriminant
+    # coefficient spread over- or underflows the discriminant.  It raises
+    # where that scaling underflows the leading coefficient, or where the
+    # larger root lies beyond the double range.
     p = Polynomial(coeffs)
-    assume(p.degree == 2)
+    shift = -math.frexp(max(map(abs, coeffs)))[1]
+    exact = (None if math.ldexp(abs(coeffs[0]), shift) == 0.0
+             else mp_quadratic_roots(*coeffs))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if exact is None or max(map(abs, exact)) > sys.float_info.max:
+            with pytest.raises(ValueError):
+                poly_roots(p)
+            return
         rs = poly_roots(p)
     assert rs.total == 2
-    _assert_forward_error(p.coeffs, rs.flat, mp_quadratic_roots(*p.coeffs))
+    _assert_forward_error(coeffs, rs.flat, exact)
+
+
+@given(_SPREAD, st.lists(st.one_of(_SPREAD, st.just(0.0)), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_polynomial_keeps_every_coefficient_after_a_nonzero_first(lead, tail):
+    coeffs = [lead] + tail
+    assert Polynomial(coeffs).coeffs == tuple(coeffs)
+
+
+@given(st.lists(_spread(25), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_from_roots_degree_is_the_root_count(roots):
+    # roots up to 1e26 give coefficients up to ~1e210 after the leading 1
+    assert from_roots(roots).degree == len(roots)
