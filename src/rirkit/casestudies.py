@@ -347,9 +347,11 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
     indicated by the sign of h(e) = |e| - 1/||g_e|| near the origin, brackets
     the sign change, narrows the bracket to one cell of its bisection to a
     width of 1e-5 (``_bisection_cell``), and verifies the sufficient
-    exact-RIR condition at the cell's midpoint.  For the default model that
-    is 13 peak-gain evaluations: 3 for the direction, 6 in the march and 4
-    in the cell search, where bisection takes 11.
+    exact-RIR condition at the cell's midpoint.  h(0) = -1/||g_0|| is
+    negative, so the march starts from that class and evaluates h(0) only
+    where the first step makes the bracket.  For the default model that is
+    11 peak-gain evaluations: 2 for the direction, 6 in the march and 3 in
+    the cell search, where bisection takes 11.
     Raises PreconditionError where no bracket is found or where g at e_o
     is not ``exact_sufficient``: the paper's chain does not apply there.
     """
@@ -358,12 +360,14 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
 
     step = 0.02
     direction = -1.0 if h(-0.01) >= h(0.01) else 1.0
-    prev_e, prev_h = 0.0, h(0.0)
+    prev_e, prev_h = 0.0, -math.inf  # the class of h(0)
     k = 1
     while step * k <= 0.5 + 1e-12:
         e = direction * step * k
         cur = h(e)
         if prev_h < 0.0 <= cur or prev_h >= 0.0 > cur:
+            if k == 1:  # the cell search reads h at the bracket's ends
+                prev_h = h(0.0)
             break
         prev_e, prev_h = e, cur
         k += 1
@@ -389,7 +393,7 @@ def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float) -> float:
     is a, node n is b, and the node halfway between nodes i and j is the
     float 0.5 * (x_i + x_j), replayed here without evaluating h.  The ITP
     method (Oliveira & Takahashi, ACM TOMS 47(1), 2020), with kappa1 =
-    0.2 / n, kappa2 = 2 and n0 = 1, searches the node indices: the
+    0.02 / n, kappa2 = 2 and n0 = 1, searches the node indices: the
     regula-falsi estimate is truncated toward the midpoint, projected into
     the nodes that leave at most n / 2**j cells on either side after probe
     j = 0, 1, ..., and rounded to a node strictly inside the bracket.  Those
@@ -411,7 +415,7 @@ def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float) -> float:
     lo, hi, cap = 0, n, n
     while hi - lo > 1:
         mid = 0.5 * (lo + hi)
-        delta = 0.2 / n * (hi - lo) ** 2
+        delta = 0.02 / n * (hi - lo) ** 2
         xf = lo + (hi - lo) * (h_a / (h_a - h_b))  # nan: xt is the midpoint
         xt = (xf + math.copysign(delta, mid - xf)
               if delta <= abs(mid - xf) else mid)

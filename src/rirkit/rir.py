@@ -10,6 +10,7 @@ PCR bounds, and the discrete gain-phase integral).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,7 +269,11 @@ def allpass_phase_match(omega_p: float, theta_p: float) -> AllPassSpec:
     The plain section reaches phases in (-pi, 0); a sign flip shifts the
     range to (0, pi); the constants +-1 cover 0 and pi.  The parameter
     comes in closed form from ``_ap1_param``, and the phase it achieves
-    must match within 1e-10.
+    must match within 1e-10.  A miss within the phase's own rounding floor,
+    4 eps (|a| |d theta/d a| + omega |d theta/d omega|), with d theta/d a =
+    2 sin(omega) / |e^{j omega} + a|^2 and d theta/d omega = (a^2 - 1) /
+    |e^{j omega} + a|^2, means no double a meets the target there (omega_p
+    near 0 or pi), and raises PreconditionError.
     """
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
@@ -283,11 +288,19 @@ def allpass_phase_match(omega_p: float, theta_p: float) -> AllPassSpec:
         c, target = -1, t - math.pi
     a = float(_ap1_param(target, omega_p))
     achieved = float(ap1_phase(a, omega_p))
+    z = complex(np.exp(1j * omega_p))
     if abs(achieved - target) > 1e-10:
+        floor = (4.0 * sys.float_info.epsilon
+                 * (abs(a) * 2.0 * math.sin(omega_p)
+                    + omega_p * abs(a * a - 1.0)) / abs(z + a) ** 2)
+        if abs(achieved - target) <= floor:
+            raise PreconditionError(
+                f"no all-pass section meets phase {target} at "
+                f"omega_p={omega_p} to 1e-10: achieved {achieved}, within "
+                f"the phase's rounding floor {floor}")
         raise SynthesisVerificationError(
             f"phase match failed: target {target}, achieved {achieved}")
     # consistency with the closed-form sine identity for the section phase
-    z = complex(np.exp(1j * omega_p))
     ident = (a**2 - 1.0) * math.sin(omega_p) / abs(z + a) ** 2
     if abs(math.sin(achieved) - ident) > 1e-9:
         raise SynthesisVerificationError("sine identity violated")

@@ -477,6 +477,20 @@ def test_pcr_max_unreachable_boundary_phase_exits_3(capsys):
     assert err["type"] == "PreconditionError" and "boundary" in err["message"]
 
 
+@pytest.mark.parametrize("omega, theta", [("1e-9", "1.0"),
+                                          ("3.14159265", "0.3")])
+def test_pcr_max_phase_below_rounding_floor_exits_3(capsys, omega, theta):
+    # interior omega_p next to 0 or pi: no double a meets the section's
+    # phase target to 1e-10 (next to pi, the miss is mostly omega's own
+    # rounding), and json.loads reads exactly one object
+    code, out = run_cli(capsys, ["pcr-max", "--param", f"omega_p={omega}",
+                                 "--param", f"theta_p={theta}"])
+    assert code == 3
+    err = json.loads(out)["error"]
+    assert err["type"] == "PreconditionError"
+    assert "rounding floor" in err["message"]
+
+
 def test_pcr_max_boundary_band_is_the_search_band(capsys):
     code, out = run_cli(capsys, ["pcr-max", "--param", "omega_p=1e-13",
                                  "--param", "theta_p=3.141592653589793"])

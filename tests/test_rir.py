@@ -503,7 +503,7 @@ _PCR_THETA = st.one_of(st.sampled_from([0.0, -0.0, np.pi, -np.pi]),
 
 @given(_PCR_OMEGA, _PCR_THETA, st.integers(1, 6), st.integers(1, 3000),
        st.integers(0, 2**32 - 1))
-@example(1e-9, 1.0, 1, 1, 0)  # both raise SynthesisVerificationError
+@example(1e-9, 1.0, 1, 1, 0)  # both raise PreconditionError
 @settings(max_examples=60, deadline=None)
 def test_pcr_search_matches_reference_bit_for_bit(omega, theta, max_order,
                                                    trials, seed):
@@ -518,12 +518,9 @@ def test_pcr_search_matches_reference_bit_for_bit(omega, theta, max_order,
     assert outcome(pcr_max_search) == outcome(reference_pcr_max_search)
 
 
-@pytest.mark.xfail(strict=True, raises=SynthesisVerificationError,
-                   reason="at interior omega_p below ~1e-5 no double a "
-                          "meets the section's phase target to 1e-10")
 def test_pcr_max_near_zero_interior_omega_is_not_an_internal_fault(
         monkeypatch):
-    # let the exit-4 error surface, so the xfail names its type
+    # an exit-4 error surfaces as its exception, not as a return code
     monkeypatch.setattr(cli, "_INTERNAL_ERRORS", ())
     argv = ["pcr-max", "--param", "omega_p=1e-9", "--param", "theta_p=1.0"]
     assert cli.main(argv) in (0, 3)

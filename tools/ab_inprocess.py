@@ -22,14 +22,17 @@ before any timing.  Three passes over each family are timed:
 Two FHN families get one pass, ``fhn_search_eo`` of each model, which
 ``fhn-find`` runs: ``fhn-default`` is the default ``FHNModel`` and
 ``fhn-seeded`` 25 models drawn from ``default_rng(7)`` as the search's
-tests draw them.
+tests draw them.  One more pass of each FHN family, untimed, counts each
+copy's peak-gain evaluations (its ``casestudies.linf_norm`` calls), so a
+search change is quoted with its count beside its time.
 
 A typed rirkit error counts as the call's outcome.  The copy loaded second
 pays a few microseconds a call, so the copies are loaded twice, in both
 orders: even reps run the pair loaded parent first, parent first, and odd
 reps the pair loaded change first, change first.  Prints one line per family
 and pass: both sides' median pass time, the parent's interquartile range
-over its median, and the change's median against the parent's in percent.
+over its median, the change's median against the parent's in percent, and
+for the FHN families both sides' peak-gain evaluations in a pass.
 Nothing under ``bench/`` is written.
 """
 
@@ -116,6 +119,23 @@ def timed(fn, plants: list, error) -> float:
     return time.perf_counter() - t0
 
 
+def peak_gain_evals(pkg, models: list) -> int:
+    """``pkg.casestudies.linf_norm`` calls in one ``fhn_search_eo`` pass."""
+    cs, calls = pkg.casestudies, []
+    real = cs.linf_norm
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    cs.linf_norm = counting
+    try:
+        timed(cs.fhn_search_eo, models, pkg.errors.RirkitError)
+    finally:
+        cs.linf_norm = real
+    return len(calls)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -157,18 +177,22 @@ def main(argv=None) -> int:
                             passes(pkg)[name], inputs[family, order, side],
                             pkg.errors.RirkitError))
             print(f"rep {rep + 1}/{args.reps}", file=sys.stderr, flush=True)
+        evals = {(f, s): peak_gain_evals(pairs[0][s], inputs[f, 0, s])
+                 for f in FAMILIES if f.startswith("fhn") for s in SIDES}
 
     print(f"{'family':<14}{'pass':<17}{'parent ms':>10}{'change ms':>10}"
-          f"{'parent IQR':>12}{'change':>9}")
+          f"{'parent IQR':>12}{'change':>9}{'parent n':>10}{'change n':>10}")
     for family in FAMILIES:
         for name in PASSES[family]:
             parent = times[family, name, "parent"]
             change = times[family, name, "change"]
             p_med, c_med = statistics.median(parent), statistics.median(change)
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+            counts = "".join(f"{evals.get((family, s), ''):>10}"
+                             for s in SIDES)
             print(f"{family:<14}{name:<17}{1e3 * p_med:>10.2f}"
                   f"{1e3 * c_med:>10.2f}{100.0 * (q3 - q1) / p_med:>11.1f}%"
-                  f"{100.0 * (c_med / p_med - 1.0):>+8.1f}%")
+                  f"{100.0 * (c_med / p_med - 1.0):>+8.1f}%{counts}")
     return 0
 
 
