@@ -346,12 +346,14 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
     Marches away from 0 in steps of 0.02, up to |e| = 0.5, in the direction
     indicated by the sign of h(e) = |e| - 1/||g_e|| near the origin, brackets
     the sign change, narrows the bracket to one cell of its bisection to a
-    width of 1e-5 (``_bisection_cell``), and verifies the sufficient
-    exact-RIR condition at the cell's midpoint.  h(0) = -1/||g_0|| is
-    negative, so the march starts from that class and evaluates h(0) only
-    where the first step makes the bracket.  For the default model that is
-    11 peak-gain evaluations: 2 for the direction, 6 in the march and 3 in
-    the cell search, where bisection takes 11.
+    width of 1e-5 (``_bisection_cell``, given the march point before the
+    bracket for its first probe), and verifies the sufficient exact-RIR
+    condition at the cell's midpoint.  h(0) = -1/||g_0|| is negative, so the
+    march starts from that class and evaluates h(0) only where the first
+    step makes the bracket; a bracket at the first or second step has no
+    march point before it.  For the default model that is 10 peak-gain
+    evaluations: 2 for the direction, 6 in the march and 2 in the cell
+    search, where bisection takes 11.
     Raises PreconditionError where no bracket is found or where g at e_o
     is not ``exact_sufficient``: the paper's chain does not apply there.
     """
@@ -360,7 +362,7 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
 
     step = 0.02
     direction = -1.0 if h(-0.01) >= h(0.01) else 1.0
-    prev_e, prev_h = 0.0, -math.inf  # the class of h(0)
+    before, prev_e, prev_h = None, 0.0, -math.inf  # the class of h(0)
     k = 1
     while step * k <= 0.5 + 1e-12:
         e = direction * step * k
@@ -369,12 +371,14 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
             if k == 1:  # the cell search reads h at the bracket's ends
                 prev_h = h(0.0)
             break
+        if k > 1:  # h(0), before the second step's bracket, is not known
+            before = (prev_e, prev_h)
         prev_e, prev_h = e, cur
         k += 1
     else:
         raise PreconditionError(
             "no bracket for |e| = 1/||g_e|| found in [-0.5, 0.5]")
-    e_o = _bisection_cell(h, prev_e, e, prev_h, cur)
+    e_o = _bisection_cell(h, prev_e, e, prev_h, cur, before)
     g_eo = fhn_linearize(model, e_o)
     verdict = exact_rir_analyze(g_eo)
     if verdict.status != EXACT_SUFFICIENT:
@@ -385,7 +389,8 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
                           fixed_point=fhn_fixed_point(model, e_o))
 
 
-def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float) -> float:
+def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float,
+                    before) -> float:
     """The midpoint of a cell of [a, b]'s bisection to width 1e-5 whose ends
     h puts in different sign classes (h < 0 or not), as h_a and h_b do a, b.
 
@@ -400,6 +405,14 @@ def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float) -> float:
     bounds are nodes, so the rounding keeps ITP's bound of log2(n) + 1
     evaluations of h; on a smooth h it takes fewer.  Where h changes class
     once in [a, b], the cell and its midpoint are bisection's, bit for bit.
+
+    ``before`` is a point (c, h(c)) outside [a, b], or None.  Where h(c)
+    differs from h_a and h_b, the first probe is instead the inverse
+    quadratic estimate (Brent, 1973) through the three points, in node
+    units, when it lies strictly inside (0, n): probe 0 is unconstrained by
+    the projection, so the bound holds.  It is not truncated but rounded
+    toward the midpoint, so the node next to it on the far side stays
+    inside probe 1's projection of n / 2 cells.
     """
     n = 1
     while abs(b - a) / n > 1e-5:
@@ -412,6 +425,13 @@ def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float) -> float:
             x[i] = 0.5 * (node(i - s) + node(i + s))
         return x[i]
 
+    first = None
+    if before is not None and before[1] != h_a and before[1] != h_b:
+        c, h_c = before
+        t = (n * h_a * h_c / ((h_b - h_a) * (h_b - h_c))
+             + (c - a) / (b - a) * n * h_a * h_b / ((h_c - h_a) * (h_c - h_b)))
+        if 0.0 < t < n:
+            first = math.floor(t) if t > 0.5 * n else math.ceil(t)
     lo, hi, cap = 0, n, n
     while hi - lo > 1:
         mid = 0.5 * (lo + hi)
@@ -421,6 +441,8 @@ def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float) -> float:
               if delta <= abs(mid - xf) else mid)
         xt = min(max(xt, hi - cap), lo + cap)
         p = min(max(round(xt), lo + 1), hi - 1)
+        if first is not None:
+            p, first = first, None
         h_p = h(node(p))
         if (h_p < 0.0) == (h_a < 0.0):
             lo, h_a = p, h_p

@@ -273,7 +273,12 @@ def allpass_phase_match(omega_p: float, theta_p: float) -> AllPassSpec:
     4 eps (|a| |d theta/d a| + omega |d theta/d omega|), with d theta/d a =
     2 sin(omega) / |e^{j omega} + a|^2 and d theta/d omega = (a^2 - 1) /
     |e^{j omega} + a|^2, means no double a meets the target there (omega_p
-    near 0 or pi), and raises PreconditionError.
+    near 0 or pi), and raises PreconditionError.  The achieved phase must
+    then satisfy sin theta = (a^2 - 1) sin(omega) / |e^{j omega} + a|^2 to
+    1e-9 or to that identity's rounding floor, 4 eps ((a^2 + 1) |sin omega|
+    / |e^{j omega} + a|^2 + |rhs| (1 + |a|) / |e^{j omega} + a|) + eps,
+    which near a = -1 exceeds 1e-9; beyond both it raises
+    SynthesisVerificationError.
     """
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
@@ -300,10 +305,21 @@ def allpass_phase_match(omega_p: float, theta_p: float) -> AllPassSpec:
                 f"the phase's rounding floor {floor}")
         raise SynthesisVerificationError(
             f"phase match failed: target {target}, achieved {achieved}")
-    # consistency with the closed-form sine identity for the section phase
+    # consistency with the closed-form sine identity for the section phase,
+    # to 1e-9 or its own rounding floor: a^2 - 1 rounds by eps (a^2 + 1),
+    # and |z + a|^2 cancels near a = -1
     ident = (a**2 - 1.0) * math.sin(omega_p) / abs(z + a) ** 2
-    if abs(math.sin(achieved) - ident) > 1e-9:
-        raise SynthesisVerificationError("sine identity violated")
+    miss = abs(math.sin(achieved) - ident)
+    if miss > 1e-9:
+        eps = sys.float_info.epsilon
+        floor = (4.0 * eps * ((a * a + 1.0) * abs(math.sin(omega_p))
+                              / abs(z + a) ** 2
+                              + abs(ident) * (1.0 + abs(a)) / abs(z + a))
+                 + eps)
+        if miss > floor:
+            raise SynthesisVerificationError(
+                f"sine identity violated by {miss}, beyond its rounding "
+                f"floor {floor}")
     return AllPassSpec(c=c, a=float(a))
 
 

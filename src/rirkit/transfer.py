@@ -329,8 +329,32 @@ def _stationary_series(g: RationalTF):
     Chebyshev series, and the same series on absolute values (its majorant).
     The autocorrelations p, q of the coefficients, scaled to unit max, are P
     and Q as Laurent series over the lags k, so sin(omega) S = P Q_omega -
-    Q P_omega = 2 sum_{m>=1} c_m sin(m omega), c = (k p) * q - p * (k q)."""
+    Q P_omega = 2 sum_{m>=1} c_m sin(m omega), c = (k p) * q - p * (k q).
+
+    With at most 5 coefficients in num and den together, S has at most
+    three terms, and a proper g has at most 2 in num: p spans lags -1..1
+    and q lags -3..3, so c_l = sum_j (2 j - l) p_j q_{l-j} and the
+    majorant's sum_j (|j| + |l - j|) |p_j| |q_{l-j}| are written out in
+    Python floats, the missing coefficients as zeros (p_1 q_3 = 0, since
+    num has 2 only where den has at most 3)."""
     num, den = g.num.coeffs, g.den.coeffs
+    if len(num) + len(den) <= 5:
+        sa, sb = max(map(abs, num)), max(map(abs, den))
+        a0, a1 = [v / sa for v in num] + [0.0] * (2 - len(num))
+        b0, b1, b2, b3 = [v / sb for v in den] + [0.0] * (4 - len(den))
+        p0, p1, pa1 = a0 * a0 + a1 * a1, a0 * a1, abs(a0 * a1)
+        q0 = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
+        q1, q2, q3 = b1 * b0 + b2 * b1 + b3 * b2, b2 * b0 + b3 * b1, b3 * b0
+        qa1 = abs(b1 * b0) + abs(b2 * b1) + abs(b3 * b2)
+        qa2 = abs(b2 * b0) + abs(b3 * b1)
+        c1 = p1 * q0 - p0 * q1 - 3.0 * p1 * q2
+        c2, c3 = -2.0 * p0 * q2, -3.0 * p0 * q3 - p1 * q2
+        ca1 = pa1 * q0 + p0 * qa1 + 3.0 * pa1 * qa2
+        ca2 = 2.0 * p0 * qa2 + 2.0 * pa1 * qa1
+        ca3 = 3.0 * p0 * abs(q3) + 3.0 * pa1 * qa2
+        n = len(num) + len(den) - 2  # _u_to_t of 2 c and of 2 ca
+        return ([2.0 * (c1 + c3), 4.0 * c2, 4.0 * c3][:n],
+                [2.0 * (ca1 + ca3), 4.0 * ca2, 4.0 * ca3][:n])
     a = np.array(num) / max(map(abs, num))
     b = np.array(den) / max(map(abs, den))
     aa, ba = np.abs(a), np.abs(b)
@@ -361,7 +385,8 @@ def _partition(c):
     Past three terms the roots are the eigenvalues of the rotated scaled
     colleague matrix, built as numpy's ``chebroots`` builds it, so they are
     its roots; three terms c0 + c1 x + c2 T2 are 2 c2 x^2 + c1 x + c0 - c2,
-    solved by ``_quadratic_roots``.  c's last coefficient must be nonzero.
+    solved by ``_quadratic_roots`` and taken through ``math.acos``, so that
+    case calls no numpy.  c's last coefficient must be nonzero.
     A root's real part is kept whatever its imaginary part: an extra point
     only splits an interval, so no real root near the axis is lost.
     """
@@ -380,7 +405,8 @@ def _partition(c):
         x = np.linalg.eigvals(m).real.tolist()
     else:
         x = [-c[0] / c[1]] if n else []
-    inner = np.arccos([v for v in x if -1.0 < v < 1.0]).tolist()
+    x = [v for v in x if -1.0 < v < 1.0]
+    inner = [math.acos(v) for v in x] if n == 2 else np.arccos(x).tolist()
     pts = [0.0]
     for w in sorted(inner + [math.pi]):
         if w != pts[-1]:

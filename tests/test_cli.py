@@ -491,6 +491,23 @@ def test_pcr_max_phase_below_rounding_floor_exits_3(capsys, omega, theta):
     assert "rounding floor" in err["message"]
 
 
+@pytest.mark.parametrize("omega, theta", [
+    ("8.227241341700457e-09", "2.4"),
+    ("1.2638482029342972e-08", "2.0000000000000004"),
+    ("2.982471286216894e-08", "0.5")])
+def test_pcr_max_sine_identity_within_its_rounding_floor_exits_0(
+        capsys, omega, theta):
+    # the phase meets its 1e-10 target with a within 2.2e-8 of -1, where
+    # |e^{j omega} + a|^2 cancels: the sine identity misses 1e-9 (by up to
+    # 3.3e-9) but not its own rounding floor (8e-8 to 1.1e-7), and
+    # json.loads reads exactly one object
+    code, out = run_cli(capsys, ["pcr-max", "--param", f"omega_p={omega}",
+                                 "--param", f"theta_p={theta}"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["search"]["omega_p"] == float(omega)
+
+
 def test_pcr_max_boundary_band_is_the_search_band(capsys):
     code, out = run_cli(capsys, ["pcr-max", "--param", "omega_p=1e-13",
                                  "--param", "theta_p=3.141592653589793"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import rirkit.rir as rir
 import rirkit.transfer as transfer
-from conftest import reference_pcr_max_search, stabilizer_search
+from conftest import random_tf, reference_pcr_max_search, stabilizer_search
 from rirkit import cli
 from rirkit.errors import (
     PreconditionError,
@@ -22,6 +22,7 @@ from rirkit.rir import (
     EXACT_SUFFICIENT,
     INCONCLUSIVE,
     NOT_EXACT,
+    RATE_TOL,
     STRICTLY_GREATER,
     AllPassSpec,
     allpass_phase_match,
@@ -255,6 +256,38 @@ def test_analyze_outside_the_named_classes(g, n_unstable, status):
     assert v.class_tag.class_name == GN_OTHER
     assert v.class_tag.n_unstable == n_unstable
     assert v.status == status
+
+
+def _mirror(coeffs) -> list:
+    """p(-z) from p(z)'s descending coefficients: odd powers change sign."""
+    d = len(coeffs) - 1
+    return [-c if (d - i) % 2 else c for i, c in enumerate(coeffs)]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+@example(0, 1)  # G1_boundary, a three-term stationary series
+@example(7, 2)  # G2_interior, three terms
+@example(3, 2)  # Gn_other, constant over quadratic
+def test_analyze_is_invariant_under_the_mirror(seed, degree):
+    # g(-z) at e^{j (pi - omega)} is conj g(e^{j omega}): the same gain at
+    # pi - omega_p and the same phase rate, threshold and verdict; the
+    # status may differ only where theta' - threshold lies within RATE_TOL
+    # of zero on either side.  Degrees 1 and 2 take the closed-form series
+    rng = np.random.default_rng(seed)
+    n_unstable = int(rng.integers(1, degree + 1))
+    g = random_tf(rng, n_stable=degree - n_unstable, n_unstable=n_unstable,
+                  n_zeros=int(rng.integers(0, degree + 1)))
+    m = RationalTF(_mirror(g.num.coeffs), _mirror(g.den.coeffs))
+    v, w = exact_rir_analyze(g), exact_rir_analyze(m)
+    tag, mtag = v.class_tag, w.class_tag
+    assert ((tag.class_name, tag.n_unstable, tag.pip, tag.peak_unique)
+            == (mtag.class_name, mtag.n_unstable, mtag.pip, mtag.peak_unique))
+    if tag.peak_unique:
+        assert abs(mtag.peak_omega - (math.pi - tag.peak_omega)) <= 1e-9
+    if v.status != w.status:
+        assert min(abs(v.theta_rate - v.rho_threshold),
+                   abs(w.theta_rate - w.rho_threshold)) <= RATE_TOL
 
 
 def test_strictly_greater_stabilizer_norms():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numpy.polynomial import chebyshev as cheb
@@ -19,6 +19,7 @@ from conftest import (
     reference_unwrapped_phase,
 )
 import rirkit.transfer as transfer
+from rirkit.casestudies import FHNModel, fhn_linearize
 from rirkit.errors import (
     ImproperTransferError,
     NotInGClassError,
@@ -272,17 +273,23 @@ def test_convolve_is_numpys_bit_for_bit():
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=0, max_value=12), st.booleans(),
-       st.floats(min_value=-6.0, max_value=6.0))
+       st.floats(min_value=-6.0, max_value=6.0), st.none())
 @settings(max_examples=60, deadline=None)
+@example(0, 0, False, 0.0, fhn_linearize(FHNModel(), -0.1194482421875))
+@example(0, 0, False, 0.0, FHN_G)
+@example(0, 0, False, 0.0, RationalTF([0.7], [1.0, -1.15, -0.425, 0.375]))
 def test_stationary_series_matches_chebyshev_algebra(seed, degree, biproper,
-                                                     log_gain):
-    # the two-convolution S against P'Q - PQ' by Chebyshev series algebra,
-    # for deg num < deg den and deg num = deg den
+                                                     log_gain, plant):
+    # the two-convolution S, and its closed form for at most 5 coefficients
+    # (the draws of degree <= 2 and the examples: g_e at the default model's
+    # e_o, the printed plant and a constant over a cubic), against P'Q - PQ'
+    # by Chebyshev series algebra, for deg num < deg den and deg num = deg den
     rng = np.random.default_rng(seed)
     n_unstable = int(rng.integers(0, degree + 1))
     n_zeros = degree if biproper or not degree else int(rng.integers(0, degree))
-    g = random_tf(rng, n_stable=degree - n_unstable, n_unstable=n_unstable,
-                  n_zeros=n_zeros, gain_range=(10.0 ** log_gain,) * 2)
+    g = plant if plant is not None else random_tf(
+        rng, n_stable=degree - n_unstable, n_unstable=n_unstable,
+        n_zeros=n_zeros, gain_range=(10.0 ** log_gain,) * 2)
     s, _ = _stationary_series(g)
     ref, majorant = reference_stationary_series(g)
     # a constant plant has no S; the reference keeps one zero coefficient

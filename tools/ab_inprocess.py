@@ -32,7 +32,9 @@ orders: even reps run the pair loaded parent first, parent first, and odd
 reps the pair loaded change first, change first.  Prints one line per family
 and pass: both sides' median pass time, the parent's interquartile range
 over its median, the change's median against the parent's in percent, and
-for the FHN families both sides' peak-gain evaluations in a pass.
+for the FHN families both sides' peak-gain evaluations in a pass and their
+median pass time over that count, in microseconds an evaluation, so that a
+change in the cost of one evaluation shows apart from a change in the count.
 Nothing under ``bench/`` is written.
 """
 
@@ -181,7 +183,8 @@ def main(argv=None) -> int:
                  for f in FAMILIES if f.startswith("fhn") for s in SIDES}
 
     print(f"{'family':<14}{'pass':<17}{'parent ms':>10}{'change ms':>10}"
-          f"{'parent IQR':>12}{'change':>9}{'parent n':>10}{'change n':>10}")
+          f"{'parent IQR':>12}{'change':>9}{'parent n':>10}{'change n':>10}"
+          f"{'parent us/n':>13}{'change us/n':>13}")
     for family in FAMILIES:
         for name in PASSES[family]:
             parent = times[family, name, "parent"]
@@ -190,6 +193,10 @@ def main(argv=None) -> int:
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
             counts = "".join(f"{evals.get((family, s), ''):>10}"
                              for s in SIDES)
+            if family.startswith("fhn"):
+                counts += "".join(
+                    f"{1e6 * med / evals[family, s]:>13.1f}"
+                    for s, med in zip(SIDES, (p_med, c_med)))
             print(f"{family:<14}{name:<17}{1e3 * p_med:>10.2f}"
                   f"{1e3 * c_med:>10.2f}{100.0 * (q3 - q1) / p_med:>11.1f}%"
                   f"{100.0 * (c_med / p_med - 1.0):>+8.1f}%{counts}")
