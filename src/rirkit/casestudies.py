@@ -69,7 +69,12 @@ class MaglevParams:
 
 @dataclass(frozen=True)
 class FHNModel:
-    """Discrete FitzHugh-Nagumo map parameters with derived step gains."""
+    """Discrete FitzHugh-Nagumo map parameters with derived step gains.
+
+    The gains A, B and D are computed on first read and kept in the
+    instance ``__dict__``, outside the dataclass fields, so ``==``, ``hash``
+    and ``repr`` ignore them.
+    """
 
     c: float = 1.0
     alpha: float = 0.7
@@ -78,15 +83,15 @@ class FHNModel:
     d: float = 10.0
     current: float = 0.4
 
-    @property
+    @functools.cached_property
     def A(self) -> float:
         return math.exp(self.tau / self.c)
 
-    @property
+    @functools.cached_property
     def B(self) -> float:
         return math.exp(-self.beta * self.tau / self.d)
 
-    @property
+    @functools.cached_property
     def D(self) -> float:
         return 1.0 / self.beta
 
@@ -117,10 +122,15 @@ class Trajectory:
         return float(np.max(tail) - np.min(tail))
 
     def verdict(self) -> str:
-        """Oscillating above amplitude 0.1, converged below 1e-3."""
+        """Oscillating above amplitude 0.1, converged below 1e-3, and
+        indeterminate in between or where the last quarter holds fewer than
+        2 samples, whose max - min is no amplitude."""
         amp = self.last_quarter_amplitude()
         if self.diverged:
             return "diverged"
+        n = len(self.x)
+        if n - 3 * n // 4 < 2:  # the last quarter's length
+            return "indeterminate"
         if amp > 0.1:
             return "oscillating"
         if amp < 1e-3:
@@ -261,26 +271,26 @@ def fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
     phi deflated by that root; the branch continuous with the unperturbed
     fixed point is selected.  The map's residual there must not exceed 1e-12.
     """
-    A, D, alpha, current = model.A, model.D, model.alpha, model.current
+    D, alpha, current = model.D, model.alpha, model.current
     gain = (1.0 + e) * D
 
-    def phi(x):
-        return x - x**3 / 3.0 - gain * (x + alpha) + current
-
-    def newton(x):
+    def newton(x):  # on phi(x) = x - x^3/3 - gain (x + alpha) + current
         for _ in range(200):
             d = 1.0 - x**2 - gain  # phi'(x)
             if abs(d) < 1e-14:
                 return None
-            step = phi(x) / d
+            step = (x - x**3 / 3.0 - gain * (x + alpha) + current) / d
             x -= step
             if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                return x if abs(phi(x)) < 1e-10 else None
+                phi = x - x**3 / 3.0 - gain * (x + alpha) + current
+                return x if abs(phi) < 1e-10 else None
         return None
 
-    r = next((x for x in map(newton, (-2.0, -1.0, 0.0, 1.0)) if x is not None),
-             None)
-    if r is None:
+    for start in (-2.0, -1.0, 0.0, 1.0):
+        r = newton(start)
+        if r is not None:
+            break
+    else:
         raise PreconditionError(f"no fixed point found for e={e}")
     roots = [r]
     # phi / (x - r) = -x^2/3 - (r/3) x + 1 - gain - r^2/3
@@ -288,9 +298,10 @@ def fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
         x = newton(z) if isinstance(z, float) else None
         if x is not None and all(abs(x - q) > 1e-8 for q in roots):
             roots.append(x)
-    ref = (-1.0 if e == 0.0 or len(roots) == 1
-           else fhn_fixed_point(model, 0.0).xbar)
-    xbar = min(roots, key=lambda r: abs(r - ref))
+    xbar = r
+    if len(roots) > 1:
+        ref = -1.0 if e == 0.0 else fhn_fixed_point(model, 0.0).xbar
+        xbar = min(roots, key=lambda r: abs(r - ref))
     ybar = D * (xbar + alpha)
     resid = abs(_fhn_x_update(model, xbar, (1.0 + e) * ybar) - xbar)
     if resid > 1e-12:
@@ -308,8 +319,12 @@ def fhn_linearize(model: FHNModel, e: float) -> RationalTF:
     gain.  Analytic Jacobian entries are cross-checked against central
     finite differences, within 1e-6 max(1, |entry|).
     """
-    fp = fhn_fixed_point(model, e)
-    xb, yb = fp.xbar, fp.ybar
+    return _fhn_loop(model, fhn_fixed_point(model, e))
+
+
+def _fhn_loop(model: FHNModel, fp: FixedPoint) -> RationalTF:
+    """``fhn_linearize`` about the fixed point fp of its DC gain fp.e."""
+    e, xb, yb = fp.e, fp.xbar, fp.ybar
     A, B, D = model.A, model.B, model.D
     if abs(A - 1.0) < 1e-15:
         raise PreconditionError("singular structure: A = 1 (tau/c = 0)")
@@ -353,7 +368,8 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
     step makes the bracket; a bracket at the first or second step has no
     march point before it.  For the default model that is 10 peak-gain
     evaluations: 2 for the direction, 6 in the march and 2 in the cell
-    search, where bisection takes 11.
+    search, where bisection takes 11.  The fixed point at e_o is solved once,
+    for g_eo and for the result.
     Raises PreconditionError where no bracket is found or where g at e_o
     is not ``exact_sufficient``: the paper's chain does not apply there.
     """
@@ -379,14 +395,14 @@ def fhn_search_eo(model: FHNModel) -> EoSearchResult:
         raise PreconditionError(
             "no bracket for |e| = 1/||g_e|| found in [-0.5, 0.5]")
     e_o = _bisection_cell(h, prev_e, e, prev_h, cur, before)
-    g_eo = fhn_linearize(model, e_o)
+    fp = fhn_fixed_point(model, e_o)
+    g_eo = _fhn_loop(model, fp)
     verdict = exact_rir_analyze(g_eo)
     if verdict.status != EXACT_SUFFICIENT:
         raise PreconditionError(
             f"sufficient exact-RIR condition fails at e_o={e_o}: "
             f"{verdict.status}")
-    return EoSearchResult(e_o=e_o, g_eo=g_eo,
-                          fixed_point=fhn_fixed_point(model, e_o))
+    return EoSearchResult(e_o=e_o, g_eo=g_eo, fixed_point=fp)
 
 
 def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float,
@@ -428,10 +444,12 @@ def _bisection_cell(h, a: float, b: float, h_a: float, h_b: float,
     first = None
     if before is not None and before[1] != h_a and before[1] != h_b:
         c, h_c = before
-        t = (n * h_a * h_c / ((h_b - h_a) * (h_b - h_c))
-             + (c - a) / (b - a) * n * h_a * h_b / ((h_c - h_a) * (h_c - h_b)))
-        if 0.0 < t < n:
-            first = math.floor(t) if t > 0.5 * n else math.ceil(t)
+        d_b, d_c = (h_b - h_a) * (h_b - h_c), (h_c - h_a) * (h_c - h_b)
+        if d_b != 0.0 and d_c != 0.0:  # either product can underflow
+            t = (n * h_a * h_c / d_b
+                 + (c - a) / (b - a) * n * h_a * h_b / d_c)
+            if 0.0 < t < n:
+                first = math.floor(t) if t > 0.5 * n else math.ceil(t)
     lo, hi, cap = 0, n, n
     while hi - lo > 1:
         mid = 0.5 * (lo + hi)

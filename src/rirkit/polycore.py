@@ -9,6 +9,7 @@ product takes its factors' roots where they are its own to rounding.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -30,6 +31,11 @@ CONJ_PAIR_TOL = 1e-9
 class Polynomial:
     """Real polynomial in descending powers of z.
 
+    The coefficients are a sequence or 1-d array of real numbers
+    (``numbers.Real``: Python and numpy ints and floats among them), or one
+    such number, stored as floats.  Complex, bool and string values raise
+    ValueError, as do infinities, NaNs and unordered containers (sets and
+    dicts); a complex part is never dropped.
     Leading zeros are dropped at construction, and only exact zeros: the
     degree is the number of coefficients after the first nonzero one,
     however small it is against the rest.  The zero polynomial is degree 0
@@ -40,19 +46,25 @@ class Polynomial:
     is_zero: bool = field(default=False, compare=False)
 
     def __init__(self, coeffs):
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        if arr.ndim != 1 or arr.size == 0:
+        if isinstance(coeffs, np.ndarray):
+            coeffs = coeffs.tolist()
+        elif isinstance(coeffs, (set, frozenset, dict)):
+            raise ValueError("coefficients must be an ordered sequence")
+        try:
+            vals = [c if type(c) is float else _real(c) for c in coeffs]
+        except TypeError:  # not a sequence: one coefficient
+            vals = [_real(coeffs)]
+        if not vals:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
-        vals = arr.tolist()
         if not all(map(math.isfinite, vals)):
             raise ValueError("coefficients must be finite")
-        lead = next((k for k, c in enumerate(vals) if c != 0.0), None)
-        if lead is None:
-            object.__setattr__(self, "coeffs", (0.0,))
-            object.__setattr__(self, "is_zero", True)
-            return
-        object.__setattr__(self, "coeffs", tuple(vals[lead:]))
-        object.__setattr__(self, "is_zero", False)
+        lead = 0
+        while vals[lead] == 0.0:
+            lead += 1
+            if lead == len(vals):
+                self.__dict__.update(coeffs=(0.0,), is_zero=True)
+                return
+        self.__dict__.update(coeffs=tuple(vals[lead:]), is_zero=False)
 
     @property
     def degree(self) -> int:
@@ -124,15 +136,25 @@ class RootSet:
     multiplicities: tuple[int, ...]
     residual: float
 
-    def __post_init__(self):
-        out: list[complex] = []
-        for r, m in zip(self.roots, self.multiplicities):
-            out += [r] * m
-        self.__dict__["flat"] = tuple(out)
+    def __init__(self, roots, multiplicities, residual):
+        flat = (tuple(roots) if len(roots) == sum(multiplicities) else tuple(
+            r for r, m in zip(roots, multiplicities) for _ in range(m)))
+        self.__dict__.update(roots=roots, multiplicities=multiplicities,
+                             residual=residual, flat=flat)
 
     @property
     def total(self) -> int:
         return sum(self.multiplicities)
+
+
+def _real(c) -> float:
+    """c as a float, where c is a real number (bool is not)."""
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise ValueError(f"coefficients must be real numbers, got {c!r}")
+    try:
+        return float(c)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"coefficient {c} exceeds the float range") from None
 
 
 def poly_eval(p: Polynomial, z):
@@ -181,7 +203,16 @@ def _horner_bound(coeffs, absz: float) -> float:
 
 def _cluster(roots: list[complex], tol: float):
     """Cluster centres (running means) and counts of roots within tol of
-    each other, in ascending (real, imag) order."""
+    each other, in ascending (real, imag) order.  One root, or two apart,
+    needs no merging pass."""
+    if len(roots) < 2:
+        return roots, [1] * len(roots)
+    if len(roots) == 2:
+        a, b = roots
+        if (b.real, b.imag) < (a.real, a.imag):
+            a, b = b, a
+        if not abs(b - a) <= tol:
+            return [a, b], [1, 1]
     order = sorted(roots, key=lambda z: (z.real, z.imag))
     centers: list[complex] = []
     counts: list[int] = []
@@ -217,9 +248,11 @@ def poly_roots(p: Polynomial) -> RootSet:
     matrix that ``np.roots`` builds (LAPACK, backward stable up to scaling);
     degree 1 is -c1/c0, degree 2 ``_quadratic_roots``, and a trailing zero
     coefficient an exact root at 0.  One Newton step on p's own coefficients,
-    in Python complex arithmetic, brings each to Horner's rounding floor.  Both
-    run on an exact power-of-two rescaling, so subnormal p' cannot overflow the
-    step.  The step is skipped where p or p' is exactly zero (zero and exact
+    in Python complex arithmetic, brings each to Horner's rounding floor; a
+    real root steps in float arithmetic, which gives the real parts of the
+    complex steps with zero imaginary parts, bit for bit.  Both run on an
+    exact power-of-two rescaling, so subnormal p' cannot overflow the step.
+    The step is skipped where p or p' is exactly zero (zero and exact
     multiple roots).
     Raises ValueError for the zero polynomial (roots undefined) and where
     doubles cannot hold the answer: where the coefficients spread beyond
@@ -229,10 +262,11 @@ def poly_roots(p: Polynomial) -> RootSet:
     """
     if p.is_zero:
         raise ValueError("undefined roots: zero polynomial")
-    if p.degree == 0:
+    coeffs = p.coeffs
+    if len(coeffs) == 1:
         return RootSet(roots=(), multiplicities=(), residual=0.0)
-    shift = -math.frexp(max(map(abs, p.coeffs)))[1]
-    c = [math.ldexp(a, shift) for a in p.coeffs]
+    shift = -math.frexp(max(map(abs, coeffs)))[1]
+    c = [math.ldexp(a, shift) for a in coeffs]
     if c[0] == 0.0:
         raise ValueError("coefficients spread beyond the double range: the "
                          "leading one underflows at the largest's scale")
@@ -252,15 +286,16 @@ def poly_roots(p: Polynomial) -> RootSet:
     else:
         z = [-c[1] / c[0]] if n == 2 else []
     z += [0.0] * (len(c) - n)
-    dc = [a * (len(c) - 1 - k) for k, a in enumerate(c[:-1])]
+    m = len(c) - 1
     polished = []
     for r in z:
-        r = complex(r)
-        pv, dv = complex(c[0]), complex(dc[0])
-        for a in c[1:]:
-            pv = pv * r + a
-        for a in dc[1:]:
-            dv = dv * r + a
+        if r.imag == 0.0:  # float steps: the complex ones' real parts
+            r = r.real
+        pv, dv = c[0], c[0] * m
+        for k in range(1, m):  # p' on the coefficients c_k (m - k)
+            pv = pv * r + c[k]
+            dv = dv * r + c[k] * (m - k)
+        pv = pv * r + c[m]
         if pv != 0.0 and dv != 0.0:
             r -= pv / dv
         if not math.isfinite(math.hypot(r.real, r.imag)):

@@ -72,21 +72,20 @@ class RationalTF:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ValueError("denominator is identically zero")
-        if not num.is_zero and num.degree > den.degree:
+        if not num.is_zero and len(num.coeffs) > len(den.coeffs):
             raise ImproperTransferError(
                 f"improper: deg(num)={num.degree} > deg(den)={den.degree}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def poles(self) -> tuple[complex, ...]:
-        if self.den.degree == 0:
-            return ()
-        return self.den.roots().flat
+        den = self.den
+        return den.roots().flat if len(den.coeffs) > 1 else ()
 
     def zeros(self) -> tuple[complex, ...]:
-        if self.num.is_zero or self.num.degree == 0:
-            return ()
-        return self.num.roots().flat
+        """The roots of num; none where num is a constant, zero included."""
+        num = self.num
+        return num.roots().flat if len(num.coeffs) > 1 else ()
 
     @property
     def strictly_proper(self) -> bool:
@@ -174,7 +173,7 @@ def evaluate(g: RationalTF, z):
     if isinstance(z, np.generic):
         z = z.item()
     dv = poly_eval(g.den, z)
-    if np.isscalar(dv) or dv.ndim == 0:
+    if not isinstance(dv, np.ndarray) or dv.ndim == 0:
         if abs(dv) <= _horner_bound(g.den.coeffs, abs(z)):
             raise PoleOnCircleError(f"evaluation at a pole: z={z}")
         return poly_eval(g.num, z) / dv
@@ -233,15 +232,14 @@ def pip_check(g: RationalTF) -> bool:
 
 def _log_slope(g: RationalTF, z):
     """d/dz log g(z) = sum 1/(z - z_i) - sum 1/(z - p_i) over the cached
-    factors."""
-    return (sum(1.0 / (z - r) for r in g.zeros())
-            - sum(1.0 / (z - p) for p in g.poles()))
-
-
-def _log_curvature(g: RationalTF, z):
-    """d/dz of ``_log_slope``."""
-    return (sum(1.0 / (z - p) ** 2 for p in g.poles())
-            - sum(1.0 / (z - r) ** 2 for r in g.zeros()))
+    factors, each sum from the int 0 in the factors' order, as ``sum``
+    adds."""
+    zs = ps = 0
+    for r in g.zeros():
+        zs += 1.0 / (z - r)
+    for p in g.poles():
+        ps += 1.0 / (z - p)
+    return zs - ps
 
 
 def _dlog(g: RationalTF, omega: float) -> complex:
@@ -340,8 +338,10 @@ def _stationary_series(g: RationalTF):
     num, den = g.num.coeffs, g.den.coeffs
     if len(num) + len(den) <= 5:
         sa, sb = max(map(abs, num)), max(map(abs, den))
-        a0, a1 = [v / sa for v in num] + [0.0] * (2 - len(num))
-        b0, b1, b2, b3 = [v / sb for v in den] + [0.0] * (4 - len(den))
+        a0, a1 = (num + (0.0,))[:2]
+        b0, b1, b2, b3 = (den + (0.0, 0.0, 0.0))[:4]
+        a0, a1 = a0 / sa, a1 / sa
+        b0, b1, b2, b3 = b0 / sb, b1 / sb, b2 / sb, b3 / sb
         p0, p1, pa1 = a0 * a0 + a1 * a1, a0 * a1, abs(a0 * a1)
         q0 = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
         q1, q2, q3 = b1 * b0 + b2 * b1 + b3 * b2, b2 * b0 + b3 * b1, b3 * b0
@@ -392,7 +392,7 @@ def _partition(c):
     """
     n = len(c) - 1
     if n == 2:
-        x = [r.real for r in _quadratic_roots(2.0 * c[2], c[1], c[0] - c[2])]
+        x = _quadratic_roots(2.0 * c[2], c[1], c[0] - c[2])
     elif n > 2:
         m = np.zeros((n, n))
         flat = m.reshape(-1)
@@ -405,7 +405,7 @@ def _partition(c):
         x = np.linalg.eigvals(m).real.tolist()
     else:
         x = [-c[0] / c[1]] if n else []
-    x = [v for v in x if -1.0 < v < 1.0]
+    x = [v.real for v in x if -1.0 < v.real < 1.0]
     inner = [math.acos(v) for v in x] if n == 2 else np.arccos(x).tolist()
     pts = [0.0]
     for w in sorted(inner + [math.pi]):
@@ -498,11 +498,20 @@ def _sign_changes(series, majorant, sign, f, rising: bool):
 
 
 def _gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
-    """A'(omega) and A''(omega) from the cached factors."""
+    """A'(omega) and A''(omega) from the cached factors: with u the log
+    slope (``_log_slope``) and its derivative sum 1/(z - p_i)^2 - sum
+    1/(z - z_i)^2, both summed as ``_log_slope`` sums, A' = Re(j z u) and
+    A'' = -Re(z (u + z u'))."""
     z = cmath.exp(1j * omega)
-    u = _log_slope(g, z)
-    return (float((1j * z * u).real),
-            float((-z * (u + z * _log_curvature(g, z))).real))
+    zs = ps = zc = pc = 0
+    for r in g.zeros():
+        zs += 1.0 / (z - r)
+        zc += 1.0 / (z - r) ** 2
+    for p in g.poles():
+        ps += 1.0 / (z - p)
+        pc += 1.0 / (z - p) ** 2
+    u = zs - ps
+    return (float((1j * z * u).real), float((-z * (u + z * (pc - zc))).real))
 
 
 def _gain_turns(g: RationalTF, rising: bool):
@@ -540,12 +549,20 @@ def _sin_series(L: RationalTF, radius: float):
 def _axis_turns(L: RationalTF, radius: float):
     """``_sign_changes`` of Im L at z = radius e^{-j omega}, where L meets
     the real axis: -V's sign by Clenshaw's recurrence between V's roots, and
-    Newton steps on Im L from ``evaluate`` and the cached factors."""
+    Newton steps on Im L from ``evaluate`` and the cached factors.  Im L
+    within the rounding bound on L(z), Horner's bounds on num and (scaled
+    by |L|) on den over |den(z)| as in ``crossing_counts``, reads as 0.0: a
+    crossing to rounding, where the steps stop rather than dither."""
+    bn = _horner_bound(L.num.coeffs, radius)
+    bd = _horner_bound(L.den.coeffs, radius)
 
     def im_rate(w):
         z = radius * complex(np.exp(-1j * w))
         lv = evaluate(L, z)
-        return lv.imag, float((-1j * z * lv * _log_slope(L, z)).imag)
+        im = lv.imag
+        if abs(im) <= (bn + abs(lv) * bd) / abs(poly_eval(L.den, z)):
+            im = 0.0
+        return im, float((-1j * z * lv * _log_slope(L, z)).imag)
 
     return _sign_changes(*_sin_series(L, radius),
                          lambda w, v: -_chebval(math.cos(w), v), im_rate,
@@ -571,10 +588,9 @@ def linf_norm(g: RationalTF) -> LinfResult:
     if turns is None:
         # all-pass or constant: no stationary point beyond rounding
         return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)
-    peaks = [w for w, up in turns if not up]
+    refined = sorted([(w, abs(evaluate(g, cmath.exp(1j * w))))
+                      for w, up in turns if not up], key=lambda t: -t[1])
     # merge near-coincident candidates
-    refined = sorted(((w, abs(evaluate(g, cmath.exp(1j * w)))) for w in peaks),
-                     key=lambda t: -t[1])
     merged: list[tuple[float, float]] = []
     for wp, gv in refined:
         if all(abs(wp - m[0]) > 1e-6 for m in merged):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from rirkit.casestudies import (
@@ -17,7 +19,8 @@ from rirkit.casestudies import (
 )
 from rirkit.errors import PreconditionError
 from rirkit.nyquist import closed_loop_poles
-from rirkit.polycore import from_roots
+from rirkit.polycore import (Polynomial, RootSet, _quadratic_roots,
+                             _root_set, from_roots)
 from rirkit.rir import (
     AllPassSpec,
     _ap1_param,
@@ -58,6 +61,22 @@ def random_poles(rng, n_stable: int, n_unstable: int) -> list[complex]:
             poles.extend([r * np.exp(1j * th), r * np.exp(-1j * th)])
             k += 2
     return poles
+
+
+@st.composite
+def low_degree_polynomials(draw, min_degree: int = 1, max_degree: int = 3):
+    """A Polynomial of degree min_degree to max_degree whose nonzero
+    coefficients, sign * U(1, 10) * 10**k, lie within 10**10 of a common
+    scale drawn from 10**-290 to 10**290: real roots, complex pairs and,
+    from trailing zero coefficients, exact roots at 0."""
+    degree = draw(st.integers(min_degree, max_degree))
+    zero_roots = draw(st.integers(0, degree))
+    scale = draw(st.integers(-290, 290))
+    coeffs = [draw(st.sampled_from((-1.0, 1.0)))
+              * draw(st.floats(min_value=1.0, max_value=10.0))
+              * 10.0 ** (scale + draw(st.integers(-10, 10)))
+              for _ in range(degree + 1 - zero_roots)]
+    return Polynomial(coeffs + [0.0] * zero_roots)
 
 
 def random_tf(rng, n_stable=2, n_unstable=1, n_zeros=1,
@@ -242,6 +261,79 @@ def reference_u_to_t(c):
     t *= 2.0
     t[:1] *= 0.5
     return t
+
+
+def reference_poly_roots(p: Polynomial) -> RootSet:
+    """Bit-exact oracle for ``poly_roots``: every root polished in Python
+    complex arithmetic, the real ones included.
+
+    This is the implementation that polishes a real root in float
+    arithmetic replaced, kept unchanged (it clusters through the package's
+    ``_root_set``).
+    """
+    if p.is_zero:
+        raise ValueError("undefined roots: zero polynomial")
+    if p.degree == 0:
+        return RootSet(roots=(), multiplicities=(), residual=0.0)
+    shift = -math.frexp(max(map(abs, p.coeffs)))[1]
+    c = [math.ldexp(a, shift) for a in p.coeffs]
+    if c[0] == 0.0:
+        raise ValueError("coefficients spread beyond the double range: the "
+                         "leading one underflows at the largest's scale")
+    n = len(c)
+    while c[n - 1] == 0.0:
+        n -= 1
+    if n > 3:
+        row = [-a / c[0] for a in c[1:n]]
+        if not all(map(math.isfinite, row)):
+            raise ValueError("coefficients spread beyond the double range: "
+                             "a companion entry c_k/c_0 overflows")
+        companion = np.diag(np.ones(n - 2), -1)
+        companion[0, :] = row
+        z = np.linalg.eigvals(companion).tolist()
+    elif n == 3:
+        z = list(_quadratic_roots(*c[:3]))
+    else:
+        z = [-c[1] / c[0]] if n == 2 else []
+    z += [0.0] * (len(c) - n)
+    dc = [a * (len(c) - 1 - k) for k, a in enumerate(c[:-1])]
+    polished = []
+    for r in z:
+        r = complex(r)
+        pv, dv = complex(c[0]), complex(dc[0])
+        for a in c[1:]:
+            pv = pv * r + a
+        for a in dc[1:]:
+            dv = dv * r + a
+        if pv != 0.0 and dv != 0.0:
+            r -= pv / dv
+        if not math.isfinite(math.hypot(r.real, r.imag)):
+            raise ValueError(f"a root lies beyond the double range: {r}")
+        polished.append(r)
+    return _root_set(p, polished, None)
+
+
+def reference_log_slope(g: RationalTF, z):
+    """Bit-exact oracle for ``transfer._log_slope``: the sums by ``sum``
+    over generator expressions, as they were written before the explicit
+    loops."""
+    return (sum(1.0 / (z - r) for r in g.zeros())
+            - sum(1.0 / (z - p) for p in g.poles()))
+
+
+def reference_log_curvature(g: RationalTF, z):
+    """d/dz of ``reference_log_slope``, summed the same way."""
+    return (sum(1.0 / (z - p) ** 2 for p in g.poles())
+            - sum(1.0 / (z - r) ** 2 for r in g.zeros()))
+
+
+def reference_gain_rate(g: RationalTF, omega: float) -> tuple[float, float]:
+    """Bit-exact oracle for ``transfer._gain_rate``: the slope and its
+    derivative from the two reference sums, each reading the factors."""
+    z = cmath.exp(1j * omega)
+    u = reference_log_slope(g, z)
+    return (float((1j * z * u).real),
+            float((-z * (u + z * reference_log_curvature(g, z))).real))
 
 
 def reference_unwrapped_phase(g: RationalTF, omega: float) -> float:

@@ -476,6 +476,8 @@ def _node_index(e, a, b):
 @example(k=5, direction=-1.0, seed=0, dense=False, flips=[1991], before=None)
 @example(k=5, direction=-1.0, seed=0, dense=False, flips=[1991],
          before=(-CELLS, -0.01))
+@example(k=0, direction=-1.0, seed=2224, dense=True, flips=[],
+         before=(-1, 5e-324))  # the estimate's denominators underflow to 0
 def test_bisection_cell_ends_on_a_sign_change(k, direction, seed, dense,
                                               flips, before):
     # any sign pattern on the nodes, with any magnitudes and zeros in the

@@ -420,6 +420,15 @@ def test_reports_parse_and_have_schema(capsys):
         assert rep["schema"] == "rirkit/1"
 
 
+@pytest.mark.parametrize("steps", [0, 3])
+def test_fhn_sim_one_sample_tail_is_indeterminate(capsys, steps):
+    # the last quarter of steps + 1 <= 4 states is one sample: no amplitude
+    code, out = run_cli(capsys, ["fhn-sim", "--param", "e_o=-0.1194482421875",
+                                 "--steps", str(steps)])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "indeterminate"
+
+
 def test_fhn_sim_negative_steps_exit_2(capsys):
     code, out = run_cli(capsys, ["fhn-sim", "--param", "e_o=-0.11945",
                                  "--steps=-1"])

@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rirkit.nyquist as nyquist
+import rirkit.transfer as transfer
 from conftest import brute_force_crossings, random_tf
 from rirkit.errors import (
     DegenerateCrossingError,
     PreconditionError,
     RirkitError,
 )
+from rirkit.cli import main
 from rirkit.nyquist import (
     ContourSpec,
     closed_loop_poles,
@@ -322,3 +324,73 @@ def test_crossing_counts_ignore_an_exact_power_of_two_scale():
                 scaled = RationalTF([s * c for c in L.num.coeffs],
                                     [s * c for c in L.den.coeffs])
                 assert _crossing_outcome(scaled, epsilon) == want, (L, k)
+
+
+def test_synth_of_the_printed_plant_makes_few_crossing_newton_evaluations(
+        monkeypatch, capsys):
+    # at the crossing at omega_p Im L sits at its Horner noise (about 1e-8
+    # at slope -1.7e3): the steps stop once Im L is within that bound, where
+    # they took 14 and 9 evaluations dithering toward a 1e-15 step
+    evaluations, inside = [], []
+    real_newton, real_counts = transfer._newton_root, nyquist.crossing_counts
+
+    def newton(f, neg, pos, x):
+        def counted(w):
+            if inside:
+                evaluations.append(w)
+            return f(w)
+        return real_newton(counted, neg, pos, x)
+
+    def counts(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_counts(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(transfer, "_newton_root", newton)
+    monkeypatch.setattr(nyquist, "crossing_counts", counts)
+    plant = ('{"num": [1.5679e-5, -2.5685e-5], '
+             '"den": [1.0, -2.000985, 1.000994]}')
+    assert main(["synth", "--input", plant]) == 0
+    capsys.readouterr()
+    assert 0 < len(evaluations) <= 6
+
+
+def _raw_axis_turns(L, radius):
+    """``transfer._axis_turns`` reading Im L as it comes, the rounding noise
+    included."""
+    def im_rate(w):
+        z = radius * complex(np.exp(-1j * w))
+        lv = transfer.evaluate(L, z)
+        return lv.imag, float((-1j * z * lv * transfer._log_slope(L, z)).imag)
+
+    return transfer._sign_changes(
+        *transfer._sin_series(L, radius),
+        lambda w, v: -transfer._chebval(math.cos(w), v), im_rate, rising=True)
+
+
+def test_end_rule_reads_im_l_within_its_rounding_bound_as_zero(monkeypatch):
+    # theta' = 0 at omega = 0 (mirrored to pi for odd k): 1/(1 - a1) +
+    # 1/(1 - a2) = 1/(1 - b1) + 1/(1 - b2), so V is zero to rounding at the
+    # end and the end rule halves toward it, reading Im L at points where
+    # it is rounding noise.  Read as 0.0 there, no split point goes in on
+    # a noise sign: of the crossings the raw reading reported, only pairs
+    # (one each way) go, and the encirclement count stays.
+    rng = np.random.default_rng(11)
+    dropped = 0
+    for k in range(120):
+        a1, a2, b1 = rng.uniform(-0.9, 0.9, 3)
+        b2 = 1.0 - 1.0 / (1.0 / (1.0 - a1) + 1.0 / (1.0 - a2)
+                          - 1.0 / (1.0 - b1))
+        s = 1.0 if k % 2 == 0 else -1.0
+        L = RationalTF(np.poly([s * a1, s * a2]) * 10.0 ** rng.uniform(-1, 1),
+                       np.poly([s * b1, s * b2]))
+        rep = crossing_counts(L, ContourSpec(epsilon=0.0))
+        with monkeypatch.context() as m:
+            m.setattr(nyquist, "_axis_turns", _raw_axis_turns)
+            ref = crossing_counts(L, ContourSpec(epsilon=0.0))
+        assert rep.nu_o == ref.nu_o
+        assert ref.nu_plus - rep.nu_plus == ref.nu_minus - rep.nu_minus >= 0
+        dropped += rep != ref
+    assert dropped > 0  # the halving does read noise on these loops

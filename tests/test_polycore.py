@@ -2,15 +2,17 @@ import math
 import sys
 import warnings
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rirkit.polycore as polycore
-from conftest import mp_quadratic_roots, random_tf
+from conftest import (low_degree_polynomials, mp_quadratic_roots, random_tf,
+                      reference_poly_roots)
 from rirkit.polycore import (
     Polynomial,
     RootSet,
@@ -449,3 +451,45 @@ def test_polynomial_keeps_every_coefficient_after_a_nonzero_first(lead, tail):
 def test_from_roots_degree_is_the_root_count(roots):
     # roots up to 1e26 give coefficients up to ~1e210 after the leading 1
     assert from_roots(roots).degree == len(roots)
+
+
+@given(low_degree_polynomials())
+@example(Polynomial([1.0, -3.0, 2.0]))  # two real roots
+@example(Polynomial([1.0, 0.0, 1.0]))  # a complex pair
+@example(Polynomial([2.0, -1.0, 0.0, 0.0]))  # exact roots at 0
+@settings(max_examples=300, deadline=None)
+def test_low_degree_roots_are_the_complex_polish_bit_for_bit(p):
+    # a real root polished in float arithmetic is the real part of the
+    # complex recurrence with zero imaginary parts, so every RootSet, and
+    # its flat tuple as the multiplicity loop built it, keeps its bits
+    try:
+        ref = reference_poly_roots(p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            poly_roots(p)
+        return
+    rs = poly_roots(p)
+    flat = tuple(r for r, m in zip(ref.roots, ref.multiplicities)
+                 for _ in range(m))
+    assert repr((rs, rs.flat)) == repr((ref, flat))
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.array([1 + 2j, 3.0]), [1 + 2j, 3.0], np.array([1.0 + 0j]),
+    [np.complex128(1.0), 2.0], ["1", 2.0], np.array(["1.0"]),
+    [True, 2.0], [np.True_, 2.0], np.array([True, False]),
+    [[1.0, 2.0]], np.ones((2, 2)), [], [10 ** 400], 1 + 2j, True, None,
+    {3.0, 1.0}, {1.0: 2.0}])
+def test_polynomial_takes_only_real_number_sequences(coeffs):
+    with pytest.raises(ValueError):
+        Polynomial(coeffs)
+
+
+def test_polynomial_takes_ints_and_numpy_real_scalars_as_floats():
+    p = Polynomial([2, np.float32(0.5), np.int64(-3), np.float64(1.25)])
+    assert p.coeffs == (2.0, 0.5, -3.0, 1.25)
+    assert all(type(c) is float for c in p.coeffs)
+    assert Polynomial(np.array([0, 1, 2])).coeffs == (1.0, 2.0)
+    assert Polynomial([Fraction(1, 4), 2]).coeffs == (0.25, 2.0)
+    for one in (2, 2.0, np.float32(2.0), np.array(2.0)):  # one coefficient
+        assert Polynomial(one).coeffs == (2.0,)

@@ -1,3 +1,5 @@
+import cmath
+import math
 import time
 from unittest import mock
 
@@ -11,8 +13,11 @@ from numpy.polynomial import chebyshev as cheb
 from conftest import (
     dense_peak,
     dense_phase,
+    low_degree_polynomials,
     random_series,
     random_tf,
+    reference_gain_rate,
+    reference_log_slope,
     reference_partition,
     reference_stationary_series,
     reference_u_to_t,
@@ -35,6 +40,7 @@ from rirkit.transfer import (
     _chebval,
     _convolve,
     _dlog,
+    _gain_rate,
     _partition,
     _stationary_series,
     _trim_to_rounding,
@@ -640,3 +646,38 @@ def test_cancel_common_roots_returns_g_when_nothing_cancels():
     for g in (RationalTF([1.0, -0.3], [1.0, -2.5, 1.0]),
               RationalTF([2.0], [1.0, -2.0]), RationalTF([0.0], [1.0, 0.5])):
         assert cancel_common_roots(g) is g
+
+
+@st.composite
+def _low_degree_tf(draw):
+    den = draw(low_degree_polynomials())
+    return RationalTF(draw(low_degree_polynomials(0, den.degree)), den)
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), so that equal outcomes agree to the bit, or the
+    name of the arithmetic error it raised."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+@given(_low_degree_tf(), st.floats(min_value=0.0, max_value=math.pi))
+@settings(max_examples=300, deadline=None)
+def test_rates_are_the_generator_sums_bit_for_bit(g, omega):
+    # the explicit loops add the same terms in the same order from the int
+    # 0, as sum does, and _gain_rate reads the factors once for both sums
+    if _outcome(g.poles) == "ValueError" or _outcome(g.zeros) == "ValueError":
+        return  # roots beyond doubles: the roots property covers these
+    z = cmath.exp(1j * omega)
+    assert _outcome(_gain_rate, g, omega) == _outcome(reference_gain_rate,
+                                                      g, omega)
+    assert _outcome(_dlog, g, omega) == _outcome(
+        lambda: 1j * z * reference_log_slope(g, z))
+
+
+def test_complex_coefficients_raise_rather_than_lose_their_imaginary_part():
+    # the pole 2 - 0.3j is not the pole 2
+    with pytest.raises(ValueError):
+        RationalTF(np.array([1 + 0.5j]), np.array([1.0, -2.0 + 0.3j]))

@@ -19,6 +19,13 @@ before any timing.  Three passes over each family are timed:
   same (root-cached) polynomials, then ``synth_marginal_perturbation`` when
   the verdict is ``exact_sufficient``, as the plant workloads do.
 
+The ``paper-plants`` family is the four low-degree plants of the paper's
+CLI chain: the printed plant, the maglev plant g_d and its compensated
+loop (``maglev_upper_bound`` at the CLI's default eps 0.01), and g_eo of
+the default FHN model.  Its one pass, ``solve+analyze+synth``, rebuilds
+each plant from its coefficients, as ``analyze`` and ``synth`` read them,
+so its roots are solved in the pass, then runs ``analyze+synth`` on it.
+
 Two FHN families get one pass, ``fhn_search_eo`` of each model, which
 ``fhn-find`` runs: ``fhn-default`` is the default ``FHNModel`` and
 ``fhn-seeded`` 25 models drawn from ``default_rng(7)`` as the search's
@@ -58,6 +65,7 @@ from run import WORKLOADS  # noqa: E402
 
 PASSES = {"plants-small": ("linf_norm", "crossing_counts", "analyze+synth"),
           "plants-large": ("linf_norm", "crossing_counts", "analyze+synth"),
+          "paper-plants": ("solve+analyze+synth",),
           "fhn-default": ("fhn_search_eo",),
           "fhn-seeded": ("fhn_search_eo",)}
 FAMILIES = tuple(PASSES)
@@ -82,6 +90,16 @@ def build(pkg, plants: list[dict]) -> list:
     return out
 
 
+def paper_plants(pkg) -> list:
+    """The paper chain's four low-degree plants, as ``pkg``'s."""
+    cs, transfer = pkg.casestudies, pkg.transfer
+    bound = cs.maglev_upper_bound(cs.MaglevParams(), 0.01)
+    return [transfer.RationalTF([1.5679e-5, -2.5685e-5],
+                                [1.0, -2.000985, 1.000994]),
+            bound.g_d, bound.g_d * bound.compensator,
+            cs.fhn_search_eo(cs.FHNModel()).g_eo]
+
+
 def fhn_models(pkg, family: str) -> list:
     """The family's FHN models, as ``pkg``'s."""
     if family == "fhn-default":
@@ -104,9 +122,13 @@ def passes(pkg) -> dict:
         if rir.exact_rir_analyze(h).status == rir.EXACT_SUFFICIENT:
             rir.synth_marginal_perturbation(h)
 
+    def solve_analyze_synth(g):
+        analyze_synth(transfer.RationalTF(g.num.coeffs, g.den.coeffs))
+
     return {"linf_norm": transfer.linf_norm,
             "crossing_counts": lambda g: nyquist.crossing_counts(g, spec),
             "analyze+synth": analyze_synth,
+            "solve+analyze+synth": solve_analyze_synth,
             "fhn_search_eo": pkg.casestudies.fhn_search_eo}
 
 
@@ -156,12 +178,16 @@ def main(argv=None) -> int:
                                           f"ab_{side}_{order}", Path(tmp))
         inputs = {}
         for family in FAMILIES:
-            plants = (None if family.startswith("fhn") else plant_family(
-                0, args.count, WORKLOADS[family]["degrees"]))
+            plants = (plant_family(0, args.count, WORKLOADS[family]["degrees"])
+                      if family in WORKLOADS else None)
             for order, pair in enumerate(pairs):
                 for side, pkg in pair.items():
-                    xs = (fhn_models(pkg, family) if plants is None
-                          else build(pkg, plants))
+                    if plants is not None:
+                        xs = build(pkg, plants)
+                    elif family == "paper-plants":
+                        xs = paper_plants(pkg)
+                    else:
+                        xs = fhn_models(pkg, family)
                     for name in PASSES[family]:  # warm-up
                         timed(passes(pkg)[name], xs, pkg.errors.RirkitError)
                     inputs[family, order, side] = xs
@@ -182,7 +208,7 @@ def main(argv=None) -> int:
         evals = {(f, s): peak_gain_evals(pairs[0][s], inputs[f, 0, s])
                  for f in FAMILIES if f.startswith("fhn") for s in SIDES}
 
-    print(f"{'family':<14}{'pass':<17}{'parent ms':>10}{'change ms':>10}"
+    print(f"{'family':<14}{'pass':<21}{'parent ms':>10}{'change ms':>10}"
           f"{'parent IQR':>12}{'change':>9}{'parent n':>10}{'change n':>10}"
           f"{'parent us/n':>13}{'change us/n':>13}")
     for family in FAMILIES:
@@ -197,7 +223,7 @@ def main(argv=None) -> int:
                 counts += "".join(
                     f"{1e6 * med / evals[family, s]:>13.1f}"
                     for s, med in zip(SIDES, (p_med, c_med)))
-            print(f"{family:<14}{name:<17}{1e3 * p_med:>10.2f}"
+            print(f"{family:<14}{name:<21}{1e3 * p_med:>10.2f}"
                   f"{1e3 * c_med:>10.2f}{100.0 * (q3 - q1) / p_med:>11.1f}%"
                   f"{100.0 * (c_med / p_med - 1.0):>+8.1f}%{counts}")
     return 0
