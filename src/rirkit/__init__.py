@@ -6,6 +6,13 @@ stabilizes them, and ships two worked applications: sampled-data magnetic
 levitation and the FitzHugh-Nagumo neural oscillator.
 """
 
+from .bounds import (
+    RealPoleDominanceWitness,
+    allpass_pcr_bound_check,
+    construct_real_pole_dominator,
+    gain_phase_integral,
+    minimum_phase_pcr_bound_check,
+)
 from .casestudies import (
     EoSearchResult,
     FHNModel,
@@ -46,14 +53,9 @@ from .nyquist import (
 from .polycore import Polynomial, RootSet, from_roots, poly_roots
 from .rir import (
     AllPassSpec,
-    RealPoleDominanceWitness,
     RIRVerdict,
     allpass_phase_match,
     exact_rir_analyze,
-    gain_phase_integral,
-    allpass_pcr_bound_check,
-    construct_real_pole_dominator,
-    minimum_phase_pcr_bound_check,
     pcr_max_search,
     rho_threshold,
     synth_allpass_spec,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +28,8 @@ from .rir import (
 )
 from .transfer import (RationalTF, _dlog, _gain_rate, _gain_turns, evaluate,
                        linf_norm)
+
+_MAX_EXP = math.log(sys.float_info.max)  # math.exp overflows past it
 
 __all__ = [
     "MaglevParams",
@@ -65,6 +68,9 @@ class MaglevParams:
             raise ValueError("degenerate parameters: tau * p = 1")
         if abs(self.tau**2 * self.p**2 - 1.0) < 1e-12:
             raise ValueError("degenerate parameters: tau^2 p^2 = 1")
+        if not self.p * self.T <= _MAX_EXP:
+            raise ValueError(f"step gain exp(p T) overflows at p T = "
+                             f"{self.p * self.T}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,9 @@ class FHNModel:
     def __post_init__(self):
         if self.tau <= 0.0 or self.c <= 0.0 or self.d <= 0.0 or self.beta <= 0.0:
             raise ValueError("c, beta, tau, d must be positive")
+        if not self.tau / self.c <= _MAX_EXP:
+            raise ValueError(f"step gain A = exp(tau/c) overflows at tau/c = "
+                             f"{self.tau / self.c}")
 
 
 @dataclass(frozen=True)
@@ -222,19 +231,24 @@ def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
     maximum, compensated phase rate at omega = 0 positive.  Returns
     g_d = maglev_zoh(params) and that compensator highpass(a, a + P_eps).
     """
+    if not math.isfinite(eps):
+        raise PreconditionError(f"eps must be finite, got {eps}")
     if eps <= 0.0:
         raise PreconditionError("eps must be positive")
     g = maglev_zoh(params)
+    g.assert_rl_inf()
     theta0 = float(np.imag(_dlog(g, 0.0)))
     if theta0 >= 0.0:
         raise PreconditionError("compensation unnecessary: theta'_gd(0) >= 0")
     P = -2.0 * theta0 + eps
     _, (b2, b1, b0), (ep, em, et) = _maglev_pieces(params)
+    dens = (ep + em - 2.0, (1.0 - et) ** 2, (b2 + b1 + b0) ** 2)
+    if 0.0 in dens:
+        raise ValueError(f"abar's closed form divides by zero at T = "
+                         f"{params.T}: a denominator cancels to 0")
     abar = (1.0 / (2.0 * P)) * (
-        8.0 / (ep + em - 2.0)
-        + 4.0 * et / (1.0 - et) ** 2
-        + 4.0 * (4.0 * b2 * b0 + b2 * b1 + b1 * b0) / (b2 + b1 + b0) ** 2
-        - P**2)
+        8.0 / dens[0] + 4.0 * et / dens[1]
+        + 4.0 * (4.0 * b2 * b0 + b2 * b1 + b1 * b0) / dens[2] - P**2)
     if abar <= 0.0:
         raise SynthesisVerificationError(f"abar = {abar} not positive")
     a = abar * (1.0 - 1e-6)

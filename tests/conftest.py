@@ -25,7 +25,6 @@ from rirkit.rir import (
     AllPassSpec,
     _ap1_param,
     _require_reachable_phase,
-    _wrap_angles,
     allpass_phase_match,
     ap1_phase,
     ap1_rate,
@@ -95,6 +94,30 @@ def random_tf(rng, n_stable=2, n_unstable=1, n_zeros=1,
             k += 2
     gain = float(rng.uniform(*gain_range)) * (1.0 if rng.uniform() < 0.5 else -1.0)
     return RationalTF(from_roots(zeros, gain), from_roots(poles))
+
+
+def near_circle_tf(rng) -> RationalTF:
+    """A plant with poles 1e-6 to 1e-2 off the unit circle on either side.
+
+    One real pole (of either sign) or conjugate pair at radius 1 + m1 and
+    one at radius 1 - m2, with m = 10^U(-6, -2) and angles U(0, pi); one
+    real zero or pair at radius U(0.2, 2), kept only when there are fewer
+    zeros than poles; each num coefficient then scaled by 10^U(-1, 1).
+    """
+    def factor(radius):
+        if rng.uniform() < 0.5:
+            return [complex(radius * rng.choice((-1.0, 1.0)))]
+        th = rng.uniform(0.0, np.pi)
+        return [radius * np.exp(1j * th), radius * np.exp(-1j * th)]
+
+    poles = (factor(1.0 + 10.0 ** rng.uniform(-6.0, -2.0))
+             + factor(1.0 - 10.0 ** rng.uniform(-6.0, -2.0)))
+    zeros = factor(rng.uniform(0.2, 2.0))
+    if len(zeros) >= len(poles):
+        zeros = []
+    num = from_roots(zeros).coeffs * 10.0 ** rng.uniform(-1.0, 1.0,
+                                                         len(zeros) + 1)
+    return RationalTF(num, from_roots(poles))
 
 
 def stabilizer_search(g: RationalTF, trials: int = 2000, seed: int = 0,
@@ -500,6 +523,54 @@ def reference_fhn_simulate(model: FHNModel, delta: RationalTF | None,
     return Trajectory(x=x, y=y, diverged=diverged)
 
 
+def reference_wrap_angle(x: float) -> float:
+    """Oracle for ``rir.wrap_angle`` on a float: ``math.remainder``, then
+    one 2 pi step up from -pi.  This is the scalar form that the ``fmod``
+    form for floats and arrays alike replaced, kept unchanged."""
+    y = math.remainder(x, 2.0 * math.pi)
+    if y <= -math.pi:
+        y += 2.0 * math.pi
+    return y
+
+
+def reference_allpass_pcr_bound_check(f: RationalTF, omega_p: float) -> bool:
+    """Oracle for ``bounds.allpass_pcr_bound_check``: theta and theta' as
+    sums over the sections (c, a_i) recovered from f's poles and f(1).
+
+    This is the check that reading theta' from the cached factors and theta
+    from the principal phase replaced, kept unchanged.
+    """
+    from rirkit.bounds import PCR_TOL
+
+    if not 0.0 < omega_p < math.pi:
+        raise PreconditionError("omega_p must lie strictly inside (0, pi)")
+    if f.den.degree == 0:
+        c, a = (1 if evaluate(f, 1.0 + 0.0j).real >= 0 else -1), []
+    else:
+        poles = f.poles()
+        if any(abs(p.imag) > 1e-9 * (1.0 + abs(p)) or abs(p) >= 1.0
+               for p in poles):
+            raise PreconditionError("not a stable all-pass with real poles")
+        a = [-p.real for p in poles]
+        v1 = evaluate(f, 1.0 + 0.0j)
+        scale = abs(v1)
+        c = 1 if v1.real > 0 else -1
+        probe = np.exp(1j * np.array([0.3, 1.1, 1.9, 2.7]))
+        mags = np.abs(evaluate(f, probe))
+        if np.max(np.abs(mags - scale)) > 1e-7 * max(scale, 1.0):
+            raise PreconditionError("gain is not constant on the unit circle")
+    theta = math.pi if c < 0 else 0.0
+    rate = 0.0
+    if a:
+        theta += float(np.sum(ap1_phase(np.asarray(a), omega_p)))
+        rate = float(np.sum(ap1_rate(np.asarray(a), omega_p)))
+    bound = -abs(math.sin(theta)) / abs(math.sin(omega_p))
+    holds = rate <= bound + PCR_TOL
+    if len(a) <= 1:
+        holds = holds and abs(rate - bound) <= PCR_TOL
+    return holds
+
+
 def reference_pcr_max_search(omega_p: float, theta_p: float,
                              max_order: int = 4, trials: int = 20000,
                              seed: int = 0):
@@ -551,7 +622,7 @@ def reference_pcr_max_search(omega_p: float, theta_p: float,
     rates = np.sum(np.where(mask1, r1, 0.0), axis=1) \
         + np.sum(np.where(mask2, r2, 0.0), axis=1)
 
-    resid = _wrap_angles(t_goal - phases)
+    resid = wrap_angle(t_goal - phases)
     skipped = 0
     if at_bnd:
         # only phases 0 (constant +1) and pi (sign flip) are reachable

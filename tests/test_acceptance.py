@@ -25,17 +25,15 @@ from rirkit.casestudies import (
     maglev_zoh,
 )
 from rirkit.nyquist import closed_loop_poles, extended_nyquist_check, marginal_verdict
-from rirkit.polycore import Polynomial, from_roots, poly_roots
-from rirkit.rir import (
-    EXACT_SUFFICIENT,
-    NOT_EXACT,
-    gain_phase_integral,
+from rirkit.bounds import (
     allpass_pcr_bound_check,
     construct_real_pole_dominator,
+    gain_phase_integral,
     minimum_phase_pcr_bound_check,
-    pcr_max_search,
     verify_dominance_witness,
 )
+from rirkit.polycore import Polynomial, from_roots, poly_roots
+from rirkit.rir import EXACT_SUFFICIENT, NOT_EXACT, pcr_max_search
 from rirkit.transfer import (
     RationalTF,
     _dlog,

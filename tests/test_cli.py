@@ -550,6 +550,29 @@ def test_unknown_or_non_finite_param_exits_2(capsys, argv, names):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fhn-find", "--param", "tau=1000"], "exp(tau/c) overflows"),
+    (["fhn-find", "--param", "c=1e-300"], "exp(tau/c) overflows"),
+    (["fhn-sim", "--param", "tau=1000", "--steps", "10"],
+     "exp(tau/c) overflows"),
+    (["maglev", "--param", "p=1000", "--param", "T=1"], "exp(p T) overflows"),
+    (["maglev", "--param", "T=1e-300"], "of the unit circle"),
+    (["maglev", "--param", "T=1e-9"], "cancels to 0"),
+    (["maglev", "--eps", "nan"], "eps must be finite"),
+    (["maglev", "--eps", "inf"], "eps must be finite"),
+], ids=["fhn-tau", "fhn-c", "fhn-sim-tau", "maglev-pT", "maglev-T-1e-300",
+        "maglev-T-1e-9", "eps-nan", "eps-inf"])
+def test_out_of_range_model_inputs_exit_typed(capsys, argv, message):
+    # step gains that overflow, sampled poles that round onto the circle,
+    # closed-form denominators that cancel and a non-finite eps
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    err = json.loads(captured.out)["error"]  # one JSON object, no traceback
+    assert message in err["message"]
+    assert "Traceback" not in captured.err
+
+
 def test_model_params_reach_the_dataclass(capsys):
     code, out = run_cli(capsys, ["maglev", "--param", "k=2",
                                  "--param", "tau=0.05"])
@@ -707,7 +730,7 @@ def test_readme_numerical_notes_are_the_module_constants():
         name: {k: v for k, v in vars(importlib.import_module(
                    f"rirkit.{name}")).items()
                if re.fullmatch(r"[A-Z_]+_(TOL|MARGIN|BAND|WINDOW)", k)}
-        for name in ("polycore", "transfer", "nyquist", "rir")}
+        for name in ("polycore", "transfer", "nyquist", "rir", "bounds")}
 
 
 def _bench_paper_argvs() -> list[list[str]]:

@@ -8,8 +8,22 @@ from hypothesis import strategies as st
 
 import rirkit.rir as rir
 import rirkit.transfer as transfer
-from conftest import random_tf, reference_pcr_max_search, stabilizer_search
+from conftest import (
+    near_circle_tf,
+    random_tf,
+    reference_allpass_pcr_bound_check,
+    reference_pcr_max_search,
+    reference_wrap_angle,
+    stabilizer_search,
+)
 from rirkit import cli
+from rirkit.bounds import (
+    allpass_pcr_bound_check,
+    construct_real_pole_dominator,
+    gain_phase_integral,
+    minimum_phase_pcr_bound_check,
+    verify_dominance_witness,
+)
 from rirkit.errors import (
     PreconditionError,
     RirkitError,
@@ -29,16 +43,11 @@ from rirkit.rir import (
     ap1_rate,
     ap2_rate,
     exact_rir_analyze,
-    gain_phase_integral,
-    allpass_pcr_bound_check,
-    construct_real_pole_dominator,
-    minimum_phase_pcr_bound_check,
     pcr_ceiling,
     pcr_max_search,
     rho_threshold,
     synth_allpass_spec,
     synth_marginal_perturbation,
-    verify_dominance_witness,
     wrap_angle,
 )
 from rirkit.transfer import (
@@ -264,20 +273,26 @@ def _mirror(coeffs) -> list:
     return [-c if (d - i) % 2 else c for i, c in enumerate(coeffs)]
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-@settings(max_examples=100, deadline=None)
-@example(0, 1)  # G1_boundary, a three-term stationary series
-@example(7, 2)  # G2_interior, three terms
-@example(3, 2)  # Gn_other, constant over quadratic
-def test_analyze_is_invariant_under_the_mirror(seed, degree):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(0, 1, False)  # G1_boundary, a three-term stationary series
+@example(7, 2, False)  # G2_interior, three terms
+@example(3, 2, False)  # Gn_other, constant over quadratic
+def test_analyze_is_invariant_under_the_mirror(seed, degree, near_circle):
     # g(-z) at e^{j (pi - omega)} is conj g(e^{j omega}): the same gain at
     # pi - omega_p and the same phase rate, threshold and verdict; the
     # status may differ only where theta' - threshold lies within RATE_TOL
-    # of zero on either side.  Degrees 1 and 2 take the closed-form series
+    # of zero on either side.  Degrees 1 and 2 take the closed-form series.
+    # A near-circle plant draws its own degree, 2 to 4, with poles 1e-6 to
+    # 1e-2 off the circle on both sides
     rng = np.random.default_rng(seed)
-    n_unstable = int(rng.integers(1, degree + 1))
-    g = random_tf(rng, n_stable=degree - n_unstable, n_unstable=n_unstable,
-                  n_zeros=int(rng.integers(0, degree + 1)))
+    if near_circle:
+        g = near_circle_tf(rng)
+    else:
+        n_unstable = int(rng.integers(1, degree + 1))
+        g = random_tf(rng, n_stable=degree - n_unstable,
+                      n_unstable=n_unstable,
+                      n_zeros=int(rng.integers(0, degree + 1)))
     m = RationalTF(_mirror(g.num.coeffs), _mirror(g.den.coeffs))
     v, w = exact_rir_analyze(g), exact_rir_analyze(m)
     tag, mtag = v.class_tag, w.class_tag
@@ -477,21 +492,26 @@ _ANGLES = st.one_of(st.floats(-30.0, 30.0),
 
 
 def _wrapped_one_by_one(xs) -> bytes:
-    return np.array([wrap_angle(x) for x in xs], dtype=float).tobytes()
+    return np.array([reference_wrap_angle(x) for x in xs],
+                    dtype=float).tobytes()
 
 
 @given(st.lists(_ANGLES, min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_array_wrap_equals_wrap_angle_bit_for_bit(xs):
-    assert rir._wrap_angles(np.array(xs)).tobytes() == _wrapped_one_by_one(xs)
+    assert wrap_angle(np.array(xs)).tobytes() == _wrapped_one_by_one(xs)
+    # a float gives a Python float, with the same bits
+    wrapped = [wrap_angle(x) for x in xs]
+    assert all(type(y) is float for y in wrapped)
+    assert np.array(wrapped).tobytes() == _wrapped_one_by_one(xs)
 
 
 def test_array_wrap_on_edges_and_uniform_draws():
     xs = np.concatenate([_WRAP_EDGES, np.random.default_rng(3).uniform(
         -30.0, 30.0, 100_000)])
-    assert rir._wrap_angles(xs).tobytes() == _wrapped_one_by_one(xs)
+    assert wrap_angle(xs).tobytes() == _wrapped_one_by_one(xs)
     # signed zeros survive: wrap_angle keeps the sign of a zero remainder
-    assert np.signbit(rir._wrap_angles(np.array([-0.0, -2 * math.pi]))).all()
+    assert np.signbit(wrap_angle(np.array([-0.0, -2 * math.pi]))).all()
 
 
 def test_pcr_search_wraps_residuals_as_an_array(monkeypatch):
@@ -620,7 +640,7 @@ def test_boundary_pcr_negative_for_low_order_sections():
         assert float(ap2_rate(alpha, beta, np.pi)) < 0.0
 
 
-# -- supporting bound checks --------------------------------------------------
+# -- supporting bound checks (rirkit.bounds) ----------------------------------
 
 def test_allpass_pcr_bound_first_order_equality():
     f = AllPassSpec(c=1, a=0.5).to_tf()
@@ -646,6 +666,32 @@ def test_allpass_pcr_bound_random_third_order():
         f = RationalTF(num, den)
         omega = float(rng.uniform(0.1, np.pi - 0.1))
         assert allpass_pcr_bound_check(f, omega)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_allpass_pcr_bound_check_matches_the_section_sums(seed):
+    # products of 0 to 4 real sections, |a| up to 1 - 1e-6, any gain: the
+    # check on the cached factors gives the section sums' outcome
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(0, 5))
+    a = rng.choice((-1.0, 1.0), order) * (1.0 - 10.0 ** rng.uniform(
+        -6.0, 0.0, order))
+    num = from_roots([], rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 3))
+    den = from_roots([], 1.0)
+    for ai in a:
+        num = num * Polynomial([ai, 1.0])
+        den = den * Polynomial([1.0, ai])
+    omega = float(rng.uniform(1e-3, np.pi - 1e-3))
+
+    def outcome(check):
+        try:
+            return check(RationalTF(num, den), omega)
+        except RirkitError as exc:
+            return type(exc)
+
+    assert outcome(allpass_pcr_bound_check) == outcome(
+        reference_allpass_pcr_bound_check)
 
 
 def test_dominance_example_witnesses():

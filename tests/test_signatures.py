@@ -8,7 +8,7 @@ on purpose.
 
 import inspect
 
-from rirkit import casestudies, nyquist, polycore, rir, transfer
+from rirkit import bounds, casestudies, nyquist, polycore, rir, transfer
 
 KEPT_DEFAULTS = {
     "polycore.from_roots(leading)",
@@ -37,7 +37,7 @@ def _defaulted_parameters():
     """'module.qualname(param)' for every defaulted parameter of the
     functions and methods each library module defines."""
     out = set()
-    for mod in (polycore, transfer, nyquist, rir, casestudies):
+    for mod in (polycore, transfer, nyquist, rir, bounds, casestudies):
         short = mod.__name__.rsplit(".", 1)[1]
         for name, obj in vars(mod).items():
             if getattr(obj, "__module__", None) != mod.__name__:

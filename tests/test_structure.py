@@ -14,6 +14,11 @@ the gain turns (``_gain_turns``) and where L meets the real axis
 (``_axis_turns``).  The series they build, Clenshaw's sum and the factors'
 log slope stay in ``transfer``, and the kernel hands back whole answers,
 the ends included, so no caller rebuilds the 0 and pi candidates.
+
+The checks of the paper's supporting bounds live in ``bounds`` alone, off
+the analysis path: ``rir`` does not import them, and no other module but the
+package's ``__init__`` names them.  One ``wrap_angle`` serves floats and
+arrays.
 """
 
 import ast
@@ -34,6 +39,10 @@ HELPERS = ("transfer._axis_turns", "transfer._gain_turns")
 TRANSFER_ONLY = ("_stationary_series", "_sin_series", "_chebval", "_u_to_t",
                  "_log_slope")
 GRIDS = ("cli.cmd_analyze", "casestudies.maglev_zoh")
+BOUND_SUITE = ("allpass_pcr_bound_check", "construct_real_pole_dominator",
+               "verify_dominance_witness", "RealPoleDominanceWitness",
+               "minimum_phase_pcr_bound_check", "gain_phase_integral",
+               "_require_minimum_phase", "PCR_TOL", "GAIN_PHASE_MAX_NODES")
 
 
 def _references(path: Path, names=STEPS) -> list[tuple[str, str]]:
@@ -98,6 +107,33 @@ def test_power_of_two_rescale_only_in_poly_roots():
     refs = _all_references(("frexp", "ldexp"))
     assert {where for where, _ in refs} == {"polycore.poly_roots"}
     assert {name for _, name in refs} == {"frexp", "ldexp"}
+
+
+def test_bound_suite_is_named_only_in_bounds_and_the_package():
+    refs = _all_references(BOUND_SUITE)
+    outside = [r for r in refs
+               if r[0].split(".")[0] not in ("bounds", "__init__")]
+    assert not outside, outside
+    assert any(where.startswith("bounds") for where, _ in refs)
+
+
+def test_rir_does_not_import_bounds():
+    tree = ast.parse((SRC / "rir.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name for alias in node.names}
+    assert imported and not {"bounds", "rirkit.bounds"} & imported
+
+
+def test_one_angle_wrap():
+    defined = {node.name for p in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "wrap_angle" in defined and "_wrap_angles" not in defined
+    assert not _all_references(("_wrap_angles",))
 
 
 def _shape_cases():

@@ -36,17 +36,27 @@ search change is quoted with its count beside its time.
 A typed rirkit error counts as the call's outcome.  The copy loaded second
 pays a few microseconds a call, so the copies are loaded twice, in both
 orders: even reps run the pair loaded parent first, parent first, and odd
-reps the pair loaded change first, change first.  Prints one line per family
-and pass: both sides' median pass time, the parent's interquartile range
-over its median, the change's median against the parent's in percent, and
-for the FHN families both sides' peak-gain evaluations in a pass and their
-median pass time over that count, in microseconds an evaluation, so that a
-change in the cost of one evaluation shows apart from a change in the count.
+reps the pair loaded change first, change first.  The garbage collector is
+off while a run is timed, as ``timeit`` has it.  Warm-up times each pass
+once on every copy and sizes its runs from the fastest: a pass under 10 ms
+is run a fixed number of times back to back, and a longer one is split
+into slices of its inputs that take about 10 ms each, the same on both
+sides.  Within a rep the two sides alternate run by run, so a drift of the
+machine's speed moves both alike, and each rep gives one change/parent
+ratio of the summed times.  Prints one line per family and pass: the
+passes in a run and the slices, both sides' median pass time, the median
+of the reps' change/parent ratios as a change in percent and their
+interquartile range in percent, and for the FHN families both sides'
+peak-gain evaluations in a pass and their median pass time over that
+count, in microseconds an evaluation, so that a change in the cost of one
+evaluation shows apart from a change in the count.
 Nothing under ``bench/`` is written.
 """
 
 import argparse
+import gc
 import importlib
+import math
 import shutil
 import statistics
 import sys
@@ -70,6 +80,7 @@ PASSES = {"plants-small": ("linf_norm", "crossing_counts", "analyze+synth"),
           "fhn-seeded": ("fhn_search_eo",)}
 FAMILIES = tuple(PASSES)
 SIDES = ("parent", "change")
+RUN_S = 0.01  # shortest timed run of back-to-back passes
 
 
 def load(checkout: Path, name: str, tmp: Path):
@@ -132,15 +143,21 @@ def passes(pkg) -> dict:
             "fhn_search_eo": pkg.casestudies.fhn_search_eo}
 
 
-def timed(fn, plants: list, error) -> float:
-    """Seconds for one pass of fn over the plants."""
-    t0 = time.perf_counter()
-    for g in plants:
-        try:
-            fn(g)
-        except error:
-            pass
-    return time.perf_counter() - t0
+def timed(fn, plants: list, error, loops: int) -> float:
+    """Seconds for ``loops`` back-to-back passes of fn over the plants, with
+    the garbage collector off, as ``timeit`` times."""
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(loops):
+            for g in plants:
+                try:
+                    fn(g)
+                except error:
+                    pass
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
 
 
 def peak_gain_evals(pkg, models: list) -> int:
@@ -154,7 +171,7 @@ def peak_gain_evals(pkg, models: list) -> int:
 
     cs.linf_norm = counting
     try:
-        timed(cs.fhn_search_eo, models, pkg.errors.RirkitError)
+        timed(cs.fhn_search_eo, models, pkg.errors.RirkitError, 1)
     finally:
         cs.linf_norm = real
     return len(calls)
@@ -176,7 +193,7 @@ def main(argv=None) -> int:
             for side in sides:
                 pairs[order][side] = load(getattr(args, side),
                                           f"ab_{side}_{order}", Path(tmp))
-        inputs = {}
+        inputs, fastest = {}, {}
         for family in FAMILIES:
             plants = (plant_family(0, args.count, WORKLOADS[family]["degrees"])
                       if family in WORKLOADS else None)
@@ -188,9 +205,18 @@ def main(argv=None) -> int:
                         xs = paper_plants(pkg)
                     else:
                         xs = fhn_models(pkg, family)
-                    for name in PASSES[family]:  # warm-up
-                        timed(passes(pkg)[name], xs, pkg.errors.RirkitError)
+                    for name in PASSES[family]:  # warm-up, then one timing
+                        fn = passes(pkg)[name]
+                        timed(fn, xs, pkg.errors.RirkitError, 1)
+                        t = timed(fn, xs, pkg.errors.RirkitError, 1)
+                        fastest[family, name] = min(
+                            t, fastest.get((family, name), math.inf))
                     inputs[family, order, side] = xs
+        # a short pass runs `loops` times back to back, a long one in
+        # `parts` slices of its inputs, each run about RUN_S
+        loops = {key: max(1, math.ceil(RUN_S / t))
+                 for key, t in fastest.items()}
+        parts = {key: max(1, int(t / RUN_S)) for key, t in fastest.items()}
 
         times = {(f, p, s): []
                  for f in FAMILIES for p in PASSES[f] for s in SIDES}
@@ -199,33 +225,45 @@ def main(argv=None) -> int:
             sides = SIDES if order == 0 else SIDES[::-1]
             for family in FAMILIES:
                 for name in PASSES[family]:
-                    for side in sides:
-                        pkg = pairs[order][side]
-                        times[family, name, side].append(timed(
-                            passes(pkg)[name], inputs[family, order, side],
-                            pkg.errors.RirkitError))
+                    k, n = loops[family, name], parts[family, name]
+                    spent = dict.fromkeys(SIDES, 0.0)
+                    for i in range(n):  # the sides alternate slice by slice
+                        for side in sides:
+                            pkg, xs = (pairs[order][side],
+                                       inputs[family, order, side])
+                            spent[side] += timed(
+                                passes(pkg)[name],
+                                xs[i * len(xs) // n:(i + 1) * len(xs) // n],
+                                pkg.errors.RirkitError, k)
+                    for side in SIDES:
+                        times[family, name, side].append(spent[side] / k)
             print(f"rep {rep + 1}/{args.reps}", file=sys.stderr, flush=True)
         evals = {(f, s): peak_gain_evals(pairs[0][s], inputs[f, 0, s])
                  for f in FAMILIES if f.startswith("fhn") for s in SIDES}
 
-    print(f"{'family':<14}{'pass':<21}{'parent ms':>10}{'change ms':>10}"
-          f"{'parent IQR':>12}{'change':>9}{'parent n':>10}{'change n':>10}"
-          f"{'parent us/n':>13}{'change us/n':>13}")
+    print(f"{'family':<14}{'pass':<21}{'loops':>6}{'slices':>7}"
+          f"{'parent ms':>10}{'change ms':>10}{'change':>9}{'ratio IQR':>11}"
+          f"{'parent n':>10}{'change n':>10}{'parent us/n':>13}"
+          f"{'change us/n':>13}")
     for family in FAMILIES:
         for name in PASSES[family]:
             parent = times[family, name, "parent"]
             change = times[family, name, "change"]
             p_med, c_med = statistics.median(parent), statistics.median(change)
-            q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+            ratios = [c / p for c, p in zip(change, parent)]
+            q1, r_med, q3 = statistics.quantiles(ratios, n=4,
+                                                 method="inclusive")
             counts = "".join(f"{evals.get((family, s), ''):>10}"
                              for s in SIDES)
             if family.startswith("fhn"):
                 counts += "".join(
                     f"{1e6 * med / evals[family, s]:>13.1f}"
                     for s, med in zip(SIDES, (p_med, c_med)))
-            print(f"{family:<14}{name:<21}{1e3 * p_med:>10.2f}"
-                  f"{1e3 * c_med:>10.2f}{100.0 * (q3 - q1) / p_med:>11.1f}%"
-                  f"{100.0 * (c_med / p_med - 1.0):>+8.1f}%{counts}")
+            print(f"{family:<14}{name:<21}{loops[family, name]:>6}"
+                  f"{parts[family, name]:>7}"
+                  f"{1e3 * p_med:>10.2f}{1e3 * c_med:>10.2f}"
+                  f"{100.0 * (r_med - 1.0):>+8.1f}%"
+                  f"{100.0 * (q3 - q1):>10.1f}%{counts}")
     return 0
 
 
