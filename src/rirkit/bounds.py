@@ -58,20 +58,19 @@ class RealPoleDominanceWitness:
 
 
 def _require_minimum_phase(f: RationalTF) -> None:
-    """Stable, biproper, all zeros strictly inside the disk.
+    """Stable, biproper, every pole's and zero's disk inside the unit circle
+    (``RootSet.sides``).
 
     A strictly proper function carries a zero at infinity, which lies
     outside the closed disk, so it is not minimum-phase in discrete time.
     """
-    for p in f.poles():
-        if abs(p) >= 1.0 - 1e-9:
-            raise PreconditionError("f must be stable (poles inside D)")
+    if max(f.den.roots().sides(1.0), default=-1) >= 0:
+        raise PreconditionError("f must be stable (poles inside D)")
     if f.num.is_zero or f.num.degree != f.den.degree:
         raise PreconditionError(
             "f must be biproper: a zero at infinity is not minimum-phase")
-    for z0 in f.zeros():
-        if abs(z0) >= 1.0 - 1e-9:
-            raise PreconditionError("f must be minimum-phase (zeros inside D)")
+    if max(f.num.roots().sides(1.0), default=-1) >= 0:
+        raise PreconditionError("f must be minimum-phase (zeros inside D)")
 
 
 def allpass_pcr_bound_check(f: RationalTF, omega_p: float) -> bool:
@@ -81,14 +80,15 @@ def allpass_pcr_bound_check(f: RationalTF, omega_p: float) -> bool:
     demanded at orders 0 and 1, each within PCR_TOL.  Past order 0, f needs
     real poles inside the disk and |f| = |f(1)| within 1e-7 max(|f(1)|, 1)
     at four probe frequencies.  theta' comes from the cached factors, and
-    theta is the principal phase: only |sin theta| enters the bound.
+    theta is the principal phase: only |sin theta| enters the bound.  A
+    pole is real where its imaginary part is 0, as ``RationalTF.poles``
+    snaps near-real roots onto the axis.
     """
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")
     order = f.den.degree
     if order:
-        if any(abs(p.imag) > 1e-9 * (1.0 + abs(p)) or abs(p) >= 1.0
-               for p in f.poles()):
+        if any(p.imag != 0.0 or abs(p) >= 1.0 for p in f.poles()):
             raise PreconditionError("not a stable all-pass with real poles")
         scale = abs(evaluate(f, 1.0 + 0.0j))
         probe = np.exp(1j * np.array([0.3, 1.1, 1.9, 2.7]))

@@ -66,8 +66,10 @@ class MaglevParams:
             raise ValueError("all maglev parameters must be positive")
         if abs(self.tau * self.p - 1.0) < 1e-12:
             raise ValueError("degenerate parameters: tau * p = 1")
-        if abs(self.tau**2 * self.p**2 - 1.0) < 1e-12:
-            raise ValueError("degenerate parameters: tau^2 p^2 = 1")
+        big = max(self.p, self.tau, self.tau * self.p)
+        if not (self.p * self.p > 0.0 and big * big < math.inf):
+            raise ValueError(f"p^2, tau^2 or (tau p)^2 leaves the float range "
+                             f"at p = {self.p}, tau = {self.tau}")
         if not self.p * self.T <= _MAX_EXP:
             raise ValueError(f"step gain exp(p T) overflows at p T = "
                              f"{self.p * self.T}")
@@ -214,8 +216,7 @@ def highpass(a: float, b: float) -> RationalTF:
         raise PreconditionError("requires b > a > 0")
     f = RationalTF(Polynomial([b + 1.0, 1.0 - b]),
                    Polynomial([a + 1.0, 1.0 - a]))
-    pole = (a - 1.0) / (a + 1.0)
-    if not abs(pole) < 1.0:
+    if max(f.den.roots().sides(1.0)) >= 0:
         raise SynthesisVerificationError("compensator pole left the disk")
     return f
 
@@ -242,7 +243,11 @@ def maglev_upper_bound(params: MaglevParams, eps: float) -> MaglevBound:
         raise PreconditionError("compensation unnecessary: theta'_gd(0) >= 0")
     P = -2.0 * theta0 + eps
     _, (b2, b1, b0), (ep, em, et) = _maglev_pieces(params)
-    dens = (ep + em - 2.0, (1.0 - et) ** 2, (b2 + b1 + b0) ** 2)
+    try:
+        dens = (ep + em - 2.0, (1.0 - et) ** 2, (b2 + b1 + b0) ** 2)
+    except OverflowError:
+        raise ValueError(f"abar's closed form overflows at p T = "
+                         f"{params.p * params.T}") from None
     if 0.0 in dens:
         raise ValueError(f"abar's closed form divides by zero at T = "
                          f"{params.T}: a denominator cancels to 0")
@@ -345,7 +350,11 @@ def _fhn_loop(model: FHNModel, fp: FixedPoint) -> RationalTF:
     Q = 1.0 + (A - 1.0) * xb**2 / 3.0
     Qp = 2.0 * (A - 1.0) * xb / 3.0
     bbar = (1.0 - A) / Q
-    bprime = -(1.0 - A) * Qp / Q**2
+    try:
+        bprime = -(1.0 - A) * Qp / Q**2
+    except OverflowError:
+        raise ValueError(f"the linearization overflows at step gain A = "
+                         f"exp(tau/c) = {A}") from None
     J_std = (A - (2.0 / 3.0) * (A - 1.0) * xb**2) / Q
     J_y = (1.0 + e) * bbar
 
@@ -627,9 +636,8 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     else:
         if delta.num.degree > delta.den.degree:
             raise PreconditionError("delta must be proper")
-        for p in delta.poles():
-            if abs(p) >= 1.0:
-                raise PreconditionError("delta must be stable")
+        if max(delta.den.roots().sides(1.0), default=-1) >= 0:
+            raise PreconditionError("delta must be stable")
         m = delta.den.degree
         acoef = np.asarray(delta.den.coeffs, dtype=float)
         bcoef = np.zeros(m + 1)

@@ -41,7 +41,7 @@ MODE_P1 = "pole_at_+1"
 MODE_M1 = "pole_at_-1"
 MODE_NONE = "none"
 
-BOUNDARY_TOL = 1e-6  # a closed-loop root this close to T lies on it
+BOUNDARY_TOL = 1e-6  # a closed-loop root this close to e^{+-j omega_c}
 EXCLUSION_WINDOW = 1e-4  # marginal-mode window around 1+j0 and omega_c
 
 
@@ -98,13 +98,13 @@ def crossing_counts(L: RationalTF, spec: ContourSpec,
     """
     epsilon = spec.epsilon
     r_eval = 1.0 / (1.0 - epsilon)
-    for p in L.poles():
-        if abs(abs(p) - r_eval) < 1e-9:
-            warnings.warn(
-                f"pole within 1e-9 of the evaluation circle; shifting "
-                f"epsilon by 1e-6 (pole={p})")
-            epsilon = epsilon + 1e-6 if epsilon + 1e-6 < 1.0 else epsilon / 2.0
-            r_eval = 1.0 / (1.0 - epsilon)
+    poles = L.den.roots()
+    if 0 in poles.sides(r_eval):
+        warnings.warn(
+            f"a pole's disk reaches the evaluation circle; shifting epsilon "
+            f"by 1e-6 (pole={poles.flat[poles.sides(r_eval).index(0)]})")
+        epsilon = epsilon + 1e-6 if epsilon + 1e-6 < 1.0 else epsilon / 2.0
+        r_eval = 1.0 / (1.0 - epsilon)
 
     turns = _axis_turns(L, r_eval)
     if turns is None:  # L is real, hence constant, on the contour
@@ -145,18 +145,15 @@ def closed_loop_poles(L: RationalTF) -> RootSet:
     return char.roots()
 
 
-def _contour_epsilon(L: RationalTF, closed_loop: tuple[complex, ...]) -> float:
+def _contour_epsilon(L: RationalTF, closed_loop: RootSet) -> float:
     """Half the smallest structural margin of L's unstable poles and of its
-    closed-loop roots off the circle, capped at 1e-2 and floored at 1e-8."""
-    eps = 1e-2
-    for p in L.poles():
-        if abs(p) > 1.0:
-            eps = min(eps, (1.0 - 1.0 / abs(p)) / 2.0)
-    for c in closed_loop:
-        m = abs(c)
-        if abs(m - 1.0) > BOUNDARY_TOL and m > 0.0:
-            eps = min(eps, abs(1.0 - 1.0 / m) / 2.0)
-    return max(eps, 1e-8)
+    closed-loop roots whose disks are off the circle (``RootSet.sides``),
+    capped at 1e-2 and floored at 1e-8."""
+    poles = L.den.roots()
+    off = [r for r, s in zip(poles.flat, poles.sides(1.0)) if s > 0] + [
+        r for r, s in zip(closed_loop.flat, closed_loop.sides(1.0)) if s and r]
+    return max(min([1e-2] + [abs(1.0 - 1.0 / abs(r)) / 2.0 for r in off]),
+               1e-8)
 
 
 def extended_nyquist_check(L: RationalTF) -> bool:
@@ -169,9 +166,9 @@ def extended_nyquist_check(L: RationalTF) -> bool:
     closed-loop root lies outside the closed disk; a count that disagrees
     warns.
     """
-    n = sum(1 for p in L.poles() if abs(p) > 1.0)
-    roots = closed_loop_poles(L).flat
-    roots_ok = all(abs(c) <= 1.0 + 1e-9 for c in roots)
+    n = L.den.roots().sides(1.0).count(1)
+    roots = closed_loop_poles(L)
+    roots_ok = 1 not in roots.sides(1.0)
     cw = crossing_counts(L, ContourSpec(epsilon=_contour_epsilon(L, roots))
                          ).encirclements_cw
     if (cw == n) != roots_ok:
@@ -197,7 +194,7 @@ def marginal_verdict(L: RationalTF, omega_c: float) -> StabilityVerdict:
     if abs(ap) > 1e-8 * (1.0 + abs(app)):
         raise PreconditionError(
             f"A'_L(omega_c) = {ap:.3e} not zero within 1e-8 * (1 + |A''|)")
-    n = sum(1 for p in L.poles() if abs(p) > 1.0)
+    n = L.den.roots().sides(1.0).count(1)
 
     at_bnd = at_boundary(omega_c)
     zc = complex(np.exp(1j * omega_c))
@@ -206,8 +203,11 @@ def marginal_verdict(L: RationalTF, omega_c: float) -> StabilityVerdict:
     dL = vc * q / (1j * zc)  # L'(z) = L(z) q / (j z)
     cond_deriv = abs(dL) > 1e-9
     rs = closed_loop_poles(L)
+    sides = rs.sides(1.0)
+    on = {r for r, s in zip(rs.flat, sides) if s == 0
+          or min(abs(r - zc), abs(r - zc.conjugate())) <= BOUNDARY_TOL}
     boundary = tuple((r, m) for r, m in zip(rs.roots, rs.multiplicities)
-                     if abs(abs(r) - 1.0) <= BOUNDARY_TOL)
+                     if r in on)
     # L = 1 on the circle exactly at the boundary closed-loop roots
     cond_elsewhere = all(abs(abs(np.angle(r)) - omega_c) <= EXCLUSION_WINDOW
                          for r, _ in boundary)
@@ -221,19 +221,17 @@ def marginal_verdict(L: RationalTF, omega_c: float) -> StabilityVerdict:
     condition_iib = rep.nu_o == n and theta_rate < 0.0
     cert_single = condition_i and (condition_iia or condition_iib)
 
-    outside = [r for r in rs.roots if abs(r) > 1.0 + BOUNDARY_TOL]
-    all_in = not outside
+    all_in = not any(s > 0 and r not in on for r, s in zip(rs.flat, sides))
     marginal = all_in and bool(boundary) and all(m == 1 for _, m in boundary)
     mode = MODE_NONE
     single = False
-    if marginal:
+    if marginal:  # roots off the real axis come in exact conjugate pairs
         pts = sorted((r for r, _ in boundary), key=lambda r: r.imag)
-        if len(pts) == 1 and abs(pts[0].imag) <= BOUNDARY_TOL:
+        if len(pts) == 1 and pts[0].imag == 0.0:
             mode = MODE_P1 if pts[0].real > 0 else MODE_M1
             single = True
-        elif (len(pts) == 2
-              and abs(pts[0] - np.conj(pts[1])) <= 10 * BOUNDARY_TOL
-              and abs(pts[0].imag) > BOUNDARY_TOL):
+        elif (len(pts) == 2 and pts[0] == pts[1].conjugate()
+              and pts[0].imag != 0.0):
             mode = MODE_CONJ
             single = True
 

@@ -3,7 +3,8 @@
 Coefficients are stored in descending powers of z (leading first).  Roots
 come in closed form to degree 2 and as companion-matrix eigenvalues past it,
 each polished by one Newton step on the polynomial's own coefficients; a
-product takes its factors' roots where they are its own to rounding.
+product takes its factors' roots where they are its own to rounding.  Each
+root carries an inclusion disk, which ``RootSet.sides`` places on circles.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ __all__ = [
     "from_roots",
 ]
 
-CLUSTER_TOL = 1e-7
 CONJ_PAIR_TOL = 1e-9
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class Polynomial:
             if factors is not None:
                 z = factors[0].roots().flat + factors[1].roots().flat
                 if len(z) == self.degree:
-                    rs = _root_set(self, z, self.coeffs)
+                    rs = _root_set(self, z, None, self.coeffs)
             self.__dict__["_roots"] = poly_roots(self) if rs is None else rs
         return self.__dict__["_roots"]
 
@@ -125,26 +126,41 @@ class Polynomial:
 class RootSet:
     """Clustered roots of a polynomial.
 
-    ``roots[i]`` carries multiplicity ``multiplicities[i]``; the counts sum
-    to the polynomial degree.  ``residual`` is max |p(root)| over the
-    cluster representatives.  ``flat``, the roots repeated according to
-    multiplicity, is built at construction into the instance ``__dict__``,
-    outside the dataclass fields, so ``==``, ``hash`` and ``repr`` ignore it.
+    ``roots[i]`` carries multiplicity ``multiplicities[i]``, and the
+    ``radii[i]`` given with it is its inclusion radius (``_cluster``); the
+    counts sum to the polynomial degree.  ``residual`` is max |p(root)| over
+    the cluster representatives.  ``flat`` and ``radii``, the roots and
+    their radii repeated according to multiplicity, live in the instance
+    ``__dict__``, outside the dataclass fields, so ``==``, ``hash`` and
+    ``repr`` ignore them.
     """
 
     roots: tuple[complex, ...]
     multiplicities: tuple[int, ...]
     residual: float
 
-    def __init__(self, roots, multiplicities, residual):
-        flat = (tuple(roots) if len(roots) == sum(multiplicities) else tuple(
-            r for r, m in zip(roots, multiplicities) for _ in range(m)))
+    def __init__(self, roots, multiplicities, residual, radii):
+        flat, rad = tuple(roots), tuple(radii)
+        if len(flat) != sum(multiplicities):
+            flat, rad = ([x for x, m in zip(xs, multiplicities)
+                          for _ in range(m)] for xs in (flat, rad))
         self.__dict__.update(roots=roots, multiplicities=multiplicities,
-                             residual=residual, flat=flat)
+                             residual=residual, flat=tuple(flat),
+                             radii=tuple(rad), _sides={})
 
     @property
     def total(self) -> int:
         return sum(self.multiplicities)
+
+    def sides(self, radius: float) -> tuple[int, ...]:
+        """-1, 0 or 1 for each root of ``flat`` as its disk lies inside,
+        reaches or lies outside the circle |z| = radius; kept per radius."""
+        seen = self._sides
+        if radius not in seen:
+            seen[radius] = tuple([0 if abs(abs(r) - radius) <= rho else
+                                  (1 if abs(r) > radius else -1)
+                                  for r, rho in zip(self.flat, self.radii)])
+        return seen[radius]
 
 
 def _real(c) -> float:
@@ -187,7 +203,7 @@ def from_roots(roots, leading: float = 1.0) -> Polynomial:
     if p.is_zero:
         return p
     majorant = abs(leading) * np.atleast_1d(np.poly(-np.abs(roots)))
-    rs = _root_set(p, roots.tolist(), majorant)
+    rs = _root_set(p, roots.tolist(), None, majorant.tolist())
     if rs is not None:
         p.__dict__["_roots"] = rs
     return p
@@ -198,34 +214,64 @@ def _horner_bound(coeffs, absz: float) -> float:
     acc = 0.0
     for c in coeffs:
         acc = acc * absz + abs(c)
-    return 4.0 * max(len(coeffs) - 1, 1) * sys.float_info.epsilon * acc
+    return 4.0 * max(len(coeffs) - 1, 1) * _EPS * acc
 
 
-def _cluster(roots: list[complex], tol: float):
-    """Cluster centres (running means) and counts of roots within tol of
-    each other, in ascending (real, imag) order.  One root, or two apart,
-    needs no merging pass."""
+def _cluster_disk(p: Polynomial, members: list[complex]):
+    """Mean c of k approximate roots of p and (k! eta / |p^(k)(c)|)^(1/k),
+    eta Horner's bound at c: out to that radius p's Taylor term of order k
+    outweighs rounding (Rump 2003); inf where the term is 0, 0 where eta is
+    too."""
+    k, n = len(members), len(p.coeffs) - 1
+    c = complex(math.fsum(w.real for w in members) / k,
+                math.fsum(w.imag for w in members) / k)
+    t = 0.0  # p^(k)(c) / k!
+    for i, a in enumerate(p.coeffs[:n - k + 1]):
+        t = t * c + a * math.comb(n - i, k)
+    eta = _horner_bound(p.coeffs, abs(c))
+    return c, (eta / abs(t)) ** (1.0 / k) if t else eta and math.inf
+
+
+def _cluster(p: Polynomial, roots: list[complex], radii: list[float]):
+    """Centres, radii and counts of the clusters of approximate roots of p
+    with simple-root radii ``radii``, ascending by (real, imag) of centre.
+
+    Roots whose simple-root disks overlap, directly or through others, are
+    one cluster where ``_cluster_disk`` holds them all; else only equal
+    roots merge.  The rule reads the roots as a set, so conjugate-closed
+    roots give conjugate-closed clusters.
+    """
     if len(roots) < 2:
-        return roots, [1] * len(roots)
-    if len(roots) == 2:
-        a, b = roots
-        if (b.real, b.imag) < (a.real, a.imag):
-            a, b = b, a
-        if not abs(b - a) <= tol:
-            return [a, b], [1, 1]
-    order = sorted(roots, key=lambda z: (z.real, z.imag))
-    centers: list[complex] = []
-    counts: list[int] = []
-    for z in order:
-        for k, c in enumerate(centers):
-            if abs(z - c) <= tol:
-                centers[k] = (c * counts[k] + z) / (counts[k] + 1)
-                counts[k] += 1
+        return roots, radii, (1,) * len(roots)
+    if len(roots) == 2 and abs(roots[0] - roots[1]) > radii[0] + radii[1]:
+        if (roots[1].real, roots[1].imag) < (roots[0].real, roots[0].imag):
+            roots, radii = roots[::-1], radii[::-1]
+        return roots, radii, (1, 1)
+    order = sorted(zip(roots, radii), key=lambda t: (t[0].real, t[0].imag))
+    n, reach, label = len(order), max(radii), None
+    for i, (r, rho) in enumerate(order):
+        for j in range(i + 1, n):  # ascending real parts
+            w, s = order[j]
+            if w.real - r.real > rho + reach:
                 break
-        else:
-            centers.append(z)
-            counts.append(1)
-    return centers, counts
+            if abs(w - r) <= rho + s:
+                label = label or list(range(n))
+                label = [label[i] if h == label[j] else h for h in label]
+    if label is None:
+        return (*zip(*order), (1,) * n)
+    out = []
+    for group in ([t for t, h in zip(order, label) if h == g]
+                  for g in dict.fromkeys(label)):
+        c, rho = (group[0] if len(group) == 1 else
+                  _cluster_disk(p, [r for r, _ in group]))
+        if len(group) == 1 or all(abs(r - c) <= rho for r, _ in group):
+            out.append((c, rho, len(group)))
+            continue
+        for r in dict.fromkeys(r for r, _ in group):  # equal roots merge
+            same = [s for w, s in group if w == r]
+            out.append((r, same[0] if len(same) == 1 else
+                        _cluster_disk(p, [r] * len(same))[1], len(same)))
+    return zip(*sorted(out, key=lambda t: (t[0].real, t[0].imag)))
 
 
 def _quadratic_roots(a: float, b: float, c: float):
@@ -252,6 +298,10 @@ def poly_roots(p: Polynomial) -> RootSet:
     real root steps in float arithmetic, which gives the real parts of the
     complex steps with zero imaginary parts, bit for bit.  Both run on an
     exact power-of-two rescaling, so subnormal p' cannot overflow the step.
+    The same pass forms Horner's bound eta = 4 n eps sum |a_k| |r|^k, and
+    each root's inclusion radius is n eta / |p'(r)| before the step: as
+    p'/p = sum 1/(r - z_i), that disk holds a root of p + e for each
+    |e| <= eta (inf where p'(r) is 0, and 0 where eta is too: an exact 0).
     The step is skipped where p or p' is exactly zero (zero and exact
     multiple roots).
     Raises ValueError for the zero polynomial (roots undefined) and where
@@ -264,7 +314,7 @@ def poly_roots(p: Polynomial) -> RootSet:
         raise ValueError("undefined roots: zero polynomial")
     coeffs = p.coeffs
     if len(coeffs) == 1:
-        return RootSet(roots=(), multiplicities=(), residual=0.0)
+        return RootSet(roots=(), multiplicities=(), residual=0.0, radii=())
     shift = -math.frexp(max(map(abs, coeffs)))[1]
     c = [math.ldexp(a, shift) for a in coeffs]
     if c[0] == 0.0:
@@ -286,40 +336,60 @@ def poly_roots(p: Polynomial) -> RootSet:
     else:
         z = [-c[1] / c[0]] if n == 2 else []
     z += [0.0] * (len(c) - n)
-    m = len(c) - 1
-    polished = []
+    m, polished, radii = len(c) - 1, [], []
+    # p, p' on the coefficients c_k (m - k), and Horner's bound on |c_k|
+    rows = [(a, a * (m - k), abs(a)) for k, a in enumerate(c[1:m], 1)]
+    c0, d0, e0, em = c[0], c[0] * m, abs(c[0]), abs(c[m])
+    scale = 4.0 * m * m * _EPS  # m eta / |p'(r)|, eta = 4 m eps ev
     for r in z:
         if r.imag == 0.0:  # float steps: the complex ones' real parts
             r = r.real
-        pv, dv = c[0], c[0] * m
-        for k in range(1, m):  # p' on the coefficients c_k (m - k)
-            pv = pv * r + c[k]
-            dv = dv * r + c[k] * (m - k)
+        pv, dv, ev, a = c0, d0, e0, abs(r)
+        for ck, dk, ek in rows:
+            pv = pv * r + ck
+            dv = dv * r + dk
+            ev = ev * a + ek
         pv = pv * r + c[m]
         if pv != 0.0 and dv != 0.0:
             r -= pv / dv
         if not math.isfinite(math.hypot(r.real, r.imag)):
             raise ValueError(f"a root lies beyond the double range: {r}")
         polished.append(r)
-    return _root_set(p, polished, None)
+        ev = ev * a + em
+        radii.append(scale * ev / abs(dv) if dv else ev and math.inf)
+    return _root_set(p, polished, radii, None)
 
 
-def _root_set(p: Polynomial, z: list[complex], majorant):
+def _root_set(p: Polynomial, z: list[complex], radii, majorant):
     """Snap near-real roots to the axis and cluster approximate roots z of p.
 
     Complex roots come in exact conjugate pairs from LAPACK's real eigensolver
     and ``_quadratic_roots``, and the Newton step in ``poly_roots`` keeps them
     exact, so only roots within CONJ_PAIR_TOL (1 + |z|) of the real axis need
-    symmetrizing.  Unless ``majorant`` is None, None comes back when a cluster
-    centre r has |p(r)| above ``_horner_bound(majorant, |r|)``.
+    symmetrizing.  ``radii`` are z's simple-root radii, or None for given
+    roots: then None comes back where some r has |p(r)| above eta =
+    ``_horner_bound(majorant, |r|)``, and the radii are formed on eta.
     """
     z = [complex(r.real) if abs(r.imag) <= CONJ_PAIR_TOL * (1.0 + abs(r))
          else r for r in z]
-    centers, counts = _cluster(z, CLUSTER_TOL)
-    values = [abs(poly_eval(p, c)) for c in centers]
-    if majorant is not None and any(
-            v > _horner_bound(majorant, abs(c))
-            for v, c in zip(values, centers)):
-        return None
+    known = {}  # |p(r)| at given roots
+    if radii is None:
+        m, radii = len(p.coeffs) - 1, []
+        rows = [(a, abs(b)) for a, b in zip(p.coeffs, majorant)]
+        for r in z:  # p(r), p'(r) and _horner_bound(majorant, |r|)
+            pv = dv = ev = 0.0
+            a = abs(r)
+            for ck, mk in rows:
+                dv = dv * r + pv
+                pv = pv * r + ck
+                ev = ev * a + mk
+            eta = 4.0 * max(m, 1) * _EPS * ev
+            known[r] = abs(pv)
+            if known[r] > eta:
+                return None
+            radii.append(m * eta / abs(dv) if dv else eta and math.inf)
+    centers, radii, counts = _cluster(p, z, radii)
+    values = [known[c] if c in known else abs(poly_eval(p, c))
+              for c in centers]
     return RootSet(roots=tuple(centers), multiplicities=tuple(counts),
-                   residual=float(max(values, default=0.0)))
+                   residual=float(max(values, default=0.0)), radii=radii)

@@ -252,7 +252,7 @@ def allpass_phase_match(omega_p: float, theta_p: float) -> AllPassSpec:
     t = wrap_angle(theta_p)
     if abs(t) <= 1e-13:
         return AllPassSpec(c=1, a=None)
-    if abs(abs(t) - math.pi) <= 1e-13:
+    if math.pi - abs(t) <= 1e-13:  # t lies in (-pi, pi]
         return AllPassSpec(c=-1, a=None)
     if t < 0.0:
         c, target = 1, t

@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 CANCEL_TOL = 1e-8
-CIRCLE_TOL = 1e-9
 UNIQUENESS_MARGIN = 1e-6
 BOUNDARY_BAND = 1e-12  # an omega this close to 0 or pi is a boundary frequency
 _SQRT_HALF = math.sqrt(0.5)
@@ -99,11 +98,13 @@ class RationalTF:
     __rmul__ = __mul__
 
     def assert_rl_inf(self) -> None:
-        """Raise unless no pole lies within CIRCLE_TOL of the unit circle."""
-        for p in self.poles():
-            if abs(abs(p) - 1.0) < CIRCLE_TOL:
-                raise PoleOnCircleError(
-                    f"pole {p} within {CIRCLE_TOL} of the unit circle")
+        """Raise unless no pole's disk (``RootSet.sides``) reaches the unit
+        circle."""
+        rs = self.den.roots()
+        sides = rs.sides(1.0)
+        if 0 in sides:
+            raise PoleOnCircleError(f"pole {rs.flat[sides.index(0)]} within "
+                                    f"its rounding disk of the unit circle")
 
 
 class LinfResult(NamedTuple):
@@ -185,26 +186,22 @@ def evaluate(g: RationalTF, z):
 
 
 def unstable_pole_count(g: RationalTF) -> int:
-    """Number of poles with |z| > 1, counting multiplicity."""
-    count = 0
-    for p in g.poles():
-        if abs(abs(p) - 1.0) < CIRCLE_TOL:
-            raise PoleOnCircleError(f"not in RL_inf: pole {p} on the unit circle")
-        if abs(p) > 1.0:
-            count += 1
-    return count
+    """Number of poles outside the unit circle, counting multiplicity;
+    raises where a pole's disk reaches it (``RationalTF.assert_rl_inf``)."""
+    g.assert_rl_inf()
+    return g.den.roots().sides(1.0).count(1)
 
 
-def _real_unstable_points(values):
-    """Real points with |x| > 1 + CIRCLE_TOL, as (branch, x) keys ordered
-    along the extended real line 1 -> +inf = -inf -> -1."""
-    out = []
-    for v in values:
-        if (abs(v.imag) <= 1e-9 * (1.0 + abs(v))
-                and abs(v.real) > 1.0 + CIRCLE_TOL):
-            x = v.real
-            out.append((0, x) if x > 0 else (2, x))
-    return out
+def _real_unstable_points(p: Polynomial):
+    """Real roots of p whose disks lie outside the unit circle, as (branch,
+    x) keys ordered along the extended real line 1 -> +inf = -inf -> -1; a
+    root snapped to the real axis (``polycore._root_set``) has imaginary
+    part 0.  None where p is zero."""
+    if p.is_zero:
+        return []
+    rs = p.roots()
+    return [(0, r.real) if r.real > 0 else (2, r.real)
+            for r, s in zip(rs.flat, rs.sides(1.0)) if s > 0 and r.imag == 0]
 
 
 def pip_check(g: RationalTF) -> bool:
@@ -215,10 +212,10 @@ def pip_check(g: RationalTF) -> bool:
     even.  The extended real line is traversed 1 -> +inf, then -inf -> -1.
     """
     g.assert_rl_inf()
-    zeros = _real_unstable_points(g.zeros())
+    zeros = _real_unstable_points(g.num)
     if g.strictly_proper:
         zeros.append((1, 0.0))  # zero at infinity
-    poles = _real_unstable_points(g.poles())
+    poles = _real_unstable_points(g.den)
     if len(zeros) < 2:
         return True
     zeros.sort()
@@ -262,8 +259,10 @@ def _unwrapped_phase(g: RationalTF, omega: float) -> float:
     if g.num.is_zero:
         raise ZeroOnCircleError("phase undefined: g is identically zero")
     zeros, poles = g.zeros(), g.poles()
-    if any(abs(abs(r) - 1.0) < CIRCLE_TOL
-           and abs(cmath.phase(r)) <= abs(omega) + CIRCLE_TOL for r in zeros):
+    rs = g.num.roots()  # a disk on the circle within [0, omega]
+    if 0 in rs.sides(1.0) and any(
+            s == 0 and abs(cmath.phase(r)) <= abs(omega) + rho
+            for r, rho, s in zip(rs.flat, rs.radii, rs.sides(1.0))):
         raise ZeroOnCircleError(f"zero on the unit circle within [0, {omega}]")
     back = cmath.exp(-1j * omega)  # e^{-j omega}
     flips = (g.num.coeffs[0] < 0.0) != (g.den.coeffs[0] < 0.0)

@@ -291,13 +291,15 @@ def reference_poly_roots(p: Polynomial) -> RootSet:
     complex arithmetic, the real ones included.
 
     This is the implementation that polishes a real root in float
-    arithmetic replaced, kept unchanged (it clusters through the package's
-    ``_root_set``).
+    arithmetic replaced.  It clusters through the package's ``_root_set``,
+    so it forms the same inclusion radii as ``poly_roots``: Horner's bound
+    on |c_k| at |r| and p'(r), both before the step, in the same order of
+    operations.
     """
     if p.is_zero:
         raise ValueError("undefined roots: zero polynomial")
     if p.degree == 0:
-        return RootSet(roots=(), multiplicities=(), residual=0.0)
+        return RootSet(roots=(), multiplicities=(), residual=0.0, radii=())
     shift = -math.frexp(max(map(abs, p.coeffs)))[1]
     c = [math.ldexp(a, shift) for a in p.coeffs]
     if c[0] == 0.0:
@@ -320,7 +322,7 @@ def reference_poly_roots(p: Polynomial) -> RootSet:
         z = [-c[1] / c[0]] if n == 2 else []
     z += [0.0] * (len(c) - n)
     dc = [a * (len(c) - 1 - k) for k, a in enumerate(c[:-1])]
-    polished = []
+    polished, radii = [], []
     for r in z:
         r = complex(r)
         pv, dv = complex(c[0]), complex(dc[0])
@@ -328,12 +330,17 @@ def reference_poly_roots(p: Polynomial) -> RootSet:
             pv = pv * r + a
         for a in dc[1:]:
             dv = dv * r + a
+        ev = 0.0  # Horner's bound on |c_k| at |r|, before the step
+        for a in c:
+            ev = ev * abs(r) + abs(a)
         if pv != 0.0 and dv != 0.0:
             r -= pv / dv
         if not math.isfinite(math.hypot(r.real, r.imag)):
             raise ValueError(f"a root lies beyond the double range: {r}")
         polished.append(r)
-    return _root_set(p, polished, None)
+        scale = 4.0 * len(dc) * len(dc) * float(np.finfo(float).eps)
+        radii.append(scale * ev / abs(dv) if dv else ev and math.inf)
+    return _root_set(p, polished, radii, None)
 
 
 def reference_log_slope(g: RationalTF, z):

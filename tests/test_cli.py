@@ -557,14 +557,29 @@ def test_unknown_or_non_finite_param_exits_2(capsys, argv, names):
      "exp(tau/c) overflows"),
     (["maglev", "--param", "p=1000", "--param", "T=1"], "exp(p T) overflows"),
     (["maglev", "--param", "T=1e-300"], "of the unit circle"),
-    (["maglev", "--param", "T=1e-9"], "cancels to 0"),
+    # poles 1 +- 1e-9 and 1 - 1e-8: one cluster whose disk reaches the circle,
+    # checked before abar's closed form, which cancels to 0 here too
+    (["maglev", "--param", "T=1e-9"], "of the unit circle"),
     (["maglev", "--eps", "nan"], "eps must be finite"),
     (["maglev", "--eps", "inf"], "eps must be finite"),
+    (["fhn-find", "--param", "tau=700"], "linearization overflows"),
+    (["fhn-sim", "--param", "tau=700", "--steps", "10"],
+     "linearization overflows"),
+    (["maglev", "--param", "p=700", "--param", "T=1"],
+     "closed form overflows"),
+    (["maglev", "--param", "p=1e300", "--param", "T=1e-300"],
+     "leaves the float range"),
+    (["maglev", "--param", "p=1e-200"], "leaves the float range"),
+    (["maglev", "--param", "T=3e-8"], "of the unit circle"),
 ], ids=["fhn-tau", "fhn-c", "fhn-sim-tau", "maglev-pT", "maglev-T-1e-300",
-        "maglev-T-1e-9", "eps-nan", "eps-inf"])
+        "maglev-T-1e-9", "eps-nan", "eps-inf", "fhn-tau-700",
+        "fhn-sim-tau-700", "maglev-p-700", "maglev-p-1e300", "maglev-p-1e-200",
+        "maglev-T-3e-8"])
 def test_out_of_range_model_inputs_exit_typed(capsys, argv, message):
-    # step gains that overflow, sampled poles that round onto the circle,
-    # closed-form denominators that cancel and a non-finite eps
+    # step gains that overflow, or that overflow a square further on,
+    # sampled poles that round onto the circle or cluster into one whose
+    # disk reaches it, closed-form denominators that cancel and a
+    # non-finite eps
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (2, 3)

@@ -239,7 +239,7 @@ def test_one_contour_count_is_n_iff_closed_loop_in_disk(seed, n_unstable,
     roots = closed_loop_poles(L).flat
     assume(all(abs(abs(c) - 1.0) > 1e-6 for c in roots))
     n = unstable_pole_count(L)
-    eps = nyquist._contour_epsilon(L, roots)
+    eps = nyquist._contour_epsilon(L, closed_loop_poles(L))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cw = crossing_counts(L, ContourSpec(epsilon=eps)).encirclements_cw
@@ -260,6 +260,43 @@ def test_marginal_verdict_close_to_the_window_without_warning():
         f = synth_marginal_perturbation(g)
         v = marginal_verdict(g * f, linf_norm(g).omega_p)
     assert v.condition_i and v.single_mode and v.mode == "conjugate_pair"
+
+
+# Draws 1062, 1145, 1189, 1329, 1432 and 2158 (0-based) of
+# conftest.near_circle_tf from default_rng(12): each synthesized loop has one
+# marginal root or pair on the circle and stable roots 1.8e-7 to 9.8e-7
+# inside it, next to the plant's own poles at 1 - m2
+NEAR_CIRCLE_MARGINAL = [
+    ([0.11010126463086951, -2.842288212484739, 1.388763551643243],
+     [1.0, 1.7232943376880996, 1.723291807451715, 0.9999994363710154]),
+    ([7.126300559885616, -18.381307828758583, 22.183531883115176],
+     [1.0, -0.19274539292949572, 1.7708254717451255, -0.1927476995508831,
+      0.9999995344010829]),
+    ([1.716404462217128, -0.4005526051303051],
+     [1.0, 1.2467145117711631e-05, -1.0000020414327984]),
+    ([1.0715356359468708, 0.11336155118269248],
+     [1.0, -2.198145433340848e-06, -1.0000000304921706]),
+    ([5.08065276421573, 3.1000268249321334, 0.028297130332898237],
+     [1.0, 3.6883878096264655, 5.376992243115188, 3.6884152050438077,
+      1.0000167077643047]),
+    ([5.521319358453626, 2.3447772490825773],
+     [1.0, -2.1172093988441887e-05, -1.0000079615412965]),
+]
+
+
+@pytest.mark.parametrize("num, den", NEAR_CIRCLE_MARGINAL)
+def test_stable_roots_near_the_circle_are_not_boundary_modes(num, den):
+    # a closed-loop root is a boundary root where its disk reaches the
+    # circle or it lies within BOUNDARY_TOL of e^{+-j omega_c}, not for
+    # lying within 1e-6 of the circle
+    g = RationalTF(num, den)
+    f = synth_marginal_perturbation(g)
+    omega_c = linf_norm(g).omega_p
+    v = marginal_verdict(g * f, omega_c)
+    assert v.single_mode and v.all_in_closed_disk
+    roots = [r for r, _ in v.boundary_roots]
+    assert len(roots) == (1 if v.mode in ("pole_at_+1", "pole_at_-1") else 2)
+    assert all(abs(abs(np.angle(r)) - omega_c) <= 1e-6 for r in roots)
 
 
 def test_extended_nyquist_synthesized_marginal_loops(fhn_chain):

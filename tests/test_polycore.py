@@ -24,13 +24,14 @@ from rirkit.polycore import (
 
 def test_rootset_flat_is_stored_once_outside_the_fields():
     rs = RootSet(roots=(1.0 + 0j, -0.5 + 0j), multiplicities=(2, 1),
-                 residual=0.0)
+                 residual=0.0, radii=(0.0, 0.0))
     before = (repr(rs), hash(rs))
     flat = rs.flat
     assert flat == (1.0 + 0j, 1.0 + 0j, -0.5 + 0j)
     assert rs.flat is flat
     assert (repr(rs), hash(rs)) == before
-    assert rs == RootSet(roots=rs.roots, multiplicities=(2, 1), residual=0.0)
+    assert rs == RootSet(roots=rs.roots, multiplicities=(2, 1), residual=0.0,
+                         radii=(1.0, 1.0))
     assert "flat" not in repr(rs)
 
 
@@ -166,6 +167,42 @@ def test_double_root_multiplicity():
     assert set(rs.multiplicities) == {1, 2}
     assert abs(by_mult[2] - 1.0) < 1e-6
     assert abs(by_mult[1] - 0.5) < 1e-6
+
+
+def test_tiny_constant_term_leaves_two_simple_roots():
+    # the roots +-1e-8j are far apart against their disks (~4e-23), so they
+    # are not one double root at 0
+    rs = poly_roots(Polynomial([1.0, 0.0, 1e-16]))
+    assert rs.multiplicities == (1, 1)
+    assert sorted(r.imag for r in rs.roots) == pytest.approx([-1e-8, 1e-8])
+
+
+def test_overlapping_simple_disks_alone_merge_nothing():
+    # denominator of plant 177 of the seed-1 degree 9-12 benchmark family:
+    # the real poles -0.6713853 and -0.6713635, 2.18e-5 apart, have simple
+    # disks of radius 5.5e-5, but the disk of a double root about their
+    # mean, 1.0e-5, does not hold them both
+    rs = poly_roots(Polynomial([
+        1.0, 4.650512098483215, 8.861144573258201, 8.59815671783004,
+        3.833996109958923, -0.3710102420838126, -1.4152090472706673,
+        -0.7732382252817755, -0.19242917311766672, -0.015195853084078052,
+        0.0008380295946881853, -0.0008009377398071249,
+        -0.00024209771046610572]))
+    assert rs.multiplicities == (1,) * 12
+    pair = [(r, rho) for r, rho in zip(rs.flat, rs.radii)
+            if abs(r + 0.67138) < 1e-4]
+    assert len(pair) == 2 and abs(pair[0][0] - pair[1][0]) < min(
+        rho for _, rho in pair)
+
+
+def test_near_double_roots_form_one_cluster_whose_disk_holds_both():
+    # eigenvalue approximants of a double root lie ~sqrt(eps) apart
+    p = from_roots([0.3, 0.7]) * from_roots([0.7, -0.2])
+    rs = poly_roots(Polynomial(p.coeffs))
+    assert sorted(rs.multiplicities) == [1, 1, 2]
+    c = rs.roots[rs.multiplicities.index(2)]
+    rho = rs.radii[rs.flat.index(c)]
+    assert abs(c - 0.7) <= rho < 1e-6
 
 
 def test_reconstruction_invariant_degrees_up_to_12():
@@ -318,7 +355,7 @@ def test_product_roots_are_the_union_of_the_factors(seed):
     for p, q in ((gd, fd), (gn, fn), (gn, fd)):
         pq = p * q
         union = polycore._root_set(pq, list(p.roots().flat + q.roots().flat),
-                                   pq.coeffs)
+                                   None, pq.coeffs)
         if union is None:
             continue  # the union missed the bound: the fallback test's case
         assert pq.roots() == union

@@ -19,6 +19,12 @@ The checks of the paper's supporting bounds live in ``bounds`` alone, off
 the analysis path: ``rir`` does not import them, and no other module but the
 package's ``__init__`` names them.  One ``wrap_angle`` serves floats and
 arrays.
+
+Where a root lies has one owner too: each root of a ``polycore.RootSet``
+carries an inclusion disk, and ``RootSet.sides`` is the one place that
+measures a root's modulus against a circle, ``abs(abs(x) - c)``.  No module
+keeps an absolute clustering or circle tolerance (``CLUSTER_TOL``,
+``CIRCLE_TOL``) beside it.
 """
 
 import ast
@@ -134,6 +140,34 @@ def test_one_angle_wrap():
                if isinstance(node, ast.FunctionDef)}
     assert "wrap_angle" in defined and "_wrap_angles" not in defined
     assert not _all_references(("_wrap_angles",))
+
+
+def _on_circle_tests(tree) -> int:
+    """Count of abs(abs(x) - c) and abs(c - abs(x)) in the tree, x a name:
+    a value's modulus against a radius (an angle's, abs(np.angle(r)), is
+    not one)."""
+    def is_abs(node, of):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "abs" and len(node.args) == 1
+                and isinstance(node.args[0], of))
+    return sum(1 for node in ast.walk(tree)
+               if is_abs(node, ast.BinOp)
+               and isinstance(node.args[0].op, ast.Sub)
+               and (is_abs(node.args[0].left, ast.Name)
+                    or is_abs(node.args[0].right, ast.Name)))
+
+
+def test_root_location_has_one_owner():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    defined = {target.id for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target])
+               if isinstance(target, ast.Name)}
+    assert not {"CLUSTER_TOL", "CIRCLE_TOL"} & defined
+    counts = {stem: _on_circle_tests(tree) for stem, tree in trees.items()}
+    assert counts.pop("polycore") >= 1
+    assert not any(counts.values()), counts
 
 
 def _shape_cases():

@@ -3,6 +3,7 @@ import math
 import time
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,19 +102,46 @@ def test_unstable_pole_count():
     assert unstable_pole_count(FHN_G) == 2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="polycore clusters roots within an absolute "
-                          "CLUSTER_TOL, so the pair merges into one double "
-                          "root inside the circle")
 def test_close_pair_across_the_circle_keeps_its_unstable_pole():
     # the stored coefficients' 50-digit roots are 1 + 3.03e-8 and
-    # 1 - 4.03e-8: one pole outside the circle, neither within CIRCLE_TOL
+    # 1 - 4.03e-8: one pole outside the circle, or a disk on it
     g = RationalTF([1.0], np.poly([1 - 4e-8, 1 + 3e-8]))
     try:
         n = unstable_pole_count(g)
     except PoleOnCircleError:
         return
     assert n == 1
+
+
+@pytest.mark.parametrize("modulus", [1.0, 1.5])
+def test_close_pole_pairs_agree_with_50_digit_roots(modulus):
+    # real pairs on either half-axis and pairs of conjugate pairs, 1e-10 to
+    # 1e-5 apart about |z| = modulus: each cluster's disk holds as many of
+    # the stored coefficients' 50-digit roots as its multiplicity, and the
+    # unstable count is theirs unless a disk reaches the circle
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        gap = 10.0 ** rng.uniform(-10.0, -5.0)
+        r = modulus + gap * rng.uniform(-1.0, 1.0)
+        a, b = r - 0.5 * gap, r + 0.5 * gap
+        th = rng.choice([0.0, math.pi, rng.uniform(0.1, 3.0)])
+        poles = [a * np.exp(1j * th), b * np.exp(1j * th)]
+        if 0.0 < th < math.pi:
+            poles += [np.conj(p) for p in poles]
+        g = RationalTF([1.0], np.poly(poles).real)
+        with mpmath.workdps(50):
+            exact = [complex(z) for z in mpmath.polyroots(
+                g.den.coeffs, maxsteps=200, extraprec=200)]
+        rs = g.den.roots()
+        for c, m in zip(rs.roots, rs.multiplicities):
+            rho = rs.radii[rs.flat.index(c)]
+            assert sum(abs(z - c) <= rho for z in exact) >= m
+        try:
+            n = unstable_pole_count(g)
+        except PoleOnCircleError:
+            assert 0 in rs.sides(1.0)
+            continue
+        assert n == sum(abs(z) > 1.0 for z in exact)
 
 
 def test_pole_on_circle_rejected():
@@ -325,6 +353,16 @@ def test_linf_norm_allpass_products_are_flat(seed):
     norm, omega_p, unique = linf_norm(RationalTF(num, den))
     assert not unique and omega_p == 0.0
     assert abs(norm - gain) <= 1e-9 * gain
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the sections a = -0.75536 and "
+                          "0.75574 (gain 55.71) leave S a constant term "
+                          "1.13 times its trim tolerance, so linf_norm "
+                          "reports a unique peak at pi on a flat gain")
+def test_linf_norm_allpass_products_are_flat_seed_1267291037():
+    test_linf_norm_allpass_products_are_flat.hypothesis.inner_test(
+        1_267_291_037)
 
 
 def test_linf_norm_subnormal_allpass_section_is_flat():
