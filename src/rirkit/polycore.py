@@ -237,9 +237,10 @@ def _cluster(p: Polynomial, roots: list[complex], radii: list[float]):
     with simple-root radii ``radii``, ascending by (real, imag) of centre.
 
     Roots whose simple-root disks overlap, directly or through others, are
-    one cluster where ``_cluster_disk`` holds them all; else only equal
-    roots merge.  The rule reads the roots as a set, so conjugate-closed
-    roots give conjugate-closed clusters.
+    one cluster where ``_cluster_disk`` holds them all; a group it does not
+    hold drops its longest overlaps and splits again, down to single roots,
+    and equal roots always merge.  The rule reads the roots as a set, so
+    conjugate-closed roots give conjugate-closed clusters.
     """
     if len(roots) < 2:
         return roots, radii, (1,) * len(roots)
@@ -248,29 +249,38 @@ def _cluster(p: Polynomial, roots: list[complex], radii: list[float]):
             roots, radii = roots[::-1], radii[::-1]
         return roots, radii, (1, 1)
     order = sorted(zip(roots, radii), key=lambda t: (t[0].real, t[0].imag))
-    n, reach, label = len(order), max(radii), None
+    n, reach, links = len(order), max(radii), []
     for i, (r, rho) in enumerate(order):
         for j in range(i + 1, n):  # ascending real parts
             w, s = order[j]
             if w.real - r.real > rho + reach:
                 break
             if abs(w - r) <= rho + s:
-                label = label or list(range(n))
-                label = [label[i] if h == label[j] else h for h in label]
-    if label is None:
+                links.append((abs(w - r), i, j))
+    if not links:
         return (*zip(*order), (1,) * n)
-    out = []
-    for group in ([t for t, h in zip(order, label) if h == g]
-                  for g in dict.fromkeys(label)):
-        c, rho = (group[0] if len(group) == 1 else
-                  _cluster_disk(p, [r for r, _ in group]))
-        if len(group) == 1 or all(abs(r - c) <= rho for r, _ in group):
-            out.append((c, rho, len(group)))
-            continue
-        for r in dict.fromkeys(r for r, _ in group):  # equal roots merge
-            same = [s for w, s in group if w == r]
-            out.append((r, same[0] if len(same) == 1 else
-                        _cluster_disk(p, [r] * len(same))[1], len(same)))
+    out, todo = [], [(range(n), links)]
+    while todo:
+        members, links = todo.pop()
+        part = {i: (i,) for i in members}
+        for _, i, j in links:
+            if part[i] is not part[j]:
+                joined = part[i] + part[j]
+                for h in joined:
+                    part[h] = joined
+        for i in members:
+            group = part[i]
+            if len(group) == 1:
+                out.append((*order[i], 1))
+            elif group[0] == i:  # each group once, at its first member
+                inner = [t for t in links if part[t[1]] is group]
+                zs = [order[h][0] for h in group]
+                c, rho = _cluster_disk(p, zs)
+                cut = max(inner)[0]
+                if cut == 0.0 or all(abs(r - c) <= rho for r in zs):
+                    out.append((zs[0] if cut == 0.0 else c, rho, len(zs)))
+                else:
+                    todo.append((group, [t for t in inner if t[0] < cut]))
     return zip(*sorted(out, key=lambda t: (t[0].real, t[0].imag)))
 
 
@@ -372,7 +382,6 @@ def _root_set(p: Polynomial, z: list[complex], radii, majorant):
     """
     z = [complex(r.real) if abs(r.imag) <= CONJ_PAIR_TOL * (1.0 + abs(r))
          else r for r in z]
-    known = {}  # |p(r)| at given roots
     if radii is None:
         m, radii = len(p.coeffs) - 1, []
         rows = [(a, abs(b)) for a, b in zip(p.coeffs, majorant)]
@@ -384,12 +393,10 @@ def _root_set(p: Polynomial, z: list[complex], radii, majorant):
                 pv = pv * r + ck
                 ev = ev * a + mk
             eta = 4.0 * max(m, 1) * _EPS * ev
-            known[r] = abs(pv)
-            if known[r] > eta:
+            if abs(pv) > eta:
                 return None
             radii.append(m * eta / abs(dv) if dv else eta and math.inf)
     centers, radii, counts = _cluster(p, z, radii)
-    values = [known[c] if c in known else abs(poly_eval(p, c))
-              for c in centers]
+    values = [abs(poly_eval(p, c)) for c in centers]
     return RootSet(roots=tuple(centers), multiplicities=tuple(counts),
                    residual=float(max(values, default=0.0)), radii=radii)

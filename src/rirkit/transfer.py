@@ -196,7 +196,7 @@ def _real_unstable_points(p: Polynomial):
     """Real roots of p whose disks lie outside the unit circle, as (branch,
     x) keys ordered along the extended real line 1 -> +inf = -inf -> -1; a
     root snapped to the real axis (``polycore._root_set``) has imaginary
-    part 0.  None where p is zero."""
+    part 0.  The zero polynomial has none."""
     if p.is_zero:
         return []
     rs = p.roots()

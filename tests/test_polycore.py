@@ -205,6 +205,17 @@ def test_near_double_roots_form_one_cluster_whose_disk_holds_both():
     assert abs(c - 0.7) <= rho < 1e-6
 
 
+def test_given_roots_ulps_apart_cluster_past_a_far_overlap():
+    # given roots 2 ulps apart have simple disks of radius ~100, which reach
+    # the root at 0 too; the three together are no cluster, but the close
+    # pair is one double root whose disk stays inside the circle
+    p = from_roots([-0.95, -0.9499999999999998, 0.0])
+    rs = p.roots()
+    assert rs.multiplicities == (2, 1)
+    assert rs.sides(1.0) == (-1, -1, -1)
+    assert abs(rs.roots[0] + 0.95) <= rs.radii[0] < 1e-6
+
+
 def test_reconstruction_invariant_degrees_up_to_12():
     rng = np.random.default_rng(23)
     for _ in range(40):

@@ -21,8 +21,8 @@ package's ``__init__`` names them.  One ``wrap_angle`` serves floats and
 arrays.
 
 Where a root lies has one owner too: each root of a ``polycore.RootSet``
-carries an inclusion disk, and ``RootSet.sides`` is the one place that
-measures a root's modulus against a circle, ``abs(abs(x) - c)``.  No module
+carries an inclusion disk, and ``RootSet.sides`` holds the one on-circle
+test, ``abs(abs(x) - c)``, that places roots against a circle.  No module
 keeps an absolute clustering or circle tolerance (``CLUSTER_TOL``,
 ``CIRCLE_TOL``) beside it.
 """
