@@ -81,8 +81,8 @@ def allpass_pcr_bound_check(f: RationalTF, omega_p: float) -> bool:
     real poles inside the disk and |f| = |f(1)| within 1e-7 max(|f(1)|, 1)
     at four probe frequencies.  theta' comes from the cached factors, and
     theta is the principal phase: only |sin theta| enters the bound.  A
-    pole is real where its imaginary part is 0, as ``RationalTF.poles``
-    snaps near-real roots onto the axis.
+    pole is real where its imaginary part is 0: a conjugate pair that
+    rounding cannot separate is one cluster at its real mean.
     """
     if not 0.0 < omega_p < math.pi:
         raise PreconditionError("omega_p must lie strictly inside (0, pi)")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "from_roots",
 ]
 
-CONJ_PAIR_TOL = 1e-9
 _EPS = sys.float_info.epsilon
 
 
@@ -101,8 +101,6 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial([0.0])
             product = Polynomial(np.convolve(self.coeffs, other.coeffs))
             product.__dict__["_factors"] = (self, other)
             return product
@@ -190,9 +188,9 @@ def poly_eval(p: Polynomial, z):
 def from_roots(roots, leading: float = 1.0) -> Polynomial:
     """Expand leading * prod (z - r_i), symmetrizing to real coefficients.
 
-    The roots are cached for ``roots()`` unless the expansion misses one by
-    more than the rounding bound on prod (z + |r_i|), as roots that are not
-    conjugate-closed do.
+    The roots are cached for ``roots()`` where they are conjugate-closed,
+    each non-real root with its exact conjugate as often, and the expansion
+    misses none by more than the rounding bound on prod (z + |r_i|).
     """
     roots = np.asarray(roots, dtype=complex).reshape(-1)
     coeffs = np.array([1.0 + 0.0j])
@@ -200,10 +198,11 @@ def from_roots(roots, leading: float = 1.0) -> Polynomial:
         coeffs = np.convolve(coeffs, [1.0, -r])
     # conjugate-paired inputs give real coefficients up to rounding
     p = Polynomial(leading * coeffs.real)
-    if p.is_zero:
+    given = roots.tolist()
+    if p.is_zero or Counter(given) != Counter(np.conj(roots).tolist()):
         return p
     majorant = abs(leading) * np.atleast_1d(np.poly(-np.abs(roots)))
-    rs = _root_set(p, roots.tolist(), None, majorant.tolist())
+    rs = _root_set(p, given, None, majorant.tolist())
     if rs is not None:
         p.__dict__["_roots"] = rs
     return p
@@ -322,11 +321,8 @@ def poly_roots(p: Polynomial) -> RootSet:
     """
     if p.is_zero:
         raise ValueError("undefined roots: zero polynomial")
-    coeffs = p.coeffs
-    if len(coeffs) == 1:
-        return RootSet(roots=(), multiplicities=(), residual=0.0, radii=())
-    shift = -math.frexp(max(map(abs, coeffs)))[1]
-    c = [math.ldexp(a, shift) for a in coeffs]
+    shift = -math.frexp(max(map(abs, p.coeffs)))[1]
+    c = [math.ldexp(a, shift) for a in p.coeffs]
     if c[0] == 0.0:
         raise ValueError("coefficients spread beyond the double range: the "
                          "leading one underflows at the largest's scale")
@@ -364,24 +360,19 @@ def poly_roots(p: Polynomial) -> RootSet:
             r -= pv / dv
         if not math.isfinite(math.hypot(r.real, r.imag)):
             raise ValueError(f"a root lies beyond the double range: {r}")
-        polished.append(r)
+        polished.append(complex(r))
         ev = ev * a + em
         radii.append(scale * ev / abs(dv) if dv else ev and math.inf)
     return _root_set(p, polished, radii, None)
 
 
 def _root_set(p: Polynomial, z: list[complex], radii, majorant):
-    """Snap near-real roots to the axis and cluster approximate roots z of p.
+    """Cluster approximate roots z of p, which are conjugate-closed.
 
-    Complex roots come in exact conjugate pairs from LAPACK's real eigensolver
-    and ``_quadratic_roots``, and the Newton step in ``poly_roots`` keeps them
-    exact, so only roots within CONJ_PAIR_TOL (1 + |z|) of the real axis need
-    symmetrizing.  ``radii`` are z's simple-root radii, or None for given
-    roots: then None comes back where some r has |p(r)| above eta =
+    ``radii`` are z's simple-root radii, or None for given roots: then None
+    comes back where some r has |p(r)| above eta =
     ``_horner_bound(majorant, |r|)``, and the radii are formed on eta.
     """
-    z = [complex(r.real) if abs(r.imag) <= CONJ_PAIR_TOL * (1.0 + abs(r))
-         else r for r in z]
     if radii is None:
         m, radii = len(p.coeffs) - 1, []
         rows = [(a, abs(b)) for a, b in zip(p.coeffs, majorant)]

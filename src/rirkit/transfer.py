@@ -71,20 +71,18 @@ class RationalTF:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
             raise ValueError("denominator is identically zero")
-        if not num.is_zero and len(num.coeffs) > len(den.coeffs):
+        if len(num.coeffs) > len(den.coeffs):
             raise ImproperTransferError(
                 f"improper: deg(num)={num.degree} > deg(den)={den.degree}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def poles(self) -> tuple[complex, ...]:
-        den = self.den
-        return den.roots().flat if len(den.coeffs) > 1 else ()
+        return self.den.roots().flat
 
     def zeros(self) -> tuple[complex, ...]:
         """The roots of num; none where num is a constant, zero included."""
-        num = self.num
-        return num.roots().flat if len(num.coeffs) > 1 else ()
+        return () if self.num.is_zero else self.num.roots().flat
 
     @property
     def strictly_proper(self) -> bool:
@@ -195,8 +193,8 @@ def unstable_pole_count(g: RationalTF) -> int:
 def _real_unstable_points(p: Polynomial):
     """Real roots of p whose disks lie outside the unit circle, as (branch,
     x) keys ordered along the extended real line 1 -> +inf = -inf -> -1; a
-    root snapped to the real axis (``polycore._root_set``) has imaginary
-    part 0.  The zero polynomial has none."""
+    conjugate pair that rounding cannot separate is one cluster at its real
+    mean (``polycore._cluster``).  The zero polynomial has none."""
     if p.is_zero:
         return []
     rs = p.roots()
@@ -313,14 +311,6 @@ def _u_to_t(c):
     return t
 
 
-def _convolve(u, v):
-    """np.convolve(u, v) less its argument checks, bit for bit: np.correlate
-    of the longer factor, u on a tie, with the other reversed."""
-    if len(v) > len(u):
-        u, v = v, u
-    return np.correlate(u, v[::-1], "full")
-
-
 def _stationary_series(g: RationalTF):
     """S = P'Q - PQ' in x = cos omega, with P = |num|^2 and Q = |den|^2, as a
     Chebyshev series, and the same series on absolute values (its majorant).
@@ -360,8 +350,8 @@ def _stationary_series(g: RationalTF):
     ka, kb = np.arange(1 - len(a), len(a)), np.arange(1 - len(b), len(b))
     p, q = np.correlate(a, a, "full"), np.correlate(b, b, "full")
     pa, qa = np.correlate(aa, aa, "full"), np.correlate(ba, ba, "full")
-    c = _convolve(ka * p, q) - _convolve(p, kb * q)
-    ca = _convolve(np.abs(ka) * pa, qa) + _convolve(pa, np.abs(kb) * qa)
+    c = np.convolve(ka * p, q) - np.convolve(p, kb * q)
+    ca = np.convolve(np.abs(ka) * pa, qa) + np.convolve(pa, np.abs(kb) * qa)
     m = len(c) // 2 + 1
     return _u_to_t(2.0 * c[m:]), _u_to_t(2.0 * ca[m:])
 

@@ -196,7 +196,9 @@ def mp_quadratic_roots(a: float, b: float, c: float) -> list:
     polyroots stops on an absolute step, so the larger root is moved to
     unit size first: z = s w with s the power of two of max(|b/a|,
     sqrt|c/a|), which is within a factor 4 of it.  That root is resolved to
-    50 digits, and Vieta's c/(a r) gives the other.
+    50 digits, and Vieta's c/(a r) gives the other.  At 50 digits b^2 - 4ac
+    of doubles is exact, and where it is 0 the double root -b/(2a) is
+    returned as is: polyroots does not converge on an exact double root.
     """
     import mpmath
 
@@ -206,6 +208,8 @@ def mp_quadratic_roots(a: float, b: float, c: float) -> list:
     with mpmath.workdps(50):
         if c == 0.0:
             return [mpmath.mpf(0), -mpmath.mpf(b) / a]
+        if mpmath.mpf(b) ** 2 == 4 * mpmath.mpf(a) * c:
+            return [-mpmath.mpf(b) / (2 * a)] * 2
         k = (exponent(c) - exponent(a)) // 2
         if b != 0.0:
             k = max(k, exponent(b) - exponent(a))

@@ -269,6 +269,49 @@ def test_conjugate_closure_with_near_double_pairs(pairs, reals):
     _assert_conjugate_closed(p)
 
 
+def _near_real_pair_roots(rng):
+    """r +- delta j, delta = 10^U(-16, -9) (1 + |r|) off the axis, with up to
+    four further real roots or conjugate pairs."""
+    r = rng.uniform(-2.0, 2.0)
+    delta = 10.0 ** rng.uniform(-16.0, -9.0) * (1.0 + abs(r))
+    roots = [complex(r, delta), complex(r, -delta)]
+    for _ in range(int(rng.integers(0, 5))):
+        if rng.random() < 0.5:
+            roots.append(complex(rng.uniform(-2.0, 2.0)))
+        else:
+            w = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2.0))
+            roots += [w, w.conjugate()]
+    return roots
+
+
+def test_near_real_pairs_keep_exact_conjugates():
+    # no tolerance snaps a root onto the axis: each non-real root, solved or
+    # given, comes with its exact conjugate as often
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        p = from_roots(_near_real_pair_roots(rng),
+                       leading=10.0 ** rng.uniform(-3.0, 3.0))
+        for rs in (p.roots(), poly_roots(p)):
+            assert rs.total == p.degree
+            assert Counter(rs.flat) == Counter(r.conjugate() for r in rs.flat)
+
+
+def test_near_real_pair_apart_from_its_disks_stays_complex():
+    # z^2 - 2 r z + r^2 + delta^2: the pair's simple disks, 1.3e-10, do not
+    # reach across its 9.4e-10 gap, so it is two complex roots, not a real
+    # double root
+    r, delta = 0.002899175954593325, 4.7e-10
+    rs = Polynomial([1.0, -2.0 * r, r * r + delta * delta]).roots()
+    assert rs.multiplicities == (1, 1)
+    assert all(z.imag != 0.0 for z in rs.roots)
+
+
+def test_given_roots_not_conjugate_closed_are_solved():
+    # 0.5 + 1e-17j has no conjugate among the given roots, so the expansion
+    # z - 0.5 is solved rather than keeping it
+    assert from_roots([0.5 + 1e-17j]).roots().flat == (0.5 + 0j,)
+
+
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=6),
        st.floats(min_value=-1.0, max_value=1.0),
        st.floats(min_value=-1.0, max_value=1.0))
@@ -444,6 +487,7 @@ def _quadratics(draw):
 
 
 @given(_quadratics())
+@example((-1.0, -6.0, -9.0))  # an exact double root
 @settings(max_examples=120, deadline=None)
 def test_quadratic_roots_match_mpmath(coeffs):
     roots = polycore._quadratic_roots(*coeffs)

@@ -23,8 +23,9 @@ arrays.
 Where a root lies has one owner too: each root of a ``polycore.RootSet``
 carries an inclusion disk, and ``RootSet.sides`` holds the one on-circle
 test, ``abs(abs(x) - c)``, that places roots against a circle.  No module
-keeps an absolute clustering or circle tolerance (``CLUSTER_TOL``,
-``CIRCLE_TOL``) beside it.
+keeps an absolute clustering, circle or real-axis tolerance
+(``CLUSTER_TOL``, ``CIRCLE_TOL``, ``CONJ_PAIR_TOL``) beside it: a conjugate
+pair that rounding cannot separate is one cluster, at its real mean.
 """
 
 import ast
@@ -164,7 +165,7 @@ def test_root_location_has_one_owner():
                for target in (node.targets if isinstance(node, ast.Assign)
                               else [node.target])
                if isinstance(target, ast.Name)}
-    assert not {"CLUSTER_TOL", "CIRCLE_TOL"} & defined
+    assert not {"CLUSTER_TOL", "CIRCLE_TOL", "CONJ_PAIR_TOL"} & defined
     counts = {stem: _on_circle_tests(tree) for stem, tree in trees.items()}
     assert counts.pop("polycore") >= 1
     assert not any(counts.values()), counts

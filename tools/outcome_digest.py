@@ -34,6 +34,17 @@ Sections:
   counts and the extended Nyquist check of the plant as a loop, the
   synthesized perturbation's coefficients when the verdict is
   ``exact_sufficient``, and the types of the warnings and errors raised.
+* ``roots``: the root layer's decisions where the plant families never
+  reach, as their poles keep 0.1 from the circle and never cluster.
+  1,000 near-real pairs r +- delta j (r ~ U(-2, 2), delta = 10^U(-16, -9)
+  (1 + |r|)) with up to four further real roots or conjugate pairs and a
+  gain 10^U(-3, 3), and 600 close pole pairs (real pairs on either
+  half-axis or pairs of conjugate pairs, 1e-10 to 1e-5 apart) about
+  |z| = 1 and 1.5.  For each, solved (``poly_roots`` of the expanded
+  coefficients) and given (``from_roots(...).roots()``): the clustered
+  roots, their multiplicities and ``sides(1.0)``, or the error type.  A
+  real pair on the negative half-axis is built as r e^{j pi}, whose
+  imaginary part ~1e-16 r has no conjugate, so its given roots are solved.
 
 The benchmark's files are imported, never changed.  A run takes about 15 s
 on a 2-vCPU VM.
@@ -48,6 +59,8 @@ import re
 import sys
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -110,6 +123,50 @@ def plant_record(p: dict) -> dict:
     return rec
 
 
+def _near_real_pair(rng):
+    r = rng.uniform(-2.0, 2.0)
+    delta = 10.0 ** rng.uniform(-16.0, -9.0) * (1.0 + abs(r))
+    roots = [complex(r, delta), complex(r, -delta)]
+    for _ in range(int(rng.integers(0, 5))):
+        if rng.random() < 0.5:
+            roots.append(complex(rng.uniform(-2.0, 2.0)))
+        else:
+            w = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2.0))
+            roots += [w, w.conjugate()]
+    return roots, 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def _close_pair(rng, modulus: float):
+    gap = 10.0 ** rng.uniform(-10.0, -5.0)
+    r = modulus + gap * rng.uniform(-1.0, 1.0)
+    th = rng.choice([0.0, np.pi, rng.uniform(0.1, 3.0)])
+    roots = [(r - 0.5 * gap) * np.exp(1j * th),
+             (r + 0.5 * gap) * np.exp(1j * th)]
+    if 0.0 < th < np.pi:
+        roots += [np.conj(z) for z in roots]
+    return [complex(z) for z in roots], 1.0
+
+
+def _root_decisions(rs) -> tuple:
+    return rs.roots, rs.multiplicities, rs.sides(1.0)
+
+
+def root_records():
+    rng = np.random.default_rng(5)
+    draws = [("near-real", _near_real_pair(rng)) for _ in range(1000)]
+    rng = np.random.default_rng(7)
+    draws += [(f"close-{m}", _close_pair(rng, m))
+              for m in (1.0, 1.5) for _ in range(300)]
+    for recipe, (roots, gain) in draws:
+        p = rirkit.from_roots(roots, leading=gain)
+        rec = {"recipe": recipe, "built": repr((roots, gain))}
+        for key, fn in (
+                ("solved", lambda: _root_decisions(rirkit.poly_roots(p))),
+                ("given", lambda: _root_decisions(p.roots()))):
+            rec[key], rec[key + "_warnings"] = _call(fn)
+        yield rec
+
+
 def sections() -> dict:
     out = {"paper": list(paper_records())}
     for name in ("plants-small", "plants-large"):
@@ -119,6 +176,7 @@ def sections() -> dict:
             for seed in SEEDS
             for i, p in enumerate(plant_family(seed, cfg["count"],
                                                cfg["degrees"]))]
+    out["roots"] = list(root_records())
     return out
 
 
