@@ -286,7 +286,8 @@ def fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
     """Fixed point of the map with DC perturbation gain e.
 
     Newton iteration on the cubic phi(xbar) = 0 (ybar is eliminated) from
-    the first of several starts that converges, then from the real roots of
+    the first of several starts that converges (an iterate that leaves the
+    float range does not converge), then from the real roots of
     phi deflated by that root; the branch continuous with the unperturbed
     fixed point is selected.  The map's residual there must not exceed 1e-12.
     """
@@ -294,15 +295,18 @@ def fhn_fixed_point(model: FHNModel, e: float) -> FixedPoint:
     gain = (1.0 + e) * D
 
     def newton(x):  # on phi(x) = x - x^3/3 - gain (x + alpha) + current
-        for _ in range(200):
-            d = 1.0 - x**2 - gain  # phi'(x)
-            if abs(d) < 1e-14:
-                return None
-            step = (x - x**3 / 3.0 - gain * (x + alpha) + current) / d
-            x -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                phi = x - x**3 / 3.0 - gain * (x + alpha) + current
-                return x if abs(phi) < 1e-10 else None
+        try:
+            for _ in range(200):
+                d = 1.0 - x**2 - gain  # phi'(x)
+                if abs(d) < 1e-14:
+                    return None
+                step = (x - x**3 / 3.0 - gain * (x + alpha) + current) / d
+                x -= step
+                if abs(step) <= 1e-15 * (1.0 + abs(x)):
+                    phi = x - x**3 / 3.0 - gain * (x + alpha) + current
+                    return x if abs(phi) < 1e-10 else None
+        except OverflowError:  # x**2 or x**3 left the float range
+            pass
         return None
 
     for start in (-2.0, -1.0, 0.0, 1.0):
@@ -566,24 +570,23 @@ def _df2t_steady_state(bcoef, acoef, u: float, w: float) -> list[float]:
 
 
 _STEP_LOOP = """\
-def steps_order_{m}(xn, yn, steps, b, a, s, A, B, one_minus_a, a_minus_one,
-                    d_gain, alpha, current):
+def steps_order_{m}(x, y, b, a, s, A, B, one_minus_a, a_minus_one, d_gain,
+                    alpha, current):
     {b_names}, = b
     {a_names}, = a
     {s_unpack}
-    x, y = array("d", [xn]), array("d", [yn])
-    x_append, y_append = x.append, y.append
-    for _ in range(steps):
+    xn, yn = x[0], y[0]
+    for i in range(1, len(x)):
         w = b0 * yn + {s0}
 {state_updates}
         xn, yn = ((A * xn + one_minus_a * (yn + w - current))
-                  / (1.0 + a_minus_one * xn**2 / 3.0),
+                  / (1.0 + a_minus_one * (xn * xn) / 3.0),
                   B * yn + d_gain * (xn + alpha))
-        x_append(xn)
-        y_append(yn)
+        x[i] = xn
+        y[i] = yn
         if xn > 1e6 or xn < -1e6:
+            del x[i + 1:], y[i + 1:]
             break
-    return x, y
 """
 _STEP_TAP = "        s{i} = b{j} * yn - a{j} * w + {nxt}"
 
@@ -592,7 +595,8 @@ _STEP_TAP = "        s{i} = b{j} * yn - a{j} * w + {nxt}"
 def _step_loop(m: int):
     """The FHN step loop for a perturbation filter of order m.
 
-    Generated from one template so that the filter coefficients and the
+    It fills the buffers x and y from the start in x[0], y[0] and cuts both
+    after the step that leaves |x| <= 1e6.  Generated from one template so that the filter coefficients and the
     transposed direct-form state are locals and each tap is one written
     statement; the last tap adds the literal 0.0 where the state runs out.
     """
@@ -605,7 +609,7 @@ def _step_loop(m: int):
         s0=s[0],
         state_updates="\n".join(
             _STEP_TAP.format(i=i, j=i + 1, nxt=s[i + 1]) for i in range(m)))
-    namespace: dict = {"array": array}
+    namespace: dict = {}
     exec(compile(src, f"<fhn_simulate step loop, order {m}>", "exec"),
          namespace)
     return namespace[f"steps_order_{m}"]
@@ -621,9 +625,11 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     oscillation verdicts.  Divergence (|x| > 1e6) truncates the trajectory;
     a start beyond it, or not finite, is rejected.  The step loop works on
     Python floats; only loop-invariant values are hoisted, so every step
-    rounds exactly as the written expressions do.  It appends the states to
-    two ``array("d")`` buffers, which the trajectory's arrays wrap as they
-    are.
+    rounds exactly as the written expressions do, and it squares by
+    multiplication, which IEEE 754 rounds correctly, not by libm's ``pow``.
+    It stores the states by index into two ``array("d")`` buffers of
+    steps + 1 doubles, allocated before the loop (a ValueError names steps
+    where they cannot be), which the trajectory's arrays wrap as they are.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -657,8 +663,13 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
     xn, yn = float(init[0]), float(init[1])
     if not (abs(xn) <= 1e6 and math.isfinite(yn)):
         raise ValueError(f"init must be finite with |x0| <= 1e6, got {init}")
-    x, y = _step_loop(len(a) - 1)(xn, yn, steps, b, a, state, A, B, 1.0 - A,
-                                  A - 1.0, D * (1.0 - B), alpha, current)
+    try:
+        x, y = array("d", [xn]) * (steps + 1), array("d", [yn]) * (steps + 1)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"steps = {steps}: two buffers of steps + 1 doubles "
+                         f"cannot be allocated") from None
+    _step_loop(len(a) - 1)(x, y, b, a, state, A, B, 1.0 - A, A - 1.0,
+                           D * (1.0 - B), alpha, current)
     # the start passed the check above, so only a step can leave |x| <= 1e6
     return Trajectory(x=np.frombuffer(x), y=np.frombuffer(y),
                       diverged=abs(x[-1]) > 1e6)

@@ -476,7 +476,9 @@ def reference_fhn_simulate(model: FHNModel, delta: RationalTF | None,
     """Bit-exact oracle for ``fhn_simulate``: the step loop on numpy scalars.
 
     This is the numpy-array implementation that the Python-float loop
-    replaced, kept unchanged so that tests can require identical bits.
+    replaced, kept unchanged so that tests can require identical bits,
+    except that it squares as ``xn * xn``, correctly rounded, where it
+    called libm's ``pow`` through ``xn**2``.
     """
     A, B, D = model.A, model.B, model.D
     alpha, current = model.alpha, model.current
@@ -523,7 +525,7 @@ def reference_fhn_simulate(model: FHNModel, delta: RationalTF | None,
             state[i] = bcoef[i + 1] * yn - acoef[i + 1] * w + nxt
         xn = x[n]
         x[n + 1] = (A * xn + (1.0 - A) * (yn + w - current)) \
-            / (1.0 + (A - 1.0) * xn**2 / 3.0)
+            / (1.0 + (A - 1.0) * (xn * xn) / 3.0)
         y[n + 1] = B * yn + D * (1.0 - B) * (xn + alpha)
         if abs(x[n + 1]) > 1e6:
             x, y, wout = x[:n + 2], y[:n + 2], wout[:n + 1]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -799,3 +800,25 @@ def test_step_loop_is_cached_and_named_per_order():
     loop = casestudies._step_loop(3)
     assert casestudies._step_loop(3) is loop
     assert loop.__code__.co_filename == "<fhn_simulate step loop, order 3>"
+    # squares by multiplication, never by libm's pow
+    assert "**" not in casestudies._STEP_LOOP + casestudies._STEP_TAP
+
+
+def test_simulate_squares_correctly_rounded():
+    # x0**2 through libm's pow rounds 1 ulp away from the exact square on
+    # some platforms, and the step then lands 1 ulp off (1.876504406926767)
+    model, (x0, y0) = FHNModel(tau=1.0), (1.1502398141533718, 0.3)
+    A = model.A
+    square = float(Fraction(x0) ** 2)
+    want = ((A * x0 + (1.0 - A) * (y0 + 0.0 - model.current))
+            / (1.0 + (A - 1.0) * square / 3.0))
+    traj = fhn_simulate(model, None, 1, init=(x0, y0))
+    assert traj.x[1] == want == 1.8765044069267673
+
+
+@pytest.mark.parametrize("steps", [2**61, 2**70])
+def test_simulate_unallocatable_steps_is_value_error(steps):
+    # (steps + 1) doubles exceed sys.maxsize bytes, which CPython refuses
+    # before allocating (2**70 does not even fit an index)
+    with pytest.raises(ValueError, match=f"steps = {steps}"):
+        fhn_simulate(FHNModel(), None, steps)

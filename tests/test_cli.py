@@ -437,6 +437,16 @@ def test_fhn_sim_negative_steps_exit_2(capsys):
     assert err["type"] == "ValueError" and "steps" in err["message"]
 
 
+def test_fhn_sim_unallocatable_steps_exit_2(capsys):
+    # 2**61 + 1 doubles exceed sys.maxsize bytes: refused before allocating
+    code = main(["fhn-sim", "--param", "e_o=-0.1194482421875",
+                 "--steps", str(2**61)])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]  # one JSON object
+    assert err["type"] == "ValueError" and "steps" in err["message"]
+
+
 @pytest.mark.parametrize("num", ['[{"a": 1}]', '["1"]', "[true]"])
 def test_analyze_non_numeric_coefficient_exit_2(capsys, num):
     code, out = run_cli(capsys, ["analyze", "--input",
@@ -571,15 +581,21 @@ def test_unknown_or_non_finite_param_exits_2(capsys, argv, names):
      "leaves the float range"),
     (["maglev", "--param", "p=1e-200"], "leaves the float range"),
     (["maglev", "--param", "T=3e-8"], "of the unit circle"),
+    # Newton's iterates leave the float range from every start (exit 3)
+    (["fhn-find", "--param", "current=1e300"], "no fixed point found"),
+    (["fhn-find", "--param", "alpha=1e300"], "no fixed point found"),
+    (["fhn-sim", "--param", "current=1e300", "--steps", "10"],
+     "no fixed point found"),
 ], ids=["fhn-tau", "fhn-c", "fhn-sim-tau", "maglev-pT", "maglev-T-1e-300",
         "maglev-T-1e-9", "eps-nan", "eps-inf", "fhn-tau-700",
         "fhn-sim-tau-700", "maglev-p-700", "maglev-p-1e300", "maglev-p-1e-200",
-        "maglev-T-3e-8"])
+        "maglev-T-3e-8", "fhn-current-1e300", "fhn-alpha-1e300",
+        "fhn-sim-current-1e300"])
 def test_out_of_range_model_inputs_exit_typed(capsys, argv, message):
     # step gains that overflow, or that overflow a square further on,
     # sampled poles that round onto the circle or cluster into one whose
-    # disk reaches it, closed-form denominators that cancel and a
-    # non-finite eps
+    # disk reaches it, closed-form denominators that cancel, a non-finite
+    # eps and fixed-point iterates that overflow
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (2, 3)

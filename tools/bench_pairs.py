@@ -1,7 +1,7 @@
 """Interleaved parent/change pairs of the benchmark.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload paper \
-        --pairs 10 --seconds 30 --seed 60
+        --pairs 10 --seconds 30 --seed 60 --out pairs.json
 
 PARENT and CHANGE are two checkouts of the repository.  Pair i runs
 ``bench/run.py --trace 0`` of each checkout (so each on its own ``src/``,
@@ -16,8 +16,12 @@ direction in CHANGE's ``BENCHMARK.json``), and each pair's two values in
 seed order.  A last line per workload gives both sides' failed and
 attempted op counts and their first failures (from each run's ``record``
 line: unit, op and why).  Progress goes to stderr, with each failure as it
-is seen.  Exits 1 when the change fails more ops than the parent on any
-workload.  Nothing under ``bench/`` is imported or written by this script.
+is seen.  With ``--out PATH``, the same summary is also written to PATH as
+one JSON file: the machine (each distinct ``environment`` of the runs'
+``record`` lines), the settings and seeds, and per workload the metric
+records and the failed and attempted ops.  Exits 1 when the change fails
+more ops than the parent on any workload.  Nothing under ``bench/`` is
+imported or written by this script.
 """
 
 import argparse
@@ -34,7 +38,8 @@ FIRST_FAILURES = 5  # failures kept per side and workload
 def run_bench(checkout: Path, workload: str, seed: int,
               seconds: float) -> dict:
     """The last stdout line of one ``bench/run.py`` run, parsed, with the
-    failures of the ``record`` line before it under ``failures``."""
+    failures and environment of the ``record`` line before it under
+    ``failures`` and ``environment``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -42,8 +47,9 @@ def run_bench(checkout: Path, workload: str, seed: int,
         raise SystemExit(f"{' '.join(cmd)} failed in {checkout}:\n"
                          f"{out.stderr}")
     *_, record, result = out.stdout.strip().splitlines()
-    result = json.loads(result)
-    result["failures"] = json.loads(record)["record"]["failures"]
+    result, record = json.loads(result), json.loads(record)["record"]
+    result["failures"] = record["failures"]
+    result["environment"] = record["environment"]
     return result
 
 
@@ -89,6 +95,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", type=Path,
+                    help="also write the summary to this JSON file")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -110,9 +118,10 @@ def main(argv=None) -> int:
                     print(f"  {side} failed: {json.dumps(f)}",
                           file=sys.stderr, flush=True)
             runs[w].append((sides["parent"], sides["change"]))
-    worse = []
+    worse, summary = [], {}
     for w in args.workload:
         lines = summarize(w, runs[w], better)
+        summary[w] = {"metrics": lines[:-1], "ops": lines[-1]}
         for line in lines:
             print(json.dumps(line))
         parent_failed, change_failed = lines[-1]["failed"]
@@ -121,6 +130,18 @@ def main(argv=None) -> int:
                          f"parent's {parent_failed}")
     for why in worse:
         print(f"change fails more ops on {why}", file=sys.stderr)
+    if args.out is not None:
+        envs = [r["environment"] for w in runs.values() for pair in w
+                for r in pair]
+        args.out.write_text(json.dumps({
+            "environments": [e for i, e in enumerate(envs)
+                             if e not in envs[:i]],
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "seeds": list(range(args.seed, args.seed + args.pairs)),
+            "order": "parent first in even pairs, change first in odd ones",
+            "workloads": summary,
+        }, indent=1) + "\n")
     return 1 if worse else 0
 
 
