@@ -519,7 +519,9 @@ def h_shaper(eps: float, omega_p: float) -> RationalTF:
     """Stable shaper with h(e^{+-j omega_p}) = 1 and h(1) = 1/(1 + eps).
 
     h = 1 + mu (z^2 - 2 cos(omega_p) z + 1)/(z - 0.5)^2; the numerator
-    factor vanishes exactly on e^{+-j omega_p}.  At eps = 0, h is 1.
+    factor vanishes exactly on e^{+-j omega_p}.  At eps = 0, h is 1.  An eps
+    whose numerator sums at z = 1 to no more than Horner's rounding bound of
+    its coefficients there is rejected: h(1) is lost in that rounding.
     """
     if abs(1.0 + eps) < 1e-12:
         raise PreconditionError("eps = -1 is singular")
@@ -530,6 +532,10 @@ def h_shaper(eps: float, omega_p: float) -> RationalTF:
     mu = -eps / (1.0 + eps) * 0.25 / (2.0 - 2.0 * math.cos(omega_p))
     den = Polynomial([1.0, -1.0, 0.25])
     num = den + mu * Polynomial([1.0, -2.0 * math.cos(omega_p), 1.0])
+    if not abs(math.fsum(num.coeffs)) > _horner_bound(num.coeffs, 1.0):
+        raise PreconditionError(
+            f"eps = {eps}: h(1) = 1/(1 + eps) is below the rounding of "
+            f"the shaper's coefficients")
     return RationalTF(num, den)
 
 
@@ -541,11 +547,13 @@ def _dc_gain(g: RationalTF) -> float:
 
 def fhn_perturbation(e_o: float, g_eo: RationalTF, eps: float) -> RationalTF:
     """Shaped perturbation (1 + eps) h delta_f with the DC gain pinned at e_o,
-    to the rounding bound of the expanded shaped coefficients at z = 1."""
+    to the rounding bound of the expanded shaped coefficients at z = 1.
+    An e_o whose sign the synthesized DC gain does not share is the caller's
+    input, so it raises PreconditionError."""
     delta_f = synth_marginal_perturbation(g_eo)
     dc = _dc_gain(delta_f)
     if dc * e_o <= 0.0:
-        raise SynthesisVerificationError(
+        raise PreconditionError(
             f"synthesized DC gain {dc} does not match the sign of e_o={e_o}")
     omega_p = exact_rir_analyze(g_eo).class_tag.peak_omega
     shaped = (1.0 + eps) * (h_shaper(eps, omega_p) * delta_f)
@@ -640,8 +648,6 @@ def fhn_simulate(model: FHNModel, delta: RationalTF | None, steps: int,
         bcoef = np.array([0.0])
         acoef = np.array([1.0])
     else:
-        if delta.num.degree > delta.den.degree:
-            raise PreconditionError("delta must be proper")
         if max(delta.den.roots().sides(1.0), default=-1) >= 0:
             raise PreconditionError("delta must be stable")
         m = delta.den.degree

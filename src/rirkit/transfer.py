@@ -448,22 +448,23 @@ def _newton_root(f, neg: float, pos: float, x: float) -> float:
 def _sign_changes(series, majorant, sign, f, rising: bool):
     """Turns of f over [0, pi]: the sign changes of ``sign(w, c)``, read at
     the midpoints between the split points of ``_partition(c)``, c the
-    series trimmed to rounding; None if that is empty.  Each strict falling
-    change, and each rising one if ``rising``, is refined by ``_newton_root``
-    on f, which has sign's sign.  f vanishes at omega = 0 and pi, so where c
-    is within rounding of zero at x = cos omega = +-1 the sign next to that
-    end is f's slope BOUNDARY_BAND inside it (negated at pi), sought by
-    halving toward it.  Returns the (omega, up) turns end to end: (0.0, the
-    sign next to 0 is positive), the refined changes ascending, and (pi, the
-    sign next to pi is negative); f is odd about both ends, so ``up`` is f
-    rising through zero at each turn.
+    series with its trailing noise coefficients trimmed.  The whole series'
+    rounding bound 8 n eps sum(majorant) decides where c is zero: None if
+    sum |c_k| >= |c(x)| on [-1, 1] is within it, and f vanishes at omega = 0
+    and pi, so where c(+-1) is within it the sign next to that end is f's
+    slope BOUNDARY_BAND inside it (negated at pi), sought by halving toward
+    it.  Each strict falling change, and each rising one if ``rising``, is
+    refined by ``_newton_root`` on f, which has sign's sign.  Returns the
+    (omega, up) turns end to end: (0.0, the sign next to 0 is positive), the
+    refined changes ascending, and (pi, the sign next to pi is negative); f
+    is odd about both ends, so ``up`` is f rising through zero at each turn.
     """
+    bound = 8.0 * len(series) * sys.float_info.epsilon * sum(majorant)
     c = _trim_to_rounding(series, majorant)
-    if not c:
+    if sum(map(abs, c)) <= bound:
         return None
     pts, mids = _partition(c)
     s = [sign(w, c) for w in mids]
-    bound = 8.0 * len(series) * sys.float_info.epsilon * sum(majorant)
     even, odd = sum(c[::2]), sum(c[1::2])  # c(x) = even + x odd at x = +-1
     for k, end, x in ((0, 0.0, 1.0), (-1, math.pi, -1.0)):
         if abs(even + x * odd) > bound:
@@ -566,9 +567,10 @@ def linf_norm(g: RationalTF) -> LinfResult:
     S = P'Q - PQ' (two convolutions of coefficient autocorrelations).  Those,
     0 and pi split [0, pi]; each split point, the ends included, where A'
     falls through zero is a maximum, refined by Newton steps on A' inside
-    (0, pi).  ``unique`` is False when a second local maximum comes within
-    UNIQUENESS_MARGIN (relative) of the peak.  A response whose S vanishes
-    to rounding (all-pass or constant) is reported at omega 0, not unique.
+    (0, pi).  ``unique`` is False when any other maximum comes within
+    UNIQUENESS_MARGIN (relative) of the peak.  A response whose S is zero
+    to rounding on all of [-1, 1] (all-pass or constant) is flat: reported
+    at omega 0, with Horner's gain at z = 1, not unique.
     """
     g.assert_rl_inf()
     if g.num.is_zero:
@@ -577,15 +579,10 @@ def linf_norm(g: RationalTF) -> LinfResult:
     if turns is None:
         # all-pass or constant: no stationary point beyond rounding
         return LinfResult(float(abs(evaluate(g, 1.0 + 0.0j))), 0.0, False)
-    refined = sorted([(w, abs(evaluate(g, cmath.exp(1j * w))))
-                      for w, up in turns if not up], key=lambda t: -t[1])
-    # merge near-coincident candidates
-    merged: list[tuple[float, float]] = []
-    for wp, gv in refined:
-        if all(abs(wp - m[0]) > 1e-6 for m in merged):
-            merged.append((wp, gv))
-    norm, omega_p = merged[0][1], merged[0][0]
-    unique = all(gv < (1.0 - UNIQUENESS_MARGIN) * norm for _, gv in merged[1:])
+    (omega_p, norm), *rest = sorted(
+        [(w, abs(evaluate(g, cmath.exp(1j * w)))) for w, up in turns
+         if not up], key=lambda t: -t[1])
+    unique = all(gv < (1.0 - UNIQUENESS_MARGIN) * norm for _, gv in rest)
     return LinfResult(float(norm), float(omega_p), bool(unique))
 
 

@@ -36,7 +36,7 @@ from rirkit.errors import (
     SynthesisVerificationError,
 )
 from rirkit.nyquist import closed_loop_poles
-from rirkit.polycore import from_roots
+from rirkit.polycore import _horner_bound, from_roots
 from rirkit.rir import EXACT_SUFFICIENT, NOT_EXACT, exact_rir_analyze
 from rirkit.transfer import (
     G1_BOUNDARY,
@@ -595,6 +595,17 @@ def test_h_shaper_pins_both_frequencies():
     assert abs(evaluate(h, 1.0 + 0.0j) - 1.0 / 1.05) < 1e-9
     zp = complex(np.exp(1j * 0.003))
     assert abs(evaluate(h, zp) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e6, -1e6])
+def test_h_shaper_keeps_large_eps_above_rounding(eps):
+    # num(1) = 0.25 / (1 + eps) = 2.5e-7 stays above Horner's bound ~1e-10
+    # on num's coefficients (mu ~ -0.25 / (2 - 2 cos 0.003) ~ -2.8e4), so
+    # the shaper is built; at eps = 1e13 it is not (test_cli)
+    h = h_shaper(eps, 0.003)
+    want = 0.25 / (1.0 + eps)
+    tol = _horner_bound(h.num.coeffs, 1.0)
+    assert abs(math.fsum(h.num.coeffs) - want) <= tol
 
 
 def test_h_shaper_gain_ordering():

@@ -586,16 +586,30 @@ def test_unknown_or_non_finite_param_exits_2(capsys, argv, names):
     (["fhn-find", "--param", "alpha=1e300"], "no fixed point found"),
     (["fhn-sim", "--param", "current=1e300", "--steps", "10"],
      "no fixed point found"),
+    # h(1) = 1/(1 + eps) below the rounding of the shaper's coefficients
+    (["fhn-sim", "--eps", "1e200", "--steps", "10"],
+     "below the rounding of the shaper's coefficients"),
+    (["fhn-sim", "--eps=-1e300", "--steps", "10"],
+     "below the rounding of the shaper's coefficients"),
+    (["fhn-sim", "--eps", "1e13", "--steps", "10"],
+     "below the rounding of the shaper's coefficients"),
+    # a given e_o whose sign the synthesized DC gain cannot match
+    (["fhn-sim", "--param", "e_o=0", "--steps", "10"],
+     "does not match the sign of e_o=0.0"),
+    (["fhn-sim", "--param", "e_o=0.1", "--steps", "10"],
+     "does not match the sign of e_o=0.1"),
 ], ids=["fhn-tau", "fhn-c", "fhn-sim-tau", "maglev-pT", "maglev-T-1e-300",
         "maglev-T-1e-9", "eps-nan", "eps-inf", "fhn-tau-700",
         "fhn-sim-tau-700", "maglev-p-700", "maglev-p-1e300", "maglev-p-1e-200",
         "maglev-T-3e-8", "fhn-current-1e300", "fhn-alpha-1e300",
-        "fhn-sim-current-1e300"])
+        "fhn-sim-current-1e300", "fhn-sim-eps-1e200", "fhn-sim-eps--1e300",
+        "fhn-sim-eps-1e13", "fhn-sim-e_o-0", "fhn-sim-e_o-0.1"])
 def test_out_of_range_model_inputs_exit_typed(capsys, argv, message):
     # step gains that overflow, or that overflow a square further on,
     # sampled poles that round onto the circle or cluster into one whose
     # disk reaches it, closed-form denominators that cancel, a non-finite
-    # eps and fixed-point iterates that overflow
+    # eps, fixed-point iterates that overflow, a shaper gain lost in its
+    # coefficients' rounding and a given e_o of the wrong sign
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (2, 3)

@@ -15,6 +15,7 @@ from conftest import (
     dense_peak,
     dense_phase,
     low_degree_polynomials,
+    mp_gain,
     random_series,
     random_tf,
     reference_gain_rate,
@@ -345,30 +346,43 @@ def test_linf_norm_allpass_products_are_flat(seed):
     assert abs(norm - gain) <= 1e-9 * gain
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the sections a = -0.75536 and "
-                          "0.75574 (gain 55.71) leave S a constant term "
-                          "1.13 times its trim tolerance, so linf_norm "
-                          "reports a unique peak at pi on a flat gain")
 def test_linf_norm_allpass_products_are_flat_seed_1267291037():
+    # the sections a = -0.75536 and 0.75574 (gain 55.71) leave S a constant
+    # term 1.13 times its last coefficient's trim tolerance, but within the
+    # whole series' rounding bound: flat, not a unique peak at pi
     test_linf_norm_allpass_products_are_flat.hypothesis.inner_test(
         1_267_291_037)
 
 
 @pytest.mark.parametrize("seed", [
-    pytest.param(79164, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP item 3: the sections a = 0.05015 and -0.05000 "
-               "(gain 3.94) read as a unique interior peak at omega_p "
-               "2.0617 on an all-pass")),
-    pytest.param(101753, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP item 3: the sections a = 0.84095 and -0.84098 "
-               "(gain 0.35) read as a unique peak at omega_p = 0 on an "
-               "all-pass")),
-])
+    50395, 79164, 88736, 101753, 108237, 131698, 134063, 151341, 156674,
+    156828, 187992, 194737])
 def test_linf_norm_allpass_products_are_flat_unique_peak_seeds(seed):
+    # pairs of sections with nearly opposite a, whose S keeps a few
+    # coefficients above their own trim tolerances (79164: a = 0.05015 and
+    # -0.05000 once read as a unique interior peak at omega_p 2.0617)
     test_linf_norm_allpass_products_are_flat.hypothesis.inner_test(seed)
+
+
+@pytest.mark.parametrize("seed", [73, 1001])
+def test_linf_norm_near_unit_allpass_products_are_flat(seed):
+    # 1-4 sections 1e-4 to 1e-1 from +1 or -1: the expanded coefficients
+    # vary by up to ~1e-9 relative, far below UNIQUENESS_MARGIN, yet seed
+    # 73 once read as flat at omega 0.873 and seed 1001 as a unique peak.
+    # Flat is reported at omega 0 with Horner's gain of the stored
+    # coefficients at z = 1
+    rng = np.random.default_rng(seed)
+    gain = 10.0 ** rng.uniform(-3.0, 3.0)
+    num, den = Polynomial([gain]), Polynomial([1.0])
+    for _ in range(int(rng.integers(1, 5))):
+        a = rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-4.0, -1.0))
+        num, den = num * Polynomial([-a, 1.0]), den * Polynomial([1.0, -a])
+    g = RationalTF(num, den)
+    norm, omega_p, unique = linf_norm(g)
+    assert not unique and omega_p == 0.0
+    rounding = sum(_horner_bound(p.coeffs, 1.0) / abs(poly_eval(p, 1.0))
+                   for p in (g.num, g.den))
+    assert abs(norm / mp_gain(g, 0.0) - 1.0) <= rounding
 
 
 def test_linf_norm_subnormal_allpass_section_is_flat():
@@ -401,9 +415,10 @@ def test_double_zero_at_an_end_keeps_its_peak_and_crossings(num, want):
 
 
 @pytest.mark.xfail(strict=True, raises=PoleOnCircleError,
-                   reason="den(1) is 3.9e-15 to 50 digits, below Horner's "
-                          "bound 5.7e-14, so the flat branch's evaluation "
-                          "at z = 1 reads as a pole")
+                   reason="ROADMAP item 2: the four poles form one 4-fold "
+                          "cluster at 0.99969 whose disk (4.9e-4) reaches "
+                          "the circle, so assert_rl_inf raises before any "
+                          "gain is read")
 def test_linf_norm_allpass_product_near_plus_one_is_flat():
     # four sections with poles 1.5e-4 to 6.7e-4 inside the circle; num is
     # den reversed, so the stored coefficients are all-pass to 50 digits

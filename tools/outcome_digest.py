@@ -15,9 +15,9 @@ records differ once numpy scalar wrappers are stripped from both texts
 (``np.float64(x)`` reads as ``x`` and ``np.True_`` as ``True``; the
 printed records and hashes keep them), how many of those differ in
 structure (text, flags or the count of numbers, not only in digits), how
-many change ``status``, ``class``, ``n_unstable``, ``pip`` or
-``peak_unique``, and, per numeric field, the largest relative and absolute
-difference.  A numeric field is named by the nearest ``name=`` or
+many change ``status``, ``class``, ``n_unstable``, ``pip``,
+``peak_unique`` or ``unique``, and, per numeric field, the largest
+relative and absolute difference.  A numeric field is named by the nearest ``name=`` or
 ``"name":`` before the number in the record's text
 (``verdict.lower_bound``), or by the record field alone (``poles``);
 complex numbers compare as one value.  One last line per section gives
@@ -45,6 +45,14 @@ Sections:
   roots, their multiplicities and ``sides(1.0)``, or the error type.  A
   real pair on the negative half-axis is built as r e^{j pi}, whose
   imaginary part ~1e-16 r has no conjugate, so its given roots are solved.
+* ``flat``: where ``linf_norm`` reads a flat response, which the plant
+  families never show.  Products gain * prod (1 - a z)/(z - a) of 1-4 real
+  first-order all-pass sections, gain 10^U(-3, 3): the 14 known seeds of
+  ``tests/test_transfer.py::test_linf_norm_allpass_products_are_flat``'s
+  recipe (a ~ U(-1 + 1e-4, 1 - 1e-4)) that a zero test on S has misread or
+  that miss its gain, and seeds 0-2,999 of sections 10^U(-4, -1) from +1
+  or -1 (random sign).  Each record is ``linf_norm`` of the stored
+  product, or the error type.
 
 The benchmark's files are imported, never changed.  A run takes about 15 s
 on a 2-vCPU VM.
@@ -167,6 +175,37 @@ def root_records():
         yield rec
 
 
+FLAT_SEEDS = (50395, 79164, 88736, 100905, 101753, 108237, 131698, 134063,
+              151341, 156674, 156828, 187992, 194737, 1_267_291_037)
+
+
+def _uniform_sections(rng):
+    gain = 10.0 ** rng.uniform(-3.0, 3.0)
+    return gain, rng.uniform(-1.0 + 1e-4, 1.0 - 1e-4, int(rng.integers(1, 5)))
+
+
+def _near_unit_sections(rng):
+    gain = 10.0 ** rng.uniform(-3.0, 3.0)
+    return gain, [rng.choice([-1.0, 1.0])
+                  * (1.0 - 10.0 ** rng.uniform(-4.0, -1.0))
+                  for _ in range(int(rng.integers(1, 5)))]
+
+
+def flat_records():
+    draws = [("uniform", _uniform_sections, s) for s in FLAT_SEEDS]
+    draws += [("near-unit", _near_unit_sections, s) for s in range(3000)]
+    for recipe, make, seed in draws:
+        gain, sections = make(np.random.default_rng(seed))
+        num, den = rirkit.Polynomial([gain]), rirkit.Polynomial([1.0])
+        for a in sections:
+            num = num * rirkit.Polynomial([-a, 1.0])
+            den = den * rirkit.Polynomial([1.0, -a])
+        g = rirkit.RationalTF(num, den)
+        rec = {"recipe": recipe, "draw": seed}
+        rec["linf"], rec["linf_warnings"] = _call(lambda: rirkit.linf_norm(g))
+        yield rec
+
+
 def sections() -> dict:
     out = {"paper": list(paper_records())}
     for name in ("plants-small", "plants-large"):
@@ -177,6 +216,7 @@ def sections() -> dict:
             for i, p in enumerate(plant_family(seed, cfg["count"],
                                                cfg["degrees"]))]
     out["roots"] = list(root_records())
+    out["flat"] = list(flat_records())
     return out
 
 
@@ -196,7 +236,8 @@ _NUM = r"(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)"
 NUMBER = re.compile(rf"(?<![\w.])[-+]?{_NUM}(?:[-+]{_NUM}j|j)?(?![\w.])")
 LABEL = re.compile(r"(\w+)(?:=|\": )[^=:]*$")
 DECISIONS = re.compile(
-    r"\b(status|class_name|class|n_unstable|pip|peak_unique)(?:=|\": )"
+    r"\b(status|class_name|class|n_unstable|pip|peak_unique|unique)"
+    r"(?:=|\": )"
     r"('[^']*'|\"[^\"]*\"|\w+)")
 
 
